@@ -43,7 +43,6 @@ from .touchard import (
     ORACLE_GRID,
     ROUTES,
     StatReport,
-    TouchardResult,
     VerificationReport,
     avg_nse,
     exp_q_series,
@@ -54,7 +53,6 @@ from .touchard import (
     taylor_oracle,
     touchard_eval,
     touchard_poly,
-    touchard_result,
     touchard_series,
     verify_identity,
 )
@@ -74,7 +72,6 @@ __all__ = [
     "NumberTables",
     "OrderedPartition",
     "StatReport",
-    "TouchardResult",
     "VerificationReport",
     "avg_nse",
     "bell",
@@ -107,7 +104,6 @@ __all__ = [
     "taylor_oracle",
     "touchard_eval",
     "touchard_poly",
-    "touchard_result",
     "touchard_series",
     "verify_identity",
 ]

@@ -2,25 +2,28 @@
 
 Exit codes: 0 success, 1 a requested verification failed, 2 usage or
 input error.  All output is deterministic: same argv, same bytes.
-Setting the environment variable PQTOUCHARD_CACHE_DIR persists the
-integer tables between runs in <dir>/tables.json.
+With --out the output goes to a file only once the command has succeeded
+or its verification has failed; an error leaves the file as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
 import sys
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
+from functools import partial
+from itertools import chain
 
 from . import partitions, permstats, touchard
 from .partitions import nsb, nse
 from .poly import VAR_ORDER
 from .tables import (
-    TABLES,
     bell,
     binomial,
     factorial,
@@ -29,8 +32,6 @@ from .tables import (
     stirling1_unsigned,
     stirling2,
 )
-
-CACHE_ENV = "PQTOUCHARD_CACHE_DIR"
 
 _TRIANGLES = {
     "binomial": binomial,
@@ -62,166 +63,153 @@ def _parse_assignment(text: str) -> dict[str, Fraction]:
     return point
 
 
-def _writer(out):
-    return csv.writer(out, lineterminator="\n")
+@dataclass(frozen=True)
+class _Output:
+    """A command's exit status and its result in each of the three formats.
+
+    Every format is a function that the emitter calls only for the format
+    asked for, so the others are never built; csv rows and plain lines may
+    be lazy iterables.
+    """
+
+    payload: Callable[[], object]
+    rows: Callable[[], Iterable]
+    lines: Callable[[], Iterable]
+    status: int = 0
 
 
-def _cmd_table(args, out) -> int:
+def _emit(output: _Output, fmt: str, handle) -> None:
+    if fmt == "json":
+        print(json.dumps(output.payload(), indent=2), file=handle)
+    elif fmt == "csv":
+        csv.writer(handle, lineterminator="\n").writerows(output.rows())
+    else:
+        for line in output.lines():
+            print(line, file=handle)
+
+
+def _emit_to_file(output: _Output, fmt: str, path: str) -> None:
+    """Write through a sibling temporary file that replaces path only when
+    the whole output was written, so a failed command leaves path as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            _emit(output, fmt, handle)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _value_output(n: int, inputs: dict, value, check=None) -> _Output:
+    """One value with the inputs that gave it; check = (label, other) also
+    reports an independent computation of it and fails unless they agree."""
+    payload = {"n": n, **{name: str(v) for name, v in inputs.items()}}
+    payload["value"] = str(value)
+    header = ["n", *inputs, "value"]
+    row = [n, *inputs.values(), value]
+    lines = [value]
+    status = 0
+    if check is not None:
+        label, other = check
+        equal = other == value
+        status = 0 if equal else 1
+        payload.update({label: str(other), "equal": equal})
+        header += [label, "equal"]
+        row += [other, equal]
+        lines += [f"{label} {other}", "EQUAL" if equal else "MISMATCH"]
+    return _Output(lambda: payload, lambda: [header, row], lambda: lines, status)
+
+
+def _cmd_table(args) -> _Output:
     if args.nmax < 0:
         raise ValueError("--nmax must be nonnegative")
-    name = args.name
+    name, nmax = args.name, args.nmax
     if name in _TRIANGLES:
         fn = _TRIANGLES[name]
-        rows = [[fn(n, k) for k in range(n + 1)] for n in range(args.nmax + 1)]
-        if args.format == "json":
-            payload = {
+        rows = [[fn(n, k) for k in range(n + 1)] for n in range(nmax + 1)]
+        return _Output(
+            lambda: {
                 "name": name,
-                "nmax": args.nmax,
+                "nmax": nmax,
                 "rows": [[str(v) for v in row] for row in rows],
-            }
-            print(json.dumps(payload, indent=2), file=out)
-        elif args.format == "csv":
-            w = _writer(out)
-            for row in rows:
-                w.writerow(row)
-        else:
-            for row in rows:
-                print(" ".join(str(v) for v in row), file=out)
-    elif name in _SEQUENCES:
+            },
+            lambda: rows,
+            lambda: (" ".join(map(str, row)) for row in rows),
+        )
+    if name in _SEQUENCES:
         fn = _SEQUENCES[name]
-        values = [fn(n) for n in range(args.nmax + 1)]
-        if args.format == "json":
-            payload = {"name": name, "nmax": args.nmax, "values": [str(v) for v in values]}
-            print(json.dumps(payload, indent=2), file=out)
-        elif args.format == "csv":
-            w = _writer(out)
-            w.writerow(["n", "value"])
-            for n, v in enumerate(values):
-                w.writerow([n, v])
-        else:
-            for v in values:
-                print(v, file=out)
-    else:
-        polys = [q_product_poly(n, args.var) for n in range(args.nmax + 1)]
-        if args.format == "json":
-            payload = {
-                "name": name,
-                "var": args.var,
-                "nmax": args.nmax,
-                "polys": [p.to_json_obj() for p in polys],
-            }
-            print(json.dumps(payload, indent=2), file=out)
-        elif args.format == "csv":
-            w = _writer(out)
-            w.writerow(["n", "poly"])
-            for n, p in enumerate(polys):
-                w.writerow([n, str(p)])
-        else:
-            for p in polys:
-                print(p, file=out)
-    return 0
+        values = [fn(n) for n in range(nmax + 1)]
+        return _Output(
+            lambda: {"name": name, "nmax": nmax, "values": [str(v) for v in values]},
+            lambda: chain([["n", "value"]], enumerate(values)),
+            lambda: values,
+        )
+    polys = [q_product_poly(n, args.var) for n in range(nmax + 1)]
+    return _Output(
+        lambda: {
+            "name": name,
+            "var": args.var,
+            "nmax": nmax,
+            "polys": [p.to_json_obj() for p in polys],
+        },
+        lambda: chain([["n", "poly"]], enumerate(polys)),
+        lambda: polys,
+    )
 
 
-def _cmd_expand(args, out) -> int:
+def _cmd_expand(args) -> _Output:
     poly = touchard.touchard_poly(args.n, args.route)
     if args.at is not None:
         point = _parse_assignment(args.at)
         value = poly.evaluate(point)
-        if args.format == "json":
-            payload = {
+        return _Output(
+            lambda: {
                 "n": args.n,
                 "route": args.route,
                 "at": {k: str(v) for k, v in point.items()},
                 "value": str(value),
-            }
-            print(json.dumps(payload, indent=2), file=out)
-        elif args.format == "csv":
-            w = _writer(out)
-            w.writerow(["value"])
-            w.writerow([str(value)])
-        else:
-            print(value, file=out)
-        return 0
-    if args.format == "json":
-        payload = {"n": args.n, "route": args.route, "poly": poly.to_json_obj()}
-        print(json.dumps(payload, indent=2), file=out)
-    elif args.format == "csv":
-        w = _writer(out)
-        w.writerow(list(poly.variables) + ["coeff"])
-        for exps, coeff in poly.sorted_terms():
-            w.writerow(list(exps) + [str(coeff)])
-    else:
-        print(poly, file=out)
-    return 0
+            },
+            lambda: [["value"], [value]],
+            lambda: [value],
+        )
+    return _Output(
+        lambda: {"n": args.n, "route": args.route, "poly": poly.to_json_obj()},
+        lambda: chain(
+            [[*poly.variables, "coeff"]],
+            ([*exps, coeff] for exps, coeff in poly.sorted_terms()),
+        ),
+        lambda: [poly],
+    )
 
 
-def _cmd_eval(args, out) -> int:
+def _cmd_eval(args) -> _Output:
     x = _parse_fraction(args.x)
     p = _parse_fraction(args.p)
     q = _parse_fraction(args.q)
     value = touchard.touchard_eval(args.n, x, p, q)
-    oracle_value = None
-    status = 0
+    check = None
     if args.oracle:
         coeffs = touchard.taylor_oracle(x, p, q, args.n)
-        oracle_value = coeffs[args.n] * factorial(args.n)
-        if oracle_value != value:
-            status = 1
-    if args.format == "json":
-        payload = {
-            "n": args.n,
-            "x": str(x),
-            "p": str(p),
-            "q": str(q),
-            "value": str(value),
-        }
-        if args.oracle:
-            payload["oracle"] = str(oracle_value)
-            payload["equal"] = oracle_value == value
-        print(json.dumps(payload, indent=2), file=out)
-    elif args.format == "csv":
-        w = _writer(out)
-        header = ["n", "x", "p", "q", "value"]
-        row = [args.n, x, p, q, value]
-        if args.oracle:
-            header += ["oracle", "equal"]
-            row += [oracle_value, oracle_value == value]
-        w.writerow(header)
-        w.writerow(row)
-    else:
-        print(value, file=out)
-        if args.oracle:
-            print(f"oracle {oracle_value}", file=out)
-            print("EQUAL" if status == 0 else "MISMATCH", file=out)
-    return status
+        check = ("oracle", coeffs[args.n] * factorial(args.n))
+    return _value_output(args.n, {"x": x, "p": p, "q": q}, value, check)
 
 
-def _cmd_enumerate(args, out) -> int:
+def _cmd_enumerate(args) -> _Output:
     stream = partitions.enumerate_partitions(args.n, args.k, args.flavor, force=args.force)
-    if args.format == "json":
-        items = []
+    header = ["partition", "nsb", "nse"] if args.stats else ["partition"]
+
+    # the three formats share the one stream; the emitter drains only one
+    def records():
         for pi in stream:
-            item = {"partition": pi.to_string()}
-            if args.stats:
-                item["nsb"] = nsb(pi)
-                item["nse"] = nse(pi)
-            items.append(item)
-        print(json.dumps(items, indent=2), file=out)
-    elif args.format == "csv":
-        w = _writer(out)
-        w.writerow(["partition", "nsb", "nse"] if args.stats else ["partition"])
-        for pi in stream:
-            if args.stats:
-                w.writerow([pi.to_string(), nsb(pi), nse(pi)])
-            else:
-                w.writerow([pi.to_string()])
-    else:
-        for pi in stream:
-            if args.stats:
-                print(f"{pi.to_string()} {nsb(pi)} {nse(pi)}", file=out)
-            else:
-                print(pi.to_string(), file=out)
-    return 0
+            yield [pi.to_string(), nsb(pi), nse(pi)] if args.stats else [pi.to_string()]
+
+    return _Output(
+        lambda: [dict(zip(header, record)) for record in records()],
+        lambda: chain([header], records()),
+        lambda: (" ".join(map(str, record)) for record in records()),
+    )
 
 
 def _dist_grid_rows(n, k, poly):
@@ -234,45 +222,41 @@ def _dist_grid_rows(n, k, poly):
     return rows
 
 
-def _cmd_dist(args, out) -> int:
+def _cmd_dist(args) -> _Output:
     formula = touchard.s_uv(args.n, args.k)
-    report = None
-    status = 0
-    if args.oracle:
-        report = touchard.stat_report(args.n, args.k, force=args.force)
-        if not report.passed:
-            status = 1
-    if args.format == "csv":
-        w = _writer(out)
-        for row in _dist_grid_rows(args.n, args.k, formula):
-            w.writerow(row)
-        if report is not None and not report.passed:
-            failed = ", ".join(name for name, ok in report.checks if not ok)
-            print(f"verification failed: {failed}", file=sys.stderr)
-    elif args.format == "json":
-        payload = {"n": args.n, "k": args.k, "poly": formula.to_json_obj()}
-        if report is not None:
-            payload["enumeration"] = report.poly.to_json_obj()
-            payload["cardinality"] = str(report.cardinality)
-            payload["checks"] = {name: ok for name, ok in report.checks}
-            payload["passed"] = report.passed
-        print(json.dumps(payload, indent=2), file=out)
-    else:
-        if report is None:
-            print(formula, file=out)
-        else:
-            print(f"formula      {formula}", file=out)
-            print(f"enumeration  {report.poly}", file=out)
-            print(f"cardinality  {report.cardinality}", file=out)
-            if report.passed:
-                print("EQUAL", file=out)
-            else:
-                failed = ", ".join(name for name, ok in report.checks if not ok)
-                print(f"MISMATCH ({failed})", file=out)
-    return status
+    grid = partial(_dist_grid_rows, args.n, args.k, formula)
+    if not args.oracle:
+        return _Output(
+            lambda: {"n": args.n, "k": args.k, "poly": formula.to_json_obj()},
+            grid,
+            lambda: [formula],
+        )
+    report = touchard.stat_report(args.n, args.k, force=args.force)
+    failed = ", ".join(name for name, ok in report.checks if not ok)
+    if failed:
+        print(f"verification failed: {failed}", file=sys.stderr)
+    return _Output(
+        lambda: {
+            "n": args.n,
+            "k": args.k,
+            "poly": formula.to_json_obj(),
+            "enumeration": report.poly.to_json_obj(),
+            "cardinality": str(report.cardinality),
+            "checks": dict(report.checks),
+            "passed": report.passed,
+        },
+        grid,
+        lambda: [
+            f"formula      {formula}",
+            f"enumeration  {report.poly}",
+            f"cardinality  {report.cardinality}",
+            "EQUAL" if report.passed else f"MISMATCH ({failed})",
+        ],
+        0 if report.passed else 1,
+    )
 
 
-def _cmd_verify(args, out) -> int:
+def _cmd_verify(args) -> _Output:
     if args.identity == "all":
         names = touchard.IDENTITY_NAMES
         n_max = None
@@ -280,9 +264,8 @@ def _cmd_verify(args, out) -> int:
         names = (args.identity,)
         n_max = args.nmax
     reports = [touchard.verify_identity(name, n_max, force=args.force) for name in names]
-    status = 0 if all(r.passed for r in reports) else 1
-    if args.format == "json":
-        payload = {
+    return _Output(
+        lambda: {
             "reports": [
                 {
                     "identity": r.identity,
@@ -294,23 +277,22 @@ def _cmd_verify(args, out) -> int:
                 }
                 for r in reports
             ]
-        }
-        print(json.dumps(payload, indent=2), file=out)
-    elif args.format == "csv":
-        w = _writer(out)
-        w.writerow(["identity", "nmax", "cells", "failures", "passed"])
-        for r in reports:
-            w.writerow([r.identity, r.n_max, len(r.cells), r.failures, r.passed])
-    else:
-        for r in reports:
-            print(r.summary(), file=out)
-    return status
+        },
+        lambda: chain(
+            [["identity", "nmax", "cells", "failures", "passed"]],
+            (
+                [r.identity, r.n_max, len(r.cells), r.failures, r.passed]
+                for r in reports
+            ),
+        ),
+        lambda: [r.summary() for r in reports],
+        0 if all(r.passed for r in reports) else 1,
+    )
 
 
-def _cmd_avg_nse(args, out) -> int:
+def _cmd_avg_nse(args) -> _Output:
     value = touchard.avg_nse(args.n)
-    brute = None
-    status = 0
+    check = None
     if args.check:
         moved = 0
         objects = 0
@@ -318,51 +300,21 @@ def _cmd_avg_nse(args, out) -> int:
             for pi in partitions.enumerate_partitions(args.n, k, "slp"):
                 moved += nse(pi)
                 objects += 1
-        brute = Fraction(moved, objects)
-        if brute != value:
-            status = 1
-    if args.format == "json":
-        payload = {"n": args.n, "value": str(value)}
-        if args.check:
-            payload["enumeration"] = str(brute)
-            payload["equal"] = brute == value
-        print(json.dumps(payload, indent=2), file=out)
-    elif args.format == "csv":
-        w = _writer(out)
-        header = ["n", "value"]
-        row = [args.n, value]
-        if args.check:
-            header += ["enumeration", "equal"]
-            row += [brute, brute == value]
-        w.writerow(header)
-        w.writerow(row)
-    else:
-        print(value, file=out)
-        if args.check:
-            print(f"enumeration {brute}", file=out)
-            print("EQUAL" if status == 0 else "MISMATCH", file=out)
-    return status
+        check = ("enumeration", Fraction(moved, objects))
+    return _value_output(args.n, {}, value, check)
 
 
-def _cmd_perm_stats(args, out) -> int:
-    nse_counts = permstats.nse_distribution(args.n)
-    ltr_counts = permstats.ltr_max_distribution(args.n)
-    rows = [
-        (j, nse_counts[j], args.n - j, ltr_counts[args.n - j]) for j in range(args.n)
-    ]
-    if args.format == "json":
-        payload = {"n": args.n, "nse": nse_counts, "ltr_max": ltr_counts}
-        print(json.dumps(payload, indent=2), file=out)
-    elif args.format == "csv":
-        w = _writer(out)
-        w.writerow(["j", "nse_count", "k", "ltrmax_count"])
-        for row in rows:
-            w.writerow(row)
-    else:
-        print("j nse_count k ltrmax_count", file=out)
-        for row in rows:
-            print(" ".join(str(v) for v in row), file=out)
-    return 0
+def _cmd_perm_stats(args) -> _Output:
+    n = args.n
+    nse_counts = permstats.nse_distribution(n)
+    ltr_counts = permstats.ltr_max_distribution(n)
+    rows = [["j", "nse_count", "k", "ltrmax_count"]]
+    rows += [[j, nse_counts[j], n - j, ltr_counts[n - j]] for j in range(n)]
+    return _Output(
+        lambda: {"n": n, "nse": nse_counts, "ltr_max": ltr_counts},
+        lambda: rows,
+        lambda: (" ".join(map(str, row)) for row in rows),
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -468,13 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cache_file() -> Path | None:
-    root = os.environ.get(CACHE_ENV)
-    if not root:
-        return None
-    return Path(root) / "tables.json"
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -482,25 +427,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse handles --help (0) and usage errors (2) itself
         return int(exc.code or 0)
-    cache_file = _cache_file()
-    if cache_file is not None:
-        TABLES.load(cache_file)
     try:
+        output = args.handler(args)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                status = args.handler(args, handle)
+            _emit_to_file(output, args.format, args.out)
         else:
-            status = args.handler(args, sys.stdout)
+            _emit(output, args.format, sys.stdout)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if cache_file is not None and status == 0:
-        try:
-            cache_file.parent.mkdir(parents=True, exist_ok=True)
-            TABLES.save(cache_file)
-        except OSError as exc:
-            print(f"warning: could not write table cache: {exc}", file=sys.stderr)
-    return status
+    return output.status
 
 
 if __name__ == "__main__":

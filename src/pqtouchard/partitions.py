@@ -15,6 +15,7 @@ closed forms elsewhere are checked against.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations, product
 
 from .poly import MultiPoly
@@ -207,57 +208,32 @@ def _generate(n, k, flavor):
                     yield OrderedPartition(words)
 
 
-_dist_cache: dict[tuple[int, int], MultiPoly] = {}
-
-
+@cache
 def dist_poly(n: int, k: int, force: bool = False) -> MultiPoly:
     """Joint distribution sum of u^nsb * v^nse over all llp objects.
 
-    Computed by full enumeration and cached per (n,k).  Evaluating the
-    result at u=v=1 recovers the llp count.
+    Computed by full enumeration and cached per argument tuple, so a result
+    computed with force=True does not answer a later call without it.
+    Evaluating the result at u=v=1 recovers the llp count.
     """
-    key = (n, k)
-    cached = _dist_cache.get(key)
-    if cached is not None:
-        return cached
     counts: dict[tuple[int, int], int] = {}
     for pi in enumerate_partitions(n, k, "llp", force=force):
         stats = (nsb(pi), nse(pi))
         counts[stats] = counts.get(stats, 0) + 1
-    poly = MultiPoly(("u", "v"), counts)
-    _dist_cache[key] = poly
-    return poly
-
-
-_count_cache: dict[tuple[int, int, str], int] = {}
+    return MultiPoly(("u", "v"), counts)
 
 
 def count_partitions(n: int, k: int, flavor: str) -> int:
-    """Number of flavor objects; closed form, cross-checked by enumeration
-    for n <= 7."""
+    """Number of flavor objects, by closed form."""
     flavor = _check_flavor(flavor)
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    key = (n, k, flavor)
-    cached = _count_cache.get(key)
-    if cached is not None:
-        return cached
     if n == 0 or k <= 0:
-        closed = 1 if (n == 0 and k == 0) else 0
-    elif flavor == "ssp":
-        closed = stirling2(n, k)
-    elif flavor == "lsp":
-        closed = factorial(k) * stirling2(n, k)
-    elif flavor == "slp":
-        closed = factorial(n) // factorial(k) * binomial(n - 1, k - 1)
-    else:
-        closed = factorial(n) * binomial(n - 1, k - 1)
-    if n <= 7:
-        brute = sum(1 for _ in enumerate_partitions(n, k, flavor))
-        if brute != closed:
-            raise AssertionError(
-                f"count mismatch for ({n},{k},{flavor}): "
-                f"enumeration gives {brute}, closed form gives {closed}"
-            )
-    _count_cache[key] = closed
-    return closed
+        return 1 if (n == 0 and k == 0) else 0
+    if flavor == "ssp":
+        return stirling2(n, k)
+    if flavor == "lsp":
+        return factorial(k) * stirling2(n, k)
+    if flavor == "slp":
+        return factorial(n) // factorial(k) * binomial(n - 1, k - 1)
+    return factorial(n) * binomial(n - 1, k - 1)

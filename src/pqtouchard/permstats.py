@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from itertools import permutations
 
+from .partitions import _rl_min_count
+
 # 9! words is where an exhaustive scan stops being a few seconds
 PERM_BUDGET = 9
 
@@ -44,25 +46,13 @@ def decompose(word):
     return nse_set, frozenset(rlm)
 
 
-def _scan_nse(word) -> int:
-    count = 0
-    floor = None
-    for value in reversed(word):
-        if floor is None or value < floor:
-            floor = value
-        else:
-            count += 1
-    return count
-
-
 def nse_perm(word) -> int:
     """Number of entries that are not right-to-left minima."""
-    return _scan_nse(check_permutation(word))
-
-
-def ltr_max_count(word) -> int:
-    """Number of entries larger than everything before them."""
     word = check_permutation(word)
+    return len(word) - _rl_min_count(word)
+
+
+def _ltr_max_count(word) -> int:
     count = 0
     ceiling = None
     for value in word:
@@ -70,6 +60,11 @@ def ltr_max_count(word) -> int:
             count += 1
             ceiling = value
     return count
+
+
+def ltr_max_count(word) -> int:
+    """Number of entries larger than everything before them."""
+    return _ltr_max_count(check_permutation(word))
 
 
 def _check_budget(n: int) -> int:
@@ -91,7 +86,7 @@ def nse_distribution(n: int) -> list[int]:
     n = _check_budget(n)
     counts = [0] * n
     for word in permutations(range(1, n + 1)):
-        counts[_scan_nse(word)] += 1
+        counts[n - _rl_min_count(word)] += 1
     return counts
 
 
@@ -104,11 +99,5 @@ def ltr_max_distribution(n: int) -> list[int]:
     n = _check_budget(n)
     counts = [0] * (n + 1)
     for word in permutations(range(1, n + 1)):
-        ceiling = 0
-        k = 0
-        for value in word:
-            if value > ceiling:
-                k += 1
-                ceiling = value
-        counts[k] += 1
+        counts[_ltr_max_count(word)] += 1
     return counts

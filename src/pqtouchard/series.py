@@ -83,9 +83,6 @@ class EgfSeries:
             out.append(acc)
         return EgfSeries(out)
 
-    def compose(self, inner: EgfSeries) -> EgfSeries:
-        return egf_compose(self, inner)
-
 
 def partial_bell(n: int, k: int, g) -> object:
     """Partial Bell polynomial B_{n,k} evaluated at g = [g_1, g_2, ...].

@@ -9,11 +9,23 @@ lock and readers never block.
 
 from __future__ import annotations
 
-import json
 import threading
-from pathlib import Path
+from itertools import count, repeat
 
 from .poly import MultiPoly
+
+
+# w in row[j] = w*prev[j] + prev[j-1] for j = 0..m of row m of each triangle
+def _binomial_weights(m):
+    return repeat(1)
+
+
+def _stirling2_weights(m):
+    return count()
+
+
+def _stirling1_weights(m):
+    return repeat(m - 1)
 
 
 class NumberTables:
@@ -33,54 +45,38 @@ class NumberTables:
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError(f"n must be a nonnegative integer, got {n!r}")
 
-    def binomial(self, n: int, k: int) -> int:
-        """C(n, k); 0 outside 0 <= k <= n."""
+    def _triangle(self, rows: list, weights, n: int, k: int) -> int:
+        """Entry (n, k) of a triangle grown by row[j] = w*prev[j] + prev[j-1].
+
+        weights(m) yields w for j = 0..m of row m; 0 outside 0 <= k <= n.
+        """
         self._check_n(n)
         if k < 0 or k > n:
             return 0
-        rows = self._binomial
         if n >= len(rows):
             with self._lock:
                 while len(rows) <= n:
                     prev = rows[-1]
                     m = len(rows)
-                    row = (1,) + tuple(prev[j - 1] + prev[j] for j in range(1, m)) + (1,)
-                    rows.append(row)
+                    rows.append(
+                        tuple(
+                            w * a + b
+                            for w, a, b in zip(weights(m), prev + (0,), (0,) + prev)
+                        )
+                    )
         return rows[n][k]
+
+    def binomial(self, n: int, k: int) -> int:
+        """C(n, k); 0 outside 0 <= k <= n."""
+        return self._triangle(self._binomial, _binomial_weights, n, k)
 
     def stirling2(self, n: int, k: int) -> int:
         """Partitions of an n-set into k nonempty blocks; 0 outside range."""
-        self._check_n(n)
-        if k < 0 or k > n:
-            return 0
-        rows = self._stirling2
-        if n >= len(rows):
-            with self._lock:
-                while len(rows) <= n:
-                    prev = rows[-1]
-                    m = len(rows)
-                    row = [0] * (m + 1)
-                    for j in range(1, m + 1):
-                        row[j] = (j * prev[j] if j < m else 0) + prev[j - 1]
-                    rows.append(tuple(row))
-        return rows[n][k]
+        return self._triangle(self._stirling2, _stirling2_weights, n, k)
 
     def stirling1_unsigned(self, n: int, k: int) -> int:
         """Permutations of an n-set with k cycles; 0 outside range."""
-        self._check_n(n)
-        if k < 0 or k > n:
-            return 0
-        rows = self._stirling1
-        if n >= len(rows):
-            with self._lock:
-                while len(rows) <= n:
-                    prev = rows[-1]
-                    m = len(rows)
-                    row = [0] * (m + 1)
-                    for j in range(1, m + 1):
-                        row[j] = ((m - 1) * prev[j] if j < m else 0) + prev[j - 1]
-                    rows.append(tuple(row))
-        return rows[n][k]
+        return self._triangle(self._stirling1, _stirling1_weights, n, k)
 
     def stirling1_signed(self, n: int, k: int) -> int:
         value = self.stirling1_unsigned(n, k)
@@ -116,55 +112,6 @@ class NumberTables:
                 m = len(seq)
                 seq.append(seq[-1] * (MultiPoly.var(var) * m - (m - 1)))
         return seq[n]
-
-    # -- optional on-disk cache of the integer tables --------------------------
-
-    def save(self, path) -> None:
-        """Write the integer tables as JSON (values as decimal strings)."""
-        with self._lock:
-            data = {
-                "binomial": [[str(v) for v in row] for row in self._binomial],
-                "stirling2": [[str(v) for v in row] for row in self._stirling2],
-                "stirling1": [[str(v) for v in row] for row in self._stirling1],
-                "bell": [str(v) for v in self._bell],
-                "factorial": [str(v) for v in self._factorial],
-            }
-        Path(path).write_text(json.dumps(data))
-
-    def load(self, path) -> bool:
-        """Adopt cached tables when they are longer than what is in memory.
-
-        Returns False (and leaves the tables alone) if the file is missing or
-        not structurally a table dump.
-        """
-        try:
-            data = json.loads(Path(path).read_text())
-            triangles = {}
-            for key in ("binomial", "stirling2", "stirling1"):
-                rows = [tuple(int(v) for v in row) for row in data[key]]
-                if not rows or any(len(row) != i + 1 for i, row in enumerate(rows)):
-                    return False
-                if any(row[-1] != 1 for row in rows):
-                    return False
-                triangles[key] = rows
-            bell = [int(v) for v in data["bell"]]
-            fact = [int(v) for v in data["factorial"]]
-            if not bell or bell[0] != 1 or not fact or fact[0] != 1:
-                return False
-        except (OSError, ValueError, KeyError, TypeError):
-            return False
-        with self._lock:
-            if len(triangles["binomial"]) > len(self._binomial):
-                self._binomial[:] = triangles["binomial"]
-            if len(triangles["stirling2"]) > len(self._stirling2):
-                self._stirling2[:] = triangles["stirling2"]
-            if len(triangles["stirling1"]) > len(self._stirling1):
-                self._stirling1[:] = triangles["stirling1"]
-            if len(bell) > len(self._bell):
-                self._bell[:] = bell
-            if len(fact) > len(self._factorial):
-                self._factorial[:] = fact
-        return True
 
 
 TABLES = NumberTables()

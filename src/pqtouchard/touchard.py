@@ -181,19 +181,6 @@ def avg_nse(n: int) -> Fraction:
 
 
 @dataclass(frozen=True)
-class TouchardResult:
-    """One computed polynomial together with the route that produced it."""
-
-    n: int
-    poly: MultiPoly
-    route: str
-
-
-def touchard_result(n: int, route: str = "substitution") -> TouchardResult:
-    return TouchardResult(n, touchard_poly(n, route), route)
-
-
-@dataclass(frozen=True)
 class StatReport:
     """Per-(n,k) comparison of the enumerated distribution with closed forms."""
 

@@ -121,7 +121,7 @@ class TestEnumeration:
             assert pi.block_minima() == tuple(sorted(pi.block_minima()))
 
     def test_each_flavor_count_matches_enumeration(self):
-        for n in range(6):
+        for n in range(8):
             for k in range(n + 2):
                 for flavor in partitions.FLAVORS:
                     run = sum(1 for _ in enumerate_partitions(n, k, flavor))
@@ -147,7 +147,7 @@ class TestBudget:
 
     def test_dist_poly_respects_budget(self, monkeypatch):
         monkeypatch.setattr(partitions, "_LLP_BUDGET", 3)
-        monkeypatch.setattr(partitions, "_dist_cache", {})
+        dist_poly.cache_clear()
         with pytest.raises(ValueError, match="force"):
             dist_poly(4, 2)
         poly = dist_poly(4, 2, force=True)

@@ -1,6 +1,5 @@
 """Number tables: recurrences, row sums, and independent brute-force counts."""
 
-import json
 import threading
 from itertools import permutations, product
 
@@ -145,41 +144,6 @@ class TestQProduct:
                     n, n - j
                 )
             assert shifted.degree("v") <= n - 1
-
-
-class TestPersistence:
-    def test_save_load_round_trip(self, tmp_path):
-        path = tmp_path / "tables.json"
-        source = NumberTables()
-        source.binomial(12, 0)
-        source.stirling2(10, 0)
-        source.stirling1_unsigned(10, 0)
-        source.bell(9)
-        source.factorial(9)
-        source.save(path)
-
-        fresh = NumberTables()
-        assert fresh.load(path)
-        assert fresh.binomial(12, 5) == 792
-        assert fresh.bell(9) == 21147
-        assert fresh.stirling2(10, 3) == 9330
-
-    def test_load_rejects_garbage(self, tmp_path):
-        path = tmp_path / "tables.json"
-        path.write_text("not json at all")
-        assert not NumberTables().load(path)
-        path.write_text(json.dumps({"binomial": [["2"]]}))
-        assert not NumberTables().load(path)
-        assert not NumberTables().load(tmp_path / "missing.json")
-
-    def test_shorter_cache_does_not_shrink(self, tmp_path):
-        path = tmp_path / "tables.json"
-        small = NumberTables()
-        small.save(path)
-        grown = NumberTables()
-        grown.binomial(8, 0)
-        grown.load(path)
-        assert grown.binomial(8, 4) == 70
 
 
 class TestConcurrency:

@@ -1,6 +1,5 @@
 """Deformed Touchard polynomials: closed forms, routes, and the oracle."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -24,7 +23,6 @@ from pqtouchard import (
     taylor_oracle,
     touchard_eval,
     touchard_poly,
-    touchard_result,
     touchard_series,
     verify_identity,
 )
@@ -122,14 +120,6 @@ class TestTouchardPoly:
             touchard_poly(-1)
         with pytest.raises(ValueError):
             touchard_poly(True)
-
-    def test_result_record(self):
-        result = touchard_result(2, "explicit")
-        assert result.n == 2
-        assert result.route == "explicit"
-        assert result.poly == touchard_poly(2)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            result.n = 3
 
 
 class TestSeriesRoute:
