@@ -80,7 +80,9 @@ class _Output:
 
 def _emit(output: _Output, fmt: str, handle) -> None:
     if fmt == "json":
-        print(json.dumps(output.payload(), indent=2), file=handle)
+        # streamed chunk by chunk: json.dumps would join the whole text first
+        handle.writelines(json.JSONEncoder(indent=2).iterencode(output.payload()))
+        handle.write("\n")
     elif fmt == "csv":
         csv.writer(handle, lineterminator="\n").writerows(output.rows())
     else:

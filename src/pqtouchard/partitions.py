@@ -171,6 +171,12 @@ def enumerate_partitions(n: int, k: int, flavor: str, force: bool = False):
     desk-scale there.
     """
     flavor = _check_flavor(flavor)
+    _check_size(n, k, flavor, force)
+    return _generate(n, k, flavor)
+
+
+def _check_size(n: int, k: int, flavor: str, force: bool) -> None:
+    """Reject a bad n, and an llp stream over the budget unless forced."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     if flavor == "llp" and 1 <= k <= n and n > _LLP_BUDGET and not force:
@@ -179,7 +185,6 @@ def enumerate_partitions(n: int, k: int, flavor: str, force: bool = False):
             f"({factorial(n) * binomial(n - 1, k - 1)} objects); "
             "pass force=True (--force) to run it anyway"
         )
-    return _generate(n, k, flavor)
 
 
 def _check_flavor(flavor: str) -> str:
@@ -208,16 +213,22 @@ def _generate(n, k, flavor):
                     yield OrderedPartition(words)
 
 
-@cache
 def dist_poly(n: int, k: int, force: bool = False) -> MultiPoly:
     """Joint distribution sum of u^nsb * v^nse over all llp objects.
 
-    Computed by full enumeration and cached per argument tuple, so a result
+    Computed by full enumeration and cached once per (n, k).  The budget is
+    checked on every call before the cache is consulted, so a result
     computed with force=True does not answer a later call without it.
     Evaluating the result at u=v=1 recovers the llp count.
     """
+    _check_size(n, k, "llp", force)
+    return _llp_dist(n, k)
+
+
+@cache
+def _llp_dist(n: int, k: int) -> MultiPoly:
     counts: dict[tuple[int, int], int] = {}
-    for pi in enumerate_partitions(n, k, "llp", force=force):
+    for pi in _generate(n, k, "llp"):
         stats = (nsb(pi), nse(pi))
         counts[stats] = counts.get(stats, 0) + 1
     return MultiPoly(("u", "v"), counts)

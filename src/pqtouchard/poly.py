@@ -2,10 +2,14 @@
 
 Coefficients are plain Python integers, so everything stays exact at any
 size.  Polynomials are value objects: construct, combine, compare, but never
-mutate one in place.  Variable alignment between operands is by name, and a
-canonical form (variables sorted x < p < q < u < v, unused variables
-dropped, zero coefficients dropped) makes structural equality coincide with
-mathematical equality.
+mutate one in place.  Every term is keyed by its full exponent vector with
+one slot per name in VAR_ORDER = (x, p, q, u, v), and zero coefficients are
+never stored, so structural equality coincides with mathematical equality.
+`variables` is derived: the names that some term actually uses.
+
+Only the public constructor checks its input and embeds it into the five
+slots.  Arithmetic, substitution and coefficient extraction combine keys
+that are already canonical and wrap their results without re-checking.
 """
 
 from __future__ import annotations
@@ -14,7 +18,19 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 VAR_ORDER = ("x", "p", "q", "u", "v")
-_VAR_RANK = {name: rank for rank, name in enumerate(VAR_ORDER)}
+_SLOT = {name: slot for slot, name in enumerate(VAR_ORDER)}
+_ZERO_KEY = (0,) * len(VAR_ORDER)
+# slots in the order a monomial is rendered: x last, so coefficients in the
+# deformation parameters read naturally, e.g. q*x + p*x^2
+_RENDER = (1, 2, 3, 4, 0)
+
+
+def _slot(name: str) -> int:
+    if name not in _SLOT:
+        raise ValueError(
+            f"unknown variable {name!r}: choose from {', '.join(VAR_ORDER)}"
+        )
+    return _SLOT[name]
 
 
 def _coerce(value) -> "MultiPoly":
@@ -25,10 +41,27 @@ def _coerce(value) -> "MultiPoly":
     raise TypeError(f"cannot treat {type(value).__name__} as a polynomial")
 
 
+def _wrap(terms: Mapping[tuple[int, ...], int]) -> "MultiPoly":
+    """The polynomial of a term map with 5-slot keys, without zero
+    coefficients; nothing else is checked."""
+    poly = object.__new__(MultiPoly)
+    poly.terms = {key: c for key, c in terms.items() if c}
+    return poly
+
+
+def _add_products(out: dict, ta: Mapping, tb: Mapping) -> None:
+    """Accumulate every product of a term of ta and a term of tb into out."""
+    get = out.get
+    for (a0, a1, a2, a3, a4), ca in ta.items():
+        for (b0, b1, b2, b3, b4), cb in tb.items():
+            key = (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4)
+            out[key] = get(key, 0) + ca * cb
+
+
 class MultiPoly:
     """A polynomial stored as a map from exponent vectors to integer coefficients."""
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("terms",)
 
     def __init__(
         self,
@@ -37,12 +70,10 @@ class MultiPoly:
     ):
         names = tuple(variables)
         for name in names:
-            if name not in _VAR_RANK:
-                raise ValueError(
-                    f"unknown variable {name!r}: choose from {', '.join(VAR_ORDER)}"
-                )
+            _slot(name)
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable in {names}")
+        where = [names.index(n) if n in names else None for n in VAR_ORDER]
 
         merged: dict[tuple[int, ...], int] = {}
         for exps, coeff in (terms or {}).items():
@@ -57,41 +88,35 @@ class MultiPoly:
                 raise TypeError(
                     f"coefficients must be int, got {type(coeff).__name__}"
                 )
-            if coeff:
-                total = merged.get(key, 0) + coeff
-                if total:
-                    merged[key] = total
-                else:
-                    del merged[key]
-
-        order = sorted(range(len(names)), key=lambda i: _VAR_RANK[names[i]])
-        names = tuple(names[i] for i in order)
-        merged = {tuple(key[i] for i in order): c for key, c in merged.items()}
-
-        # drop variables that no term actually uses, so equal polynomials
-        # always have identical storage
-        if names:
-            keep = [i for i in range(len(names)) if any(key[i] for key in merged)]
-            if len(keep) != len(names):
-                names = tuple(names[i] for i in keep)
-                merged = {
-                    tuple(key[i] for i in keep): c for key, c in merged.items()
-                }
-
-        self.variables = names
-        self.terms = merged
+            full = tuple(0 if i is None else key[i] for i in where)
+            merged[full] = merged.get(full, 0) + coeff
+        self.terms = {key: c for key, c in merged.items() if c}
 
     @classmethod
     def const(cls, value: int) -> "MultiPoly":
         """The constant polynomial `value`."""
-        return cls((), {(): value} if value else {})
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"coefficients must be int, got {type(value).__name__}")
+        return _wrap({_ZERO_KEY: value})
 
     @classmethod
     def var(cls, name: str, power: int = 1) -> "MultiPoly":
         """The monomial name**power with coefficient 1."""
-        if power == 0:
-            return cls.const(1)
-        return cls((name,), {(power,): 1})
+        slot = _slot(name)
+        if not isinstance(power, int) or power < 0:
+            raise ValueError(f"exponents must be nonnegative integers: {(power,)}")
+        key = list(_ZERO_KEY)
+        key[slot] = power
+        return _wrap({tuple(key): 1})
+
+    @property
+    def variables(self) -> tuple[str, ...]:
+        """The variables that some term uses, in VAR_ORDER."""
+        return tuple(
+            name
+            for slot, name in enumerate(VAR_ORDER)
+            if any(key[slot] for key in self.terms)
+        )
 
     @property
     def is_zero(self) -> bool:
@@ -107,20 +132,15 @@ class MultiPoly:
             other = _coerce(other)
         except TypeError:
             return NotImplemented
-        names, ta, tb = _aligned(self, other)
-        out = dict(ta)
-        for key, coeff in tb.items():
-            total = out.get(key, 0) + coeff
-            if total:
-                out[key] = total
-            else:
-                out.pop(key, None)
-        return MultiPoly(names, out)
+        out = dict(self.terms)
+        for key, coeff in other.terms.items():
+            out[key] = out.get(key, 0) + coeff
+        return _wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.variables, {k: -c for k, c in self.terms.items()})
+        return _wrap({key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
         try:
@@ -137,17 +157,9 @@ class MultiPoly:
             other = _coerce(other)
         except TypeError:
             return NotImplemented
-        names, ta, tb = _aligned(self, other)
         out: dict[tuple[int, ...], int] = {}
-        for ka, ca in ta.items():
-            for kb, cb in tb.items():
-                key = tuple(ea + eb for ea, eb in zip(ka, kb))
-                total = out.get(key, 0) + ca * cb
-                if total:
-                    out[key] = total
-                else:
-                    del out[key]
-        return MultiPoly(names, out)
+        _add_products(out, self.terms, other.terms)
+        return _wrap(out)
 
     __rmul__ = __mul__
 
@@ -156,12 +168,11 @@ class MultiPoly:
             raise ValueError(f"exponent must be a nonnegative integer, got {exponent}")
         result = MultiPoly.const(1)
         base = self
-        e = exponent
-        while e:
-            if e & 1:
+        while exponent:
+            if exponent & 1:
                 result = result * base
             base = base * base
-            e >>= 1
+            exponent >>= 1
         return result
 
     def __eq__(self, other):
@@ -169,45 +180,37 @@ class MultiPoly:
             other = MultiPoly.const(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     # -- queries ------------------------------------------------------------
 
     def degree(self, name: str) -> int:
         """Largest exponent of `name`; 0 if absent, -1 for the zero polynomial."""
+        slot = _slot(name)
         if not self.terms:
             return -1
-        if name not in self.variables:
-            return 0
-        i = self.variables.index(name)
-        return max(key[i] for key in self.terms)
+        return max(key[slot] for key in self.terms)
 
     def coefficient(self, name: str, power: int) -> "MultiPoly":
         """The coefficient of name**power, as a polynomial in the other variables."""
-        if name not in self.variables:
-            return self if power == 0 else MultiPoly.const(0)
-        i = self.variables.index(name)
-        rest = self.variables[:i] + self.variables[i + 1 :]
-        picked = {
-            key[:i] + key[i + 1 :]: c
-            for key, c in self.terms.items()
-            if key[i] == power
-        }
-        return MultiPoly(rest, picked)
+        slot = _slot(name)
+        return _wrap(
+            {
+                key[:slot] + (0,) + key[slot + 1 :]: c
+                for key, c in self.terms.items()
+                if key[slot] == power
+            }
+        )
 
     def monomial_coefficient(self, exponents: Mapping[str, int]) -> int:
         """Integer coefficient of one monomial; unnamed variables mean exponent 0."""
-        for name in exponents:
-            if name not in _VAR_RANK:
-                raise ValueError(f"unknown variable {name!r}")
+        key = list(_ZERO_KEY)
         for name, e in exponents.items():
-            if e and name not in self.variables:
-                return 0
-        key = tuple(exponents.get(name, 0) for name in self.variables)
-        return self.terms.get(key, 0)
+            key[_slot(name)] = e
+        return self.terms.get(tuple(key), 0)
 
     def constant_term(self) -> int:
         return self.monomial_coefficient({})
@@ -216,62 +219,62 @@ class MultiPoly:
 
     def evaluate(self, assignment: Mapping[str, Fraction | int]) -> Fraction:
         """Exact value at the given point; every variable present must be assigned."""
-        for name in self.variables:
+        used = self.variables
+        for name in used:
             if name not in assignment:
                 raise ValueError(f"no value given for variable {name!r}")
+        point = [Fraction(assignment[n]) if n in used else 1 for n in VAR_ORDER]
         total = Fraction(0)
         for key, coeff in self.terms.items():
             value = Fraction(coeff)
-            for name, e in zip(self.variables, key):
+            for base, e in zip(point, key):
                 if e:
-                    value *= Fraction(assignment[name]) ** e
+                    value *= base**e
             total += value
         return total
 
     def substitute(self, name: str, replacement) -> "MultiPoly":
         """Replace every occurrence of `name` by a polynomial (or integer)."""
         replacement = _coerce(replacement)
-        if name not in self.variables:
-            return self
-        i = self.variables.index(name)
-        rest = self.variables[:i] + self.variables[i + 1 :]
+        slot = _slot(name)
         powers = [MultiPoly.const(1)]
-        result = MultiPoly.const(0)
-        for key, coeff in sorted(self.terms.items()):
-            e = key[i]
+        out: dict[tuple[int, ...], int] = {}
+        for key, coeff in self.terms.items():
+            e = key[slot]
             while len(powers) <= e:
                 powers.append(powers[-1] * replacement)
-            mono = MultiPoly(rest, {key[:i] + key[i + 1 :]: coeff})
-            result = result + mono * powers[e]
-        return result
+            rest = key[:slot] + (0,) + key[slot + 1 :]
+            _add_products(out, {rest: coeff}, powers[e].terms)
+        return _wrap(out)
 
     # -- canonical presentation ----------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        """Terms in graded-lexicographic order (degree first, then x before p before q...)."""
+    def _graded_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(
             self.terms.items(),
             key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0])),
         )
 
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
+        """Terms in graded-lexicographic order (degree first, then x before p
+        before q...), with exponents over `variables` only."""
+        slots = [_SLOT[name] for name in self.variables]
+        return [
+            (tuple(key[slot] for slot in slots), c) for key, c in self._graded_terms()
+        ]
+
     def __str__(self):
         if not self.terms:
             return "0"
-        # x is rendered last inside a monomial so coefficients in the
-        # deformation parameters read naturally, e.g. q*x + p*x^2
-        render = [n for n in self.variables if n != "x"]
-        if "x" in self.variables:
-            render.append("x")
-        index = {n: self.variables.index(n) for n in render}
         pieces = []
-        for key, coeff in self.sorted_terms():
+        for key, coeff in self._graded_terms():
             factors = []
-            for name in render:
-                e = key[index[name]]
+            for slot in _RENDER:
+                e = key[slot]
                 if e == 1:
-                    factors.append(name)
+                    factors.append(VAR_ORDER[slot])
                 elif e > 1:
-                    factors.append(f"{name}^{e}")
+                    factors.append(f"{VAR_ORDER[slot]}^{e}")
             if not factors:
                 body = str(abs(coeff))
             elif abs(coeff) == 1:
@@ -294,43 +297,23 @@ class MultiPoly:
 
         Coefficients are decimal strings because they routinely exceed 64 bits.
         """
-        out = []
-        for key, coeff in self.sorted_terms():
-            present = {n: e for n, e in zip(self.variables, key) if e}
-            exps = {name: present[name] for name in VAR_ORDER if name in present}
-            out.append({"exponents": exps, "coeff": str(coeff)})
-        return out
+        return [
+            {
+                "exponents": {n: e for n, e in zip(VAR_ORDER, key) if e},
+                "coeff": str(coeff),
+            }
+            for key, coeff in self._graded_terms()
+        ]
 
     @classmethod
     def from_json_obj(cls, data: Iterable[Mapping]) -> "MultiPoly":
         items = list(data)
         names = sorted(
             {n for item in items for n in item["exponents"]},
-            key=_VAR_RANK.__getitem__,
+            key=_slot,
         )
         terms: dict[tuple[int, ...], int] = {}
         for item in items:
             key = tuple(int(item["exponents"].get(n, 0)) for n in names)
             terms[key] = terms.get(key, 0) + int(item["coeff"])
         return cls(tuple(names), terms)
-
-
-def _aligned(a: MultiPoly, b: MultiPoly):
-    """Common variable tuple plus both term maps re-keyed onto it."""
-    if a.variables == b.variables:
-        return a.variables, a.terms, b.terms
-    names = tuple(
-        sorted(set(a.variables) | set(b.variables), key=_VAR_RANK.__getitem__)
-    )
-    return names, _embed(a, names), _embed(b, names)
-
-
-def _embed(poly: MultiPoly, names: tuple[str, ...]) -> dict[tuple[int, ...], int]:
-    pos = {n: i for i, n in enumerate(names)}
-    out = {}
-    for key, coeff in poly.terms.items():
-        full = [0] * len(names)
-        for name, e in zip(poly.variables, key):
-            full[pos[name]] = e
-        out[tuple(full)] = coeff
-    return out

@@ -11,6 +11,7 @@ from pqtouchard import (
     enumerate_partitions,
     nsb,
     nse,
+    stat_report,
     stirling1_unsigned,
 )
 
@@ -147,11 +148,32 @@ class TestBudget:
 
     def test_dist_poly_respects_budget(self, monkeypatch):
         monkeypatch.setattr(partitions, "_LLP_BUDGET", 3)
-        dist_poly.cache_clear()
+        partitions._llp_dist.cache_clear()
         with pytest.raises(ValueError, match="force"):
             dist_poly(4, 2)
         poly = dist_poly(4, 2, force=True)
         assert poly.evaluate({"u": 1, "v": 1}) == 72
+
+    def test_dist_poly_enumerates_each_cell_once(self, monkeypatch):
+        streams = []
+        generate = partitions._generate
+
+        def counting(n, k, flavor):
+            streams.append((n, k, flavor))
+            return generate(n, k, flavor)
+
+        monkeypatch.setattr(partitions, "_generate", counting)
+        partitions._llp_dist.cache_clear()
+        report = stat_report(6, 3)
+        assert dist_poly(6, 3) is report.poly
+        assert dist_poly(6, 3, force=False) is report.poly
+        assert streams == [(6, 3, "llp")]
+        # the budget is checked before the cache, so a cached cell over a
+        # lowered budget is still refused without force
+        monkeypatch.setattr(partitions, "_LLP_BUDGET", 5)
+        with pytest.raises(ValueError, match="force"):
+            dist_poly(6, 3)
+        assert dist_poly(6, 3, force=True) is report.poly
 
 
 class TestCounts:

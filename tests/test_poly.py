@@ -91,6 +91,10 @@ class TestQueries:
         assert poly.degree("u") == 0
         assert MultiPoly.const(0).degree("x") == -1
 
+    def test_degree_rejects_unknown_variable(self):
+        with pytest.raises(ValueError, match="unknown variable"):
+            v("x").degree("t")
+
     def test_coefficient_extraction(self):
         poly = v("q") * v("x") + v("p") * v("x") ** 2
         assert poly.coefficient("x", 1) == v("q")
@@ -101,6 +105,10 @@ class TestQueries:
         poly = 1 + v("u")
         assert poly.coefficient("v", 0) == poly
         assert poly.coefficient("v", 1) == 0
+
+    def test_coefficient_rejects_unknown_variable(self):
+        with pytest.raises(ValueError, match="unknown variable"):
+            v("x").coefficient("X", 0)
 
     def test_monomial_coefficient(self):
         poly = 3 + 3 * v("u") + 3 * v("v") + 3 * v("u") * v("v")
@@ -143,6 +151,10 @@ class TestEvaluationAndSubstitution:
             2 * v("x") + 2 * v("x") ** 2
         )
 
+    def test_substitute_rejects_unknown_variable(self):
+        with pytest.raises(ValueError, match="unknown variable"):
+            v("x").substitute("t", 1)
+
 
 class TestPrinting:
     def test_x_last_in_monomials(self):
@@ -179,7 +191,7 @@ class TestJson:
 @st.composite
 def polys(draw):
     names = draw(
-        st.lists(st.sampled_from(VAR_ORDER), unique=True, min_size=0, max_size=3)
+        st.lists(st.sampled_from(VAR_ORDER), unique=True, min_size=0, max_size=5)
     )
     if not names:
         return MultiPoly.const(draw(st.integers(-9, 9)))
@@ -203,6 +215,16 @@ class TestAlgebraicLaws:
     @settings(max_examples=100)
     def test_multiplication_commutes(self, a, b):
         assert a * b == b * a
+
+    @given(polys(), polys())
+    @settings(max_examples=100)
+    def test_commuted_products_have_equal_storage(self, a, b):
+        ab, ba = a * b, b * a
+        assert ab.variables == ba.variables
+        assert ab.terms == ba.terms
+        assert hash(ab) == hash(ba)
+        assert str(ab) == str(ba)
+        assert ab.to_json_obj() == ba.to_json_obj()
 
     @given(polys(), polys(), polys())
     @settings(max_examples=100)
@@ -229,8 +251,9 @@ class TestAlgebraicLaws:
     @given(polys())
     @settings(max_examples=100)
     def test_substitution_matches_evaluation(self, a):
-        replaced = a.substitute("x", v("q") + 1)
         point = {name: 2 for name in VAR_ORDER}
-        shifted = dict(point)
-        shifted["x"] = point["q"] + 1
-        assert replaced.evaluate(point) == a.evaluate(shifted)
+        for name in VAR_ORDER:
+            replaced = a.substitute(name, v("q") + 1)
+            shifted = dict(point)
+            shifted[name] = point["q"] + 1
+            assert replaced.evaluate(point) == a.evaluate(shifted), name
