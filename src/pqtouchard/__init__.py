@@ -9,6 +9,7 @@ arithmetic is exact: arbitrary-precision integers and rationals only.
 
 from .partitions import (
     FLAVORS,
+    OBJECT_BUDGET,
     OrderedPartition,
     count_partitions,
     dist_poly,
@@ -17,7 +18,6 @@ from .partitions import (
     nse,
 )
 from .permstats import (
-    PERM_BUDGET,
     check_permutation,
     decompose,
     ltr_max_count,
@@ -62,8 +62,8 @@ __version__ = "0.1.0"
 __all__ = [
     "FLAVORS",
     "IDENTITY_NAMES",
+    "OBJECT_BUDGET",
     "ORACLE_GRID",
-    "PERM_BUDGET",
     "ROUTES",
     "TABLES",
     "VAR_ORDER",

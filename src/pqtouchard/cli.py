@@ -14,11 +14,11 @@ import csv
 import json
 import os
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 
 from . import partitions, permstats, touchard
 from .partitions import nsb, nse
@@ -68,8 +68,8 @@ class _Output:
     """A command's exit status and its result in each of the three formats.
 
     Every format is a function that the emitter calls only for the format
-    asked for, so the others are never built; csv rows and plain lines may
-    be lazy iterables.
+    asked for, so the others are never built; csv rows, plain lines and a
+    json array (given as an iterator of its items) may be lazy.
     """
 
     payload: Callable[[], object]
@@ -78,10 +78,26 @@ class _Output:
     status: int = 0
 
 
+def _json_array(items: Iterator, encoder: json.JSONEncoder) -> Iterator[str]:
+    # encoder.iterencode(list(items)) without the list: batches of 1000 items,
+    # enough to amortise each encode call, are written without their brackets
+    sep = "["
+    for batch in iter(lambda: list(islice(items, 1000)), []):
+        yield sep + encoder.encode(batch)[1:-2]
+        sep = ","
+    yield "[]" if sep == "[" else "\n]"
+
+
 def _emit(output: _Output, fmt: str, handle) -> None:
     if fmt == "json":
-        # streamed chunk by chunk: json.dumps would join the whole text first
-        handle.writelines(json.JSONEncoder(indent=2).iterencode(output.payload()))
+        # streamed chunk by chunk: json.dumps would join the whole text first;
+        # a lazy payload is an array that is never held whole
+        encoder = json.JSONEncoder(indent=2)
+        payload = output.payload()
+        if isinstance(payload, Iterator):
+            handle.writelines(_json_array(payload, encoder))
+        else:
+            handle.writelines(encoder.iterencode(payload))
         handle.write("\n")
     elif fmt == "csv":
         csv.writer(handle, lineterminator="\n").writerows(output.rows())
@@ -208,7 +224,7 @@ def _cmd_enumerate(args) -> _Output:
             yield [pi.to_string(), nsb(pi), nse(pi)] if args.stats else [pi.to_string()]
 
     return _Output(
-        lambda: [dict(zip(header, record)) for record in records()],
+        lambda: (dict(zip(header, record)) for record in records()),
         lambda: chain([header], records()),
         lambda: (" ".join(map(str, record)) for record in records()),
     )
@@ -296,12 +312,13 @@ def _cmd_avg_nse(args) -> _Output:
     value = touchard.avg_nse(args.n)
     check = None
     if args.check:
-        moved = 0
-        objects = 0
-        for k in range(1, args.n + 1):
-            for pi in partitions.enumerate_partitions(args.n, k, "slp"):
-                moved += nse(pi)
-                objects += 1
+        # every cell is checked before the first is enumerated; nsb is 0 on slp
+        ks = range(1, args.n + 1)
+        for k in ks:
+            partitions._check_size(args.n, k, "slp", False, hint="use a smaller n")
+        tallies = [partitions.dist_poly(args.n, k, flavor="slp") for k in ks]
+        moved = sum(j * t.monomial_coefficient({"v": j}) for t in tallies for j in ks)
+        objects = sum(t.evaluate({"u": 1, "v": 1}) for t in tallies)
         check = ("enumeration", Fraction(moved, objects))
     return _value_output(args.n, {}, value, check)
 
@@ -326,13 +343,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, handler):
+    def add(name, help_text, handler, force=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument(
             "--format", choices=("plain", "json", "csv"), default="plain",
             help="output format (default plain)",
         )
         p.add_argument("--out", metavar="PATH", help="write output to this file")
+        if force:
+            p.add_argument(
+                "--force", action="store_true",
+                help="lift the enumeration object budget",
+            )
         p.set_defaults(handler=handler)
         return p
 
@@ -368,29 +390,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-check against the series oracle (needs p != 1 and q != 1)",
     )
 
-    p = add("enumerate", "list all partitions of one flavor", _cmd_enumerate)
+    p = add("enumerate", "list all partitions of one flavor", _cmd_enumerate, force=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--flavor", required=True, choices=partitions.FLAVORS)
     p.add_argument("--stats", action="store_true", help="append nsb and nse columns")
-    p.add_argument(
-        "--force", action="store_true",
-        help="lift the lists-of-lists enumeration budget",
-    )
 
-    p = add("dist", "joint nsb/nse distribution polynomial", _cmd_dist)
+    p = add("dist", "joint nsb/nse distribution polynomial", _cmd_dist, force=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument(
         "--oracle", action="store_true",
         help="also enumerate and compare against the closed form",
     )
-    p.add_argument(
-        "--force", action="store_true",
-        help="lift the lists-of-lists enumeration budget",
-    )
 
-    p = add("verify", "check a named identity cell by cell", _cmd_verify)
+    p = add("verify", "check a named identity cell by cell", _cmd_verify, force=True)
     p.add_argument(
         "--identity", required=True,
         choices=touchard.IDENTITY_NAMES + ("all",),
@@ -399,10 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--nmax", type=int,
         help="check cells up to this n (default: per-identity budget; "
         "ignored with --identity all)",
-    )
-    p.add_argument(
-        "--force", action="store_true",
-        help="lift the lists-of-lists enumeration budget",
     )
 
     p = add("avg-nse", "average nse over all sets-of-lists of [n]", _cmd_avg_nse)

@@ -10,22 +10,26 @@ are ordered:
     llp  list of lists   counted by n!*C(n-1,k-1)
 
 Everything here is brute-force enumeration; it is the ground truth the
-closed forms elsewhere are checked against.
+closed forms elsewhere are checked against.  Inside, partitions are plain
+tuples of block tuples; only the public OrderedPartition constructor checks
+input.  No cell over OBJECT_BUDGET objects is enumerated unless forced.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
+from math import log10
 
 from .poly import MultiPoly
 from .tables import binomial, factorial, stirling2
 
 FLAVORS = ("ssp", "lsp", "slp", "llp")
 
-# n! * C(n-1, k-1) objects summed over k is ~5.2M at n=8; past that a
-# single cell is no longer a desk-scale run
-_LLP_BUDGET = 8
+# objects one cell may visit without force: every llp cell up to n = 8
+# (the largest is 8!*C(7,3) = 1,411,200) and all 9! permutations fit;
+# llp(9,2) = 2,903,040 and 10! do not
+OBJECT_BUDGET = 2_000_000
 
 
 class OrderedPartition:
@@ -55,6 +59,13 @@ class OrderedPartition:
         if seen and max(seen) != n:
             raise ValueError(f"elements must cover 1..{n} with no gaps")
         self.blocks = blocks
+
+    @classmethod
+    def _wrap(cls, blocks: tuple[tuple[int, ...], ...]) -> "OrderedPartition":
+        """The partition of block tuples the generator built; nothing is checked."""
+        pi = object.__new__(cls)
+        pi.blocks = blocks
+        return pi
 
     @property
     def n(self) -> int:
@@ -113,14 +124,21 @@ def _rl_min_count(seq) -> int:
     return count
 
 
+def _nsb(blocks) -> int:
+    return len(blocks) - _rl_min_count([min(b) for b in blocks])
+
+
+def _nse(blocks) -> int:
+    return sum(len(b) - _rl_min_count(b) for b in blocks)
+
+
 def nsb(pi: OrderedPartition) -> int:
     """Blocks that must move right so the block minima increase left to right.
 
     A block stays put exactly when its minimum is a right-to-left minimum
     of the sequence of block minima.
     """
-    minima = pi.block_minima()
-    return len(minima) - _rl_min_count(minima)
+    return _nsb(pi.blocks)
 
 
 def nse(pi: OrderedPartition) -> int:
@@ -129,62 +147,77 @@ def nse(pi: OrderedPartition) -> int:
     Within each block the elements that stay are its right-to-left minima;
     block order contributes nothing.
     """
-    return sum(len(b) - _rl_min_count(b) for b in pi.blocks)
+    return _nse(pi.blocks)
 
 
 def _skeletons(n: int, k: int):
-    # canonical set partitions: blocks ordered by minimum, each increasing;
-    # restricted-growth order, so enumeration is deterministic
-    if n == 0:
-        if k == 0:
+    """Canonical set partitions (blocks ordered by minimum, each increasing),
+    restricted growth strings in lexicographic order (TAOCP 7.2.1.5)."""
+    if n == 0 or not 1 <= k <= n:
+        if n == k == 0:
             yield ()
         return
-    if k <= 0 or k > n:
-        return
-    blocks: list[list[int]] = []
-
-    def place(i: int):
-        if len(blocks) + (n - i + 1) < k:
+    # a[i] is the block of element i + 1; this is the first string with k blocks
+    a = [0] * (n - k + 1) + list(range(1, k))
+    while True:
+        blocks = [[] for _ in range(k)]
+        for element, block in enumerate(a, 1):
+            blocks[block].append(element)
+        yield tuple(map(tuple, blocks))
+        # step up the rightmost entry that is neither a new maximum nor k - 1,
+        # then refill the rest with the smallest tail that still reaches k blocks
+        top = list(accumulate(a, max))
+        for i in range(n - 1, 0, -1):
+            if a[i] <= top[i - 1] and a[i] + 1 < k:
+                a[i] += 1
+                used = max(top[i - 1], a[i])
+                a[i + 1 :] = [0] * (n - i - k + used) + list(range(used + 1, k))
+                break
+        else:
             return
-        if i > n:
-            if len(blocks) == k:
-                yield tuple(tuple(b) for b in blocks)
-            return
-        for b in blocks:
-            b.append(i)
-            yield from place(i + 1)
-            b.pop()
-        if len(blocks) < k:
-            blocks.append([i])
-            yield from place(i + 1)
-            blocks.pop()
-
-    yield from place(1)
 
 
 def enumerate_partitions(n: int, k: int, flavor: str, force: bool = False):
     """Stream every partition of {1..n} into k blocks of the given flavor.
 
     Each object appears exactly once, in a deterministic order.  Out-of-range
-    k gives an empty stream.  llp streams with n > 8 are refused unless
-    force is true, because the object count n!*C(n-1,k-1) stops being
-    desk-scale there.
+    k gives an empty stream.  A cell of more than OBJECT_BUDGET objects is
+    refused, with its size stated, unless force is true.
     """
+    flavor = _check_size(n, k, flavor, force)
+    return map(OrderedPartition._wrap, _generate(n, k, flavor))
+
+
+def _size(count: int) -> str:
+    # str() refuses an int past 4300 digits, and its digits would say no more
+    if count < 10**30:
+        return str(count)
+    digits = int((count.bit_length() - 1) * log10(2)) + 1
+    return f"a {digits + (count >= 10**digits)}-digit number of"
+
+
+def _check_size(n, k, flavor, force, hint="pass force=True (--force) to run it anyway"):
+    """The flavor's name, after rejecting a bad flavor, n or k, and a cell
+    over OBJECT_BUDGET unless forced; hint says how to get past the budget."""
     flavor = _check_flavor(flavor)
-    _check_size(n, k, flavor, force)
-    return _generate(n, k, flavor)
-
-
-def _check_size(n: int, k: int, flavor: str, force: bool) -> None:
-    """Reject a bad n, and an llp stream over the budget unless forced."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    if flavor == "llp" and 1 <= k <= n and n > _LLP_BUDGET and not force:
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError(f"k must be an integer, got {k!r}")
+    if force or not 1 <= k <= n:
+        return flavor
+    # every flavor has at least S(n,k) >= k^(n-k) objects (1..k in separate
+    # blocks), so most huge cells are refused without growing the tables to
+    # row n; k^e with 2^e > OBJECT_BUDGET already decides, so e is capped
+    floor = k ** min(n - k, OBJECT_BUDGET.bit_length())
+    count = floor if floor > OBJECT_BUDGET else count_partitions(n, k, flavor)
+    if count > OBJECT_BUDGET:
+        least = "at least " if floor > OBJECT_BUDGET else ""
         raise ValueError(
-            f"llp enumeration for n={n} exceeds the n<={_LLP_BUDGET} budget "
-            f"({factorial(n) * binomial(n - 1, k - 1)} objects); "
-            "pass force=True (--force) to run it anyway"
+            f"{flavor} enumeration for n={n}, k={k} visits {least}{_size(count)} "
+            f"objects, over the budget of {OBJECT_BUDGET}; {hint}"
         )
+    return flavor
 
 
 def _check_flavor(flavor: str) -> str:
@@ -195,50 +228,41 @@ def _check_flavor(flavor: str) -> str:
 
 
 def _generate(n, k, flavor):
-    if flavor == "ssp":
-        for sk in _skeletons(n, k):
-            yield OrderedPartition(sk)
-    elif flavor == "lsp":
-        for sk in _skeletons(n, k):
-            for arrangement in permutations(sk):
-                yield OrderedPartition(arrangement)
-    elif flavor == "slp":
-        for sk in _skeletons(n, k):
-            for words in product(*(permutations(b) for b in sk)):
-                yield OrderedPartition(words)
-    else:
-        for sk in _skeletons(n, k):
-            for arrangement in permutations(sk):
-                for words in product(*(permutations(b) for b in arrangement)):
-                    yield OrderedPartition(words)
+    """Every object of the cell as a tuple of block tuples, in a fixed order."""
+    order_blocks = flavor in ("lsp", "llp")
+    order_elements = flavor in ("slp", "llp")
+    for sk in _skeletons(n, k):
+        for arrangement in permutations(sk) if order_blocks else (sk,):
+            if order_elements:
+                yield from product(*(permutations(b) for b in arrangement))
+            else:
+                yield arrangement
 
 
-def dist_poly(n: int, k: int, force: bool = False) -> MultiPoly:
-    """Joint distribution sum of u^nsb * v^nse over all llp objects.
+def dist_poly(n: int, k: int, force: bool = False, flavor: str = "llp") -> MultiPoly:
+    """Joint distribution sum of u^nsb * v^nse over all objects of a flavor.
 
-    Computed by full enumeration and cached once per (n, k).  The budget is
-    checked on every call before the cache is consulted, so a result
-    computed with force=True does not answer a later call without it.
-    Evaluating the result at u=v=1 recovers the llp count.
+    Computed by visiting every object and cached once per (n, k, flavor).
+    The budget is checked on every call before the cache is consulted, so a
+    result computed with force=True does not answer a later call without
+    it.  Evaluating the result at u=v=1 recovers the object count.
     """
-    _check_size(n, k, "llp", force)
-    return _llp_dist(n, k)
+    flavor = _check_size(n, k, flavor, force)
+    return _tally(n, k, flavor)
 
 
 @cache
-def _llp_dist(n: int, k: int) -> MultiPoly:
+def _tally(n: int, k: int, flavor: str) -> MultiPoly:
     counts: dict[tuple[int, int], int] = {}
-    for pi in _generate(n, k, "llp"):
-        stats = (nsb(pi), nse(pi))
+    for blocks in _generate(n, k, flavor):
+        stats = (_nsb(blocks), _nse(blocks))
         counts[stats] = counts.get(stats, 0) + 1
     return MultiPoly(("u", "v"), counts)
 
 
 def count_partitions(n: int, k: int, flavor: str) -> int:
     """Number of flavor objects, by closed form."""
-    flavor = _check_flavor(flavor)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    flavor = _check_size(n, k, flavor, force=True)  # nothing is enumerated here
     if n == 0 or k <= 0:
         return 1 if (n == 0 and k == 0) else 0
     if flavor == "ssp":

@@ -9,12 +9,10 @@ single-block partition case.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import accumulate, permutations
+from operator import mul
 
-from .partitions import _rl_min_count
-
-# 9! words is where an exhaustive scan stops being a few seconds
-PERM_BUDGET = 9
+from .partitions import OBJECT_BUDGET, _rl_min_count
 
 
 def check_permutation(word) -> tuple[int, ...]:
@@ -70,10 +68,12 @@ def ltr_max_count(word) -> int:
 def _check_budget(n: int) -> int:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if n > PERM_BUDGET:
+    # the products stop at the first past the budget, so a huge n costs nothing
+    words = next((w for w in accumulate(range(1, n + 1), mul) if w > OBJECT_BUDGET), 0)
+    if words:
         raise ValueError(
-            f"exhaustive scan over {n}! permutations exceeds the "
-            f"n<={PERM_BUDGET} budget"
+            f"exhaustive scan over {n}! permutations (at least {words}) "
+            f"exceeds the budget of {OBJECT_BUDGET} objects"
         )
     return n
 

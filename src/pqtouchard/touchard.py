@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
-from .partitions import count_partitions, dist_poly, enumerate_partitions, nsb, nse
+from .partitions import _check_size, count_partitions, dist_poly
 from .poly import MultiPoly
 from .series import EgfSeries, egf_compose, ogf_binomial_power
 from .tables import (
@@ -279,56 +279,20 @@ def _verify_slp_count(run: _Run, n_max: int, force: bool):
             run.check(f"n={n},k={k}", slice_sum == expected, f"{slice_sum} != {expected}")
 
 
-def _verify_llp_grid(run: _Run, n_max: int, force: bool):
-    for n in range(1, n_max + 1):
-        for k in range(1, n + 1):
-            enumerated = dist_poly(n, k, force=force)
-            closed = s_uv(n, k)
-            run.check(
-                f"n={n},k={k}",
-                enumerated == closed,
-                f"enumeration {enumerated} != formula {closed}",
-            )
-
-
-def _nsb_poly(n: int, k: int) -> MultiPoly:
-    counts: dict[tuple[int], int] = {}
-    for pi in enumerate_partitions(n, k, "lsp"):
-        key = (nsb(pi),)
-        counts[key] = counts.get(key, 0) + 1
-    return MultiPoly(("u",), counts)
-
-
-def _nse_poly(n: int, k: int) -> MultiPoly:
-    counts: dict[tuple[int], int] = {}
-    for pi in enumerate_partitions(n, k, "slp"):
-        key = (nse(pi),)
-        counts[key] = counts.get(key, 0) + 1
-    return MultiPoly(("v",), counts)
-
-
-def _verify_lsp_slice(run: _Run, n_max: int, force: bool):
-    for n in range(1, n_max + 1):
-        for k in range(1, n + 1):
-            enumerated = _nsb_poly(n, k)
-            closed = s_uv(n, k).coefficient("v", 0)
-            run.check(
-                f"n={n},k={k}",
-                enumerated == closed,
-                f"enumeration {enumerated} != formula {closed}",
-            )
-
-
-def _verify_slp_slice(run: _Run, n_max: int, force: bool):
-    for n in range(1, n_max + 1):
-        for k in range(1, n + 1):
-            enumerated = _nse_poly(n, k)
-            closed = s_uv(n, k).coefficient("u", 0)
-            run.check(
-                f"n={n},k={k}",
-                enumerated == closed,
-                f"enumeration {enumerated} != formula {closed}",
-            )
+def _verify_enumeration(flavor: str, zero, run: _Run, n_max: int, force: bool):
+    # a flavor's tally is s_uv at zero = 0 (lsp has nse = 0, slp nsb = 0);
+    # every cell is checked against the budget before the first is enumerated
+    cells = [(n, k) for n in range(1, n_max + 1) for k in range(1, n + 1)]
+    for n, k in cells:
+        _check_size(n, k, flavor, force)
+    for n, k in cells:
+        enumerated = dist_poly(n, k, force=force, flavor=flavor)
+        closed = s_uv(n, k) if zero is None else s_uv(n, k).coefficient(zero, 0)
+        run.check(
+            f"n={n},k={k}",
+            enumerated == closed,
+            f"enumeration {enumerated} != formula {closed}",
+        )
 
 
 def _verify_series_vs_explicit(run: _Run, n_max: int, force: bool):
@@ -371,9 +335,9 @@ _IDENTITIES = {
     "stirling12": (_verify_stirling12, 30),
     "orthogonality": (_verify_orthogonality, 30),
     "slp-count": (_verify_slp_count, 10),
-    "llp-grid": (_verify_llp_grid, 7),
-    "lsp-slice": (_verify_lsp_slice, 7),
-    "slp-slice": (_verify_slp_slice, 7),
+    "llp-grid": (partial(_verify_enumeration, "llp", None), 7),
+    "lsp-slice": (partial(_verify_enumeration, "lsp", "v"), 7),
+    "slp-slice": (partial(_verify_enumeration, "slp", "u"), 7),
     "series-vs-explicit": (_verify_series_vs_explicit, 12),
     "oracle-vs-eval": (_verify_oracle_vs_eval, 10),
 }
@@ -387,7 +351,7 @@ def verify_identity(
     """Check one named identity cell by cell and report the outcome.
 
     n_max defaults to the documented budget for the identity.  force lifts
-    the lists-of-lists enumeration budget where it applies; grid overrides
+    the enumeration object budget where it applies; grid overrides
     the evaluation points of oracle-vs-eval.
     """
     if name not in _IDENTITIES:

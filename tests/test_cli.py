@@ -2,6 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -111,7 +116,7 @@ class TestEnumerate:
         assert json.loads(out) == [{"partition": "1/2/3"}]
 
     def test_budget_and_force(self, capsys, monkeypatch):
-        monkeypatch.setattr(partitions, "_LLP_BUDGET", 3)
+        monkeypatch.setattr(partitions, "OBJECT_BUDGET", 50)
         status, _, err = run(capsys, "enumerate", "--n", "4", "--k", "2", "--flavor", "llp")
         assert status == 2
         assert "--force" in err
@@ -120,6 +125,70 @@ class TestEnumerate:
         )
         assert status == 0
         assert len(out.splitlines()) == 72
+
+
+    def test_one_object_at_large_n(self):
+        # a subprocess, so the Stirling table grown for the count leaves with it
+        result = subprocess.run(
+            [sys.executable, "-m", "pqtouchard.cli", "enumerate", "--n", "1200",
+             "--k", "1", "--flavor", "ssp"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [",".join(map(str, range(1, 1201)))]
+
+    def test_huge_cells_are_refused_at_once(self, capsys):
+        for flavor in partitions.FLAVORS:
+            start = time.perf_counter()
+            status, out, err = run(
+                capsys, "enumerate", "--n", "3000", "--k", "1500", "--flavor", flavor
+            )
+            assert time.perf_counter() - start < 2
+            assert (status, out) == (2, "")
+            assert f"{flavor} enumeration for n=3000, k=1500 visits at least" in err
+            assert "budget of 2000000" in err
+        status, _, err = run(
+            capsys, "enumerate", "--n", "2000", "--k", "1000", "--flavor", "llp"
+        )
+        assert status == 2 and "budget of 2000000" in err
+
+    def test_json_stream_bytes(self, capsys):
+        cases = (
+            (
+                ("--n", "2", "--k", "1", "--flavor", "llp", "--stats"),
+                '[\n  {\n    "partition": "12",\n    "nsb": 0,\n    "nse": 0\n  },'
+                '\n  {\n    "partition": "21",\n    "nsb": 0,\n    "nse": 1\n  }\n]\n',
+            ),
+            (
+                ("--n", "0", "--k", "0", "--flavor", "ssp"),
+                '[\n  {\n    "partition": ""\n  }\n]\n',
+            ),
+            (("--n", "3", "--k", "5", "--flavor", "slp"), "[]\n"),
+        )
+        for argv, expected in cases:
+            status, out, _ = run(capsys, "enumerate", *argv, "--format", "json")
+            assert (status, out) == (0, expected)
+            assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_json_is_written_while_enumerating(self, capsys, monkeypatch):
+        calls = []
+
+        def nse_failing_late(pi):
+            calls.append(pi)
+            if len(calls) == 2500:
+                raise ValueError("late failure")
+            return partitions.nse(pi)
+
+        monkeypatch.setattr(cli, "nse", nse_failing_late)
+        status, out, err = run(
+            capsys, "enumerate", "--n", "7", "--k", "1", "--flavor", "llp", "--stats",
+            "--format", "json",
+        )
+        assert status == 2 and "late failure" in err
+        # objects before the failure are already out, in the array's bytes
+        assert out.startswith('[\n  {\n    "partition": "1234567",')
+        assert 1000 <= out.count('"partition"') < 2500
 
 
 class TestDist:
@@ -239,6 +308,26 @@ class TestSmallCommands:
         status, _, err = run(capsys, "perm-stats", "--n", "12")
         assert status == 2
         assert "budget" in err
+
+    def test_avg_nse_check_refuses_before_enumerating(self, capsys, monkeypatch):
+        streams = []
+        generate = partitions._generate
+
+        def counting(n, k, flavor):
+            streams.append((n, k, flavor))
+            return generate(n, k, flavor)
+
+        monkeypatch.setattr(partitions, "_generate", counting)
+        # slp(9,1) = 362,880 fits, slp(9,2) = 1,451,520 does not
+        monkeypatch.setattr(partitions, "OBJECT_BUDGET", 400_000)
+        partitions._tally.cache_clear()
+        status, out, err = run(capsys, "avg-nse", "--n", "9", "--check")
+        assert (status, out) == (2, "")
+        assert "slp enumeration for n=9, k=2 visits 1451520 objects" in err
+        assert "budget of 400000" in err
+        # avg-nse has no --force to suggest
+        assert "force" not in err
+        assert streams == []
 
 
 class TestHarness:

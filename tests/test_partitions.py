@@ -9,10 +9,12 @@ from pqtouchard import (
     count_partitions,
     dist_poly,
     enumerate_partitions,
+    factorial,
     nsb,
     nse,
     stat_report,
     stirling1_unsigned,
+    verify_identity,
 )
 
 
@@ -128,6 +130,15 @@ class TestEnumeration:
                     run = sum(1 for _ in enumerate_partitions(n, k, flavor))
                     assert run == count_partitions(n, k, flavor)
 
+    def test_enumerated_objects_equal_validated_ones(self):
+        for n in range(7):
+            for k in range(n + 2):
+                for flavor in partitions.FLAVORS:
+                    for pi in enumerate_partitions(n, k, flavor):
+                        checked = OrderedPartition(pi.blocks)
+                        assert pi == checked
+                        assert hash(pi) == hash(checked)
+
     def test_unknown_flavor(self):
         with pytest.raises(ValueError, match="flavor"):
             enumerate_partitions(3, 2, "sets")
@@ -139,16 +150,16 @@ class TestEnumeration:
 
 class TestBudget:
     def test_budget_refusal_and_force(self, monkeypatch):
-        monkeypatch.setattr(partitions, "_LLP_BUDGET", 3)
+        monkeypatch.setattr(partitions, "OBJECT_BUDGET", 50)
         with pytest.raises(ValueError, match="force"):
             enumerate_partitions(4, 2, "llp")
         assert sum(1 for _ in enumerate_partitions(4, 2, "llp", force=True)) == 72
-        # non-llp flavors are not gated
+        # slp(4,2), 36 objects, fits where llp(4,2), 72 objects, does not
         assert sum(1 for _ in enumerate_partitions(4, 2, "slp")) == 36
 
     def test_dist_poly_respects_budget(self, monkeypatch):
-        monkeypatch.setattr(partitions, "_LLP_BUDGET", 3)
-        partitions._llp_dist.cache_clear()
+        monkeypatch.setattr(partitions, "OBJECT_BUDGET", 50)
+        partitions._tally.cache_clear()
         with pytest.raises(ValueError, match="force"):
             dist_poly(4, 2)
         poly = dist_poly(4, 2, force=True)
@@ -163,17 +174,68 @@ class TestBudget:
             return generate(n, k, flavor)
 
         monkeypatch.setattr(partitions, "_generate", counting)
-        partitions._llp_dist.cache_clear()
+        partitions._tally.cache_clear()
         report = stat_report(6, 3)
         assert dist_poly(6, 3) is report.poly
         assert dist_poly(6, 3, force=False) is report.poly
         assert streams == [(6, 3, "llp")]
         # the budget is checked before the cache, so a cached cell over a
         # lowered budget is still refused without force
-        monkeypatch.setattr(partitions, "_LLP_BUDGET", 5)
+        monkeypatch.setattr(partitions, "OBJECT_BUDGET", 720)
         with pytest.raises(ValueError, match="force"):
             dist_poly(6, 3)
         assert dist_poly(6, 3, force=True) is report.poly
+
+
+    def test_every_flavor_is_budgeted(self, monkeypatch):
+        monkeypatch.setattr(partitions, "OBJECT_BUDGET", 50)
+        partitions._tally.cache_clear()
+        for n, k, flavor, count in (
+            (6, 3, "ssp", 90),
+            (5, 3, "lsp", 150),
+            (5, 2, "slp", 240),
+            (4, 2, "llp", 72),
+        ):
+            refusal = f"{flavor} enumeration for n={n}, k={k} visits {count} objects"
+            with pytest.raises(ValueError, match=f"{refusal}.*budget of 50"):
+                enumerate_partitions(n, k, flavor)
+            with pytest.raises(ValueError, match=refusal):
+                dist_poly(n, k, flavor=flavor)
+            forced = enumerate_partitions(n, k, flavor, force=True)
+            assert sum(1 for _ in forced) == count
+            poly = dist_poly(n, k, force=True, flavor=flavor)
+            assert poly.evaluate({"u": 1, "v": 1}) == count
+
+    def test_multi_cell_checks_refuse_before_enumerating(self, monkeypatch):
+        streams = []
+        generate = partitions._generate
+
+        def counting(n, k, flavor):
+            streams.append((n, k, flavor))
+            return generate(n, k, flavor)
+
+        monkeypatch.setattr(partitions, "_generate", counting)
+        monkeypatch.setattr(partitions, "OBJECT_BUDGET", 100)
+        partitions._tally.cache_clear()
+        # lsp(5,3) = 150 is the first cell over; n <= 4 fits
+        with pytest.raises(ValueError, match="lsp enumeration for n=5, k=3"):
+            verify_identity("lsp-slice", 9)
+        assert streams == []
+        assert verify_identity("lsp-slice", 5, force=True).passed
+
+    def test_long_counts_are_given_by_their_length(self):
+        with pytest.raises(ValueError, match="visits a 33-digit number of objects"):
+            enumerate_partitions(30, 1, "llp")
+        # str() refuses an int this long
+        assert partitions._size(factorial(2000)) == "a 5736-digit number of"
+        assert partitions._size(10**30 - 1) == str(10**30 - 1)
+        assert partitions._size(10**30) == "a 31-digit number of"
+        assert partitions._size(10**31 - 1) == "a 31-digit number of"
+        assert partitions._size(10**31) == "a 32-digit number of"
+
+    def test_non_integer_k_is_rejected(self):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            enumerate_partitions(3, 2.0, "ssp")
 
 
 class TestCounts:
