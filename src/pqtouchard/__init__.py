@@ -28,8 +28,6 @@ from .permstats import (
 from .poly import VAR_ORDER, MultiPoly
 from .series import EgfSeries, egf_compose, ogf_binomial_power, ogf_mul, partial_bell
 from .tables import (
-    TABLES,
-    NumberTables,
     bell,
     binomial,
     factorial,
@@ -65,11 +63,9 @@ __all__ = [
     "OBJECT_BUDGET",
     "ORACLE_GRID",
     "ROUTES",
-    "TABLES",
     "VAR_ORDER",
     "EgfSeries",
     "MultiPoly",
-    "NumberTables",
     "OrderedPartition",
     "StatReport",
     "VerificationReport",

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import accumulate, permutations, product
-from math import log10
+from math import comb, factorial, log10, perm
 
 from .poly import MultiPoly
-from .tables import binomial, factorial, stirling2
+from .tables import _check_n, stirling2
 
 FLAVORS = ("ssp", "lsp", "slp", "llp")
 
@@ -200,19 +200,30 @@ def _check_size(n, k, flavor, force, hint="pass force=True (--force) to run it a
     """The flavor's name, after rejecting a bad flavor, n or k, and a cell
     over OBJECT_BUDGET unless forced; hint says how to get past the budget."""
     flavor = _check_flavor(flavor)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    _check_n(n)
     if not isinstance(k, int) or isinstance(k, bool):
         raise ValueError(f"k must be an integer, got {k!r}")
     if force or not 1 <= k <= n:
         return flavor
-    # every flavor has at least S(n,k) >= k^(n-k) objects (1..k in separate
-    # blocks), so most huge cells are refused without growing the tables to
-    # row n; k^e with 2^e > OBJECT_BUDGET already decides, so e is capped
-    floor = k ** min(n - k, OBJECT_BUDGET.bit_length())
-    count = floor if floor > OBJECT_BUDGET else count_partitions(n, k, flavor)
+    # k^e <= S(n,k) <= C(n-1,k-1)*k^e with e = n-k: put 1..k in separate
+    # blocks, or pick the k block minima (1 among them), then place the
+    # other e elements.  Every flavor has at least S(n,k) objects and lsp
+    # has k!*S(n,k), so these bounds decide most cells without growing the
+    # Stirling table to row n.  e is capped: a cap that changes k^e needs
+    # k >= 2, and then k^e is over the budget and refuses before a capped
+    # ceiling is consulted.
+    power = k ** min(n - k, OBJECT_BUDGET.bit_length())
+    factor = factorial(k) if flavor == "lsp" and power <= OBJECT_BUDGET else 1
+    if max(power, factor) > OBJECT_BUDGET:
+        count, least = factor * power, "at least "
+    elif flavor in ("slp", "llp") or factor * comb(n - 1, k - 1) * power > OBJECT_BUDGET:
+        # slp and llp counts come from math; an lsp cell left open here has
+        # k! and k^e within the budget, so n is small, the count is cheap
+        # and a refusal states it exactly
+        count, least = count_partitions(n, k, flavor), ""
+    else:
+        return flavor
     if count > OBJECT_BUDGET:
-        least = "at least " if floor > OBJECT_BUDGET else ""
         raise ValueError(
             f"{flavor} enumeration for n={n}, k={k} visits {least}{_size(count)} "
             f"objects, over the budget of {OBJECT_BUDGET}; {hint}"
@@ -263,12 +274,12 @@ def _tally(n: int, k: int, flavor: str) -> MultiPoly:
 def count_partitions(n: int, k: int, flavor: str) -> int:
     """Number of flavor objects, by closed form."""
     flavor = _check_size(n, k, flavor, force=True)  # nothing is enumerated here
-    if n == 0 or k <= 0:
-        return 1 if (n == 0 and k == 0) else 0
+    if not 1 <= k <= n:
+        return 1 if n == k == 0 else 0
     if flavor == "ssp":
         return stirling2(n, k)
     if flavor == "lsp":
         return factorial(k) * stirling2(n, k)
     if flavor == "slp":
-        return factorial(n) // factorial(k) * binomial(n - 1, k - 1)
-    return factorial(n) * binomial(n - 1, k - 1)
+        return perm(n, n - k) * comb(n - 1, k - 1)
+    return factorial(n) * comb(n - 1, k - 1)

@@ -158,21 +158,20 @@ def ogf_binomial_power(s, alpha, order: int) -> list[Fraction]:
     """Ordinary coefficients of (1 + w)^alpha where w has coefficients s.
 
     s[0] must be 0 (when present); alpha may be any Fraction.  Short s is
-    padded with zeros, so s = [0, 1] with any order means w = t.
+    padded with zeros, so s = [0, 1] with any order means w = t.  Uses
+    J.C.P. Miller's recurrence for powers of a series (TAOCP vol. 2, 4.7):
+    m*g_m = sum_{k=1..m} ((alpha+1)k - m) w_k g_{m-k}, with g_0 = 1.
     """
     s = [Fraction(v) for v in s]
     if s and s[0] != 0:
         raise ValueError("w must have zero constant term")
     s += [Fraction(0)] * (order + 1 - len(s))
     alpha = Fraction(alpha)
-    out = [Fraction(1)] + [Fraction(0)] * order
-    power = [Fraction(1)] + [Fraction(0)] * order  # w^m, updated in place
-    coeff = Fraction(1)  # C(alpha, m)
+    g = [Fraction(1)]
     for m in range(1, order + 1):
-        power = ogf_mul(power, s, order)
-        coeff = coeff * (alpha - (m - 1)) / m
-        if coeff == 0 and alpha.denominator == 1:
-            break
-        for i in range(m, order + 1):
-            out[i] += coeff * power[i]
-    return out
+        acc = Fraction(0)
+        for k in range(1, m + 1):
+            if s[k]:
+                acc += ((alpha + 1) * k - m) * s[k] * g[m - k]
+        g.append(acc / m)
+    return g

@@ -1,145 +1,95 @@
 """Memoized exact integer tables.
 
 Binomials, Stirling numbers of both kinds, Bell numbers, factorials, and the
-coefficient polynomials Q_n of the deformed exponential series.  Tables grow
-row by row on demand and are kept for the process lifetime.  Rows are stored
-as tuples, so a published row can never change; growth is serialized by a
-lock and readers never block.
+coefficient polynomials Q_n of the deformed exponential series.  The three
+triangles and the Q_n sequences grow row by row on demand under one lock
+and are kept for the process lifetime; Bell numbers are Stirling-2 row sums
+and factorials come from math.  Rows are stored as tuples and only ever
+appended, so a published row never changes and readers never block.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from itertools import count, repeat
 
 from .poly import MultiPoly
 
-
-# w in row[j] = w*prev[j] + prev[j-1] for j = 0..m of row m of each triangle
-def _binomial_weights(m):
-    return repeat(1)
+_lock = threading.RLock()
 
 
-def _stirling2_weights(m):
-    return count()
+def _check_n(n: int):
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
 
 
-def _stirling1_weights(m):
-    return repeat(m - 1)
+def _grow(rows: list, step, n: int):
+    """rows[n], after appending step(m, rows[m-1]) for every missing row m."""
+    if n >= len(rows):
+        with _lock:
+            while len(rows) <= n:
+                m = len(rows)
+                rows.append(step(m, rows[m - 1]))
+    return rows[n]
 
 
-class NumberTables:
-    """Grow-on-demand caches for the integer triangles and sequences."""
-
-    def __init__(self):
-        self._lock = threading.RLock()
-        self._binomial: list[tuple[int, ...]] = [(1,)]
-        self._stirling2: list[tuple[int, ...]] = [(1,)]
-        self._stirling1: list[tuple[int, ...]] = [(1,)]
-        self._bell: list[int] = [1]
-        self._factorial: list[int] = [1]
-        self._q_product: dict[str, list[MultiPoly]] = {}
-
-    @staticmethod
-    def _check_n(n: int):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-
-    def _triangle(self, rows: list, weights, n: int, k: int) -> int:
-        """Entry (n, k) of a triangle grown by row[j] = w*prev[j] + prev[j-1].
-
-        weights(m) yields w for j = 0..m of row m; 0 outside 0 <= k <= n.
-        """
-        self._check_n(n)
-        if k < 0 or k > n:
-            return 0
-        if n >= len(rows):
-            with self._lock:
-                while len(rows) <= n:
-                    prev = rows[-1]
-                    m = len(rows)
-                    rows.append(
-                        tuple(
-                            w * a + b
-                            for w, a, b in zip(weights(m), prev + (0,), (0,) + prev)
-                        )
-                    )
-        return rows[n][k]
-
-    def binomial(self, n: int, k: int) -> int:
-        """C(n, k); 0 outside 0 <= k <= n."""
-        return self._triangle(self._binomial, _binomial_weights, n, k)
-
-    def stirling2(self, n: int, k: int) -> int:
-        """Partitions of an n-set into k nonempty blocks; 0 outside range."""
-        return self._triangle(self._stirling2, _stirling2_weights, n, k)
-
-    def stirling1_unsigned(self, n: int, k: int) -> int:
-        """Permutations of an n-set with k cycles; 0 outside range."""
-        return self._triangle(self._stirling1, _stirling1_weights, n, k)
-
-    def stirling1_signed(self, n: int, k: int) -> int:
-        value = self.stirling1_unsigned(n, k)
-        return -value if (n - k) % 2 else value
-
-    def bell(self, n: int) -> int:
-        """Row sum of the stirling2 triangle."""
-        self._check_n(n)
-        cache = self._bell
-        if n >= len(cache):
-            with self._lock:
-                while len(cache) <= n:
-                    m = len(cache)
-                    self.stirling2(m, 0)
-                    cache.append(sum(self._stirling2[m]))
-        return cache[n]
-
-    def factorial(self, n: int) -> int:
-        self._check_n(n)
-        cache = self._factorial
-        if n >= len(cache):
-            with self._lock:
-                while len(cache) <= n:
-                    cache.append(cache[-1] * len(cache))
-        return cache[n]
-
-    def q_product_poly(self, n: int, var: str = "q") -> MultiPoly:
-        """Q_n(var) = var * (2*var - 1) * ... * (n*var - (n-1)), with Q_0 = 1."""
-        self._check_n(n)
-        with self._lock:
-            seq = self._q_product.setdefault(var, [MultiPoly.const(1)])
-            while len(seq) <= n:
-                m = len(seq)
-                seq.append(seq[-1] * (MultiPoly.var(var) * m - (m - 1)))
-        return seq[n]
+def _pascal(weights):
+    """Step of a triangle grown by row[j] = w*prev[j] + prev[j-1], where
+    weights(m) yields w for j = 0..m of row m."""
+    return lambda m, prev: tuple(
+        w * a + b for w, a, b in zip(weights(m), prev + (0,), (0,) + prev)
+    )
 
 
-TABLES = NumberTables()
+_BINOMIAL = ([(1,)], _pascal(lambda m: repeat(1)))
+_STIRLING2 = ([(1,)], _pascal(lambda m: count()))
+_STIRLING1 = ([(1,)], _pascal(lambda m: repeat(m - 1)))
+_Q_PRODUCTS: dict[str, list[MultiPoly]] = {}
+
+
+def _entry(triangle, n: int, k: int) -> int:
+    _check_n(n)
+    if k < 0 or k > n:
+        return 0
+    rows, step = triangle
+    return (rows[n] if n < len(rows) else _grow(rows, step, n))[k]
 
 
 def binomial(n: int, k: int) -> int:
-    return TABLES.binomial(n, k)
+    """C(n, k); 0 outside 0 <= k <= n."""
+    return _entry(_BINOMIAL, n, k)
 
 
 def stirling2(n: int, k: int) -> int:
-    return TABLES.stirling2(n, k)
+    """Partitions of an n-set into k nonempty blocks; 0 outside range."""
+    return _entry(_STIRLING2, n, k)
 
 
 def stirling1_unsigned(n: int, k: int) -> int:
-    return TABLES.stirling1_unsigned(n, k)
+    """Permutations of an n-set with k cycles; 0 outside range."""
+    return _entry(_STIRLING1, n, k)
 
 
 def stirling1_signed(n: int, k: int) -> int:
-    return TABLES.stirling1_signed(n, k)
+    value = stirling1_unsigned(n, k)
+    return -value if (n - k) % 2 else value
 
 
 def bell(n: int) -> int:
-    return TABLES.bell(n)
+    """Row sum of the stirling2 triangle."""
+    _check_n(n)
+    return sum(_grow(*_STIRLING2, n))
 
 
 def factorial(n: int) -> int:
-    return TABLES.factorial(n)
+    # the check stays: math.factorial(True) is 1
+    _check_n(n)
+    return math.factorial(n)
 
 
 def q_product_poly(n: int, var: str = "q") -> MultiPoly:
-    return TABLES.q_product_poly(n, var)
+    """Q_n(var) = var * (2*var - 1) * ... * (n*var - (n-1)), with Q_0 = 1."""
+    _check_n(n)
+    seq = _Q_PRODUCTS.get(var) or _Q_PRODUCTS.setdefault(var, [MultiPoly.const(1)])
+    return _grow(seq, lambda m, prev: prev * (MultiPoly.var(var) * m - (m - 1)), n)

@@ -22,6 +22,7 @@ from .partitions import _check_size, count_partitions, dist_poly
 from .poly import MultiPoly
 from .series import EgfSeries, egf_compose, ogf_binomial_power
 from .tables import (
+    _check_n,
     bell,
     binomial,
     factorial,
@@ -90,8 +91,7 @@ def touchard_poly(n: int, route: str = "substitution") -> MultiPoly:
 
     T_0 = 1 by convention, and for n >= 1 there is no x-free term.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    _check_n(n)
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}: choose from {', '.join(ROUTES)}")
     if n == 0:

@@ -128,7 +128,8 @@ class TestEnumerate:
 
 
     def test_one_object_at_large_n(self):
-        # a subprocess, so the Stirling table grown for the count leaves with it
+        # a subprocess, as a user runs it; the budget check decides this cell
+        # from its bounds, without growing the Stirling table to row 1200
         result = subprocess.run(
             [sys.executable, "-m", "pqtouchard.cli", "enumerate", "--n", "1200",
              "--k", "1", "--flavor", "ssp"],

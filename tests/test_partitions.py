@@ -14,6 +14,7 @@ from pqtouchard import (
     nse,
     stat_report,
     stirling1_unsigned,
+    tables,
     verify_identity,
 )
 
@@ -222,6 +223,40 @@ class TestBudget:
             verify_identity("lsp-slice", 9)
         assert streams == []
         assert verify_identity("lsp-slice", 5, force=True).passed
+
+    @pytest.mark.parametrize("budget", [50, 720, 2_000_000])
+    def test_bounds_decide_as_the_count_does(self, monkeypatch, budget):
+        monkeypatch.setattr(partitions, "OBJECT_BUDGET", budget)
+        for n in range(13):
+            for k in range(-1, n + 2):
+                for flavor in partitions.FLAVORS:
+                    over = count_partitions(n, k, flavor) > budget
+                    try:
+                        partitions._check_size(n, k, flavor, False)
+                    except ValueError:
+                        assert over, (n, k, flavor)
+                    else:
+                        assert not over, (n, k, flavor)
+
+    def test_large_cells_are_decided_without_the_tables(self, monkeypatch):
+        fresh = {
+            name: ([(1,)], getattr(tables, name)[1])
+            for name in ("_BINOMIAL", "_STIRLING2", "_STIRLING1")
+        }
+        for name, triangle in fresh.items():
+            monkeypatch.setattr(tables, name, triangle)
+        admitted = {(1, "ssp"), (1, "lsp"), (1200, "ssp"), (1200, "slp"), (1199, "slp")}
+        cells = [(k, f) for k in (1, 1200) for f in partitions.FLAVORS]
+        cells += [(1199, f) for f in ("lsp", "slp", "llp")]
+        for k, flavor in cells:
+            try:
+                partitions._check_size(1200, k, flavor, False)
+            except ValueError as exc:
+                assert (k, flavor) not in admitted
+                assert "budget of 2000000" in str(exc)
+            else:
+                assert (k, flavor) in admitted
+        assert [len(rows) for rows, _ in fresh.values()] == [1, 1, 1]
 
     def test_long_counts_are_given_by_their_length(self):
         with pytest.raises(ValueError, match="visits a 33-digit number of objects"):

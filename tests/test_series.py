@@ -19,6 +19,20 @@ from pqtouchard import (
     stirling2,
 )
 
+
+def repeated_product_power(s, alpha, order):
+    """(1 + w)^alpha as sum_m C(alpha, m) w^m, each w^m by repeated ogf_mul."""
+    out = [Fraction(1)] + [Fraction(0)] * order
+    power = [Fraction(1)] + [Fraction(0)] * order
+    coeff = Fraction(1)
+    for m in range(1, order + 1):
+        power = ogf_mul(power, s, order)
+        coeff = coeff * (alpha - (m - 1)) / m
+        for i in range(m, order + 1):
+            out[i] += coeff * power[i]
+    return out
+
+
 def exp_series(order):
     """Truncated e^t: every EGF coefficient is 1."""
     return EgfSeries([1] * (order + 1))
@@ -168,3 +182,19 @@ class TestOgf:
         for _ in range(m):
             direct = ogf_mul(direct, base, 4)
         assert ogf_binomial_power(s, m, 4) == direct
+
+
+    @given(
+        st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=12),
+        st.one_of(
+            st.integers(-4, 6),
+            st.fractions(min_value=-5, max_value=5, max_denominator=6),
+        ),
+        st.integers(0, 12),
+    )
+    @settings(max_examples=80)
+    def test_miller_recurrence_matches_repeated_products(self, tail, alpha, order):
+        s = [Fraction(0)] + tail
+        padded = s + [Fraction(0)] * (order + 1 - len(s))
+        expected = repeated_product_power(padded, Fraction(alpha), order)
+        assert ogf_binomial_power(s, alpha, order) == expected

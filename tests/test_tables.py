@@ -1,13 +1,16 @@
 """Number tables: recurrences, row sums, and independent brute-force counts."""
 
-import threading
+import os
+import subprocess
+import sys
+import textwrap
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
 from pqtouchard import (
     MultiPoly,
-    NumberTables,
     bell,
     binomial,
     factorial,
@@ -15,6 +18,12 @@ from pqtouchard import (
     stirling1_signed,
     stirling1_unsigned,
     stirling2,
+    tables,
+)
+
+TABLE_FUNCTIONS = (
+    binomial, stirling2, stirling1_unsigned, stirling1_signed, bell, factorial,
+    q_product_poly,
 )
 
 
@@ -146,24 +155,60 @@ class TestQProduct:
             assert shifted.degree("v") <= n - 1
 
 
+class TestChecks:
+    @pytest.mark.parametrize("n", [-1, True, 2.0], ids=["negative", "bool", "float"])
+    @pytest.mark.parametrize("fn", TABLE_FUNCTIONS, ids=lambda fn: fn.__name__)
+    def test_bad_n_rejected(self, fn, n):
+        args = (n,) if fn in (bell, factorial, q_product_poly) else (n, 0)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            fn(*args)
+
+    def test_out_of_range_k_grows_nothing(self):
+        rows = (tables._BINOMIAL[0], tables._STIRLING2[0])
+        before = [len(r) for r in rows]
+        assert binomial(5000, 6000) == 0
+        assert stirling2(5000, -1) == 0
+        assert [len(r) for r in rows] == before
+
+
 class TestConcurrency:
     def test_parallel_growth_is_consistent(self):
-        tables = NumberTables()
-        errors = []
+        # a fresh interpreter, so the eight threads grow the tables from row 0;
+        # the expected values never touch the tables
+        script = textwrap.dedent(
+            """
+            import math, sys, threading
+            from pqtouchard import binomial, q_product_poly, stirling2
 
-        def worker(seed):
-            try:
-                for n in range(seed, 120, 7):
-                    assert tables.binomial(n, n // 2) == binomial(n, n // 2)
-                    assert tables.stirling2(n // 2, n // 4) == stirling2(
-                        n // 2, n // 4
-                    )
-            except Exception as exc:  # noqa: BLE001 - surfaced below
-                errors.append(exc)
+            def stirling2_sum(n, k):
+                terms = ((-1) ** i * math.comb(k, i) * (k - i) ** n for i in range(k + 1))
+                return sum(terms) // math.factorial(k)
 
-        threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
+            errors = []
+
+            def worker(seed):
+                for n in range(seed, 160, 7):
+                    if binomial(n, n // 2) != math.comb(n, n // 2):
+                        errors.append(("binomial", n))
+                    if stirling2(n // 2, n // 4) != stirling2_sum(n // 2, n // 4):
+                        errors.append(("stirling2", n))
+                    # Q_m(2) = 2 * 3 * ... * (m + 1)
+                    if q_product_poly(n // 8).evaluate({"q": 2}) != math.factorial(n // 8 + 1):
+                        errors.append(("q_product", n))
+
+            sys.setswitchinterval(1e-6)
+            threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            print(sum(t.is_alive() for t in threads), errors)
+            """
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(tables.__file__).parents[1])},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "0 []\n"
