@@ -52,6 +52,7 @@ from .touchard import (
     touchard_eval,
     touchard_poly,
     touchard_series,
+    touchard_values,
     verify_identity,
 )
 
@@ -101,5 +102,6 @@ __all__ = [
     "touchard_eval",
     "touchard_poly",
     "touchard_series",
+    "touchard_values",
     "verify_identity",
 ]

@@ -444,7 +444,16 @@ def main(argv=None) -> int:
         if args.out:
             _emit_to_file(output, args.format, args.out)
         else:
-            _emit(output, args.format, sys.stdout)
+            try:
+                _emit(output, args.format, sys.stdout)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # the reader went away (e.g. `| head`); stdout now points at
+                # devnull, so the interpreter's final flush has nowhere to fail
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+                return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import accumulate, permutations, product
-from math import comb, factorial, log10, perm
+from math import comb, factorial, lgamma, log, log10, perm
 
 from .poly import MultiPoly
 from .tables import _check_n, stirling2
@@ -215,20 +215,34 @@ def _check_size(n, k, flavor, force, hint="pass force=True (--force) to run it a
     power = k ** min(n - k, OBJECT_BUDGET.bit_length())
     factor = factorial(k) if flavor == "lsp" and power <= OBJECT_BUDGET else 1
     if max(power, factor) > OBJECT_BUDGET:
-        count, least = factor * power, "at least "
+        size = f"at least {_size(factor * power)}"
+    elif flavor in ("slp", "llp") and (log_count := _log10_count(n, k, flavor)) > 31:
+        # over 10^31, far past any budget: the length is all a refusal
+        # states (as _size would), so n! is never computed for it
+        size = f"a {int(log_count) + 1}-digit number of"
     elif flavor in ("slp", "llp") or factor * comb(n - 1, k - 1) * power > OBJECT_BUDGET:
         # slp and llp counts come from math; an lsp cell left open here has
         # k! and k^e within the budget, so n is small, the count is cheap
         # and a refusal states it exactly
-        count, least = count_partitions(n, k, flavor), ""
+        count = count_partitions(n, k, flavor)
+        if count <= OBJECT_BUDGET:
+            return flavor
+        size = _size(count)
     else:
         return flavor
-    if count > OBJECT_BUDGET:
-        raise ValueError(
-            f"{flavor} enumeration for n={n}, k={k} visits {least}{_size(count)} "
-            f"objects, over the budget of {OBJECT_BUDGET}; {hint}"
-        )
-    return flavor
+    raise ValueError(
+        f"{flavor} enumeration for n={n}, k={k} visits {size} objects, "
+        f"over the budget of {OBJECT_BUDGET}; {hint}"
+    )
+
+
+def _log10_count(n: int, k: int, flavor: str) -> float:
+    """log10 of the slp or llp count (n!/k!, or n!, times C(n-1,k-1)) from
+    lgamma, for 1 <= k <= n."""
+    logs = lgamma(n + 1) + lgamma(n) - lgamma(k) - lgamma(n - k + 1)
+    if flavor == "slp":
+        logs -= lgamma(k + 1)
+    return logs / log(10)
 
 
 def _check_flavor(flavor: str) -> str:

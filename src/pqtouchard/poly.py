@@ -223,15 +223,23 @@ class MultiPoly:
         for name in used:
             if name not in assignment:
                 raise ValueError(f"no value given for variable {name!r}")
-        point = [Fraction(assignment[n]) if n in used else 1 for n in VAR_ORDER]
-        total = Fraction(0)
+        point = [Fraction(assignment[n]) if n in used else Fraction(1) for n in VAR_ORDER]
+        # integers over one common denominator: with value a/b and top degree
+        # d in a slot, exponent e there contributes a^e * b^(d-e) over b^d
+        top = [max(exps) for exps in zip(*self.terms)]
+        scaled = [
+            [value.numerator**e * value.denominator ** (d - e) for e in range(d + 1)]
+            for value, d in zip(point, top)
+        ]
+        total = 0
         for key, coeff in self.terms.items():
-            value = Fraction(coeff)
-            for base, e in zip(point, key):
-                if e:
-                    value *= base**e
-            total += value
-        return total
+            for powers, e in zip(scaled, key):
+                coeff *= powers[e]
+            total += coeff
+        denominator = 1
+        for value, d in zip(point, top):
+            denominator *= value.denominator**d
+        return Fraction(total, denominator)
 
     def substitute(self, name: str, replacement) -> "MultiPoly":
         """Replace every occurrence of `name` by a polynomial (or integer)."""

@@ -108,10 +108,11 @@ def _bell_table(n: int, k_max: int, g):
     table = [[0] * (k_max + 1) for _ in range(n + 1)]
     table[0][0] = 1
     for m in range(1, n + 1):
+        weighted = [binomial(m - 1, j - 1) * g[j - 1] for j in range(1, m + 1)]
         for k in range(1, min(m, k_max) + 1):
             acc = 0
             for j in range(1, m - k + 2):
-                acc = acc + binomial(m - 1, j - 1) * g[j - 1] * table[m - j][k - 1]
+                acc = acc + weighted[j - 1] * table[m - j][k - 1]
             table[m][k] = acc
     return table
 

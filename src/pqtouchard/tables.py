@@ -66,6 +66,12 @@ def stirling2(n: int, k: int) -> int:
     return _entry(_STIRLING2, n, k)
 
 
+def stirling2_row(n: int) -> tuple[int, ...]:
+    """S(n, 0), ..., S(n, n) as one tuple."""
+    _check_n(n)
+    return _grow(*_STIRLING2, n)
+
+
 def stirling1_unsigned(n: int, k: int) -> int:
     """Permutations of an n-set with k cycles; 0 outside range."""
     return _entry(_STIRLING1, n, k)
@@ -78,8 +84,7 @@ def stirling1_signed(n: int, k: int) -> int:
 
 def bell(n: int) -> int:
     """Row sum of the stirling2 triangle."""
-    _check_n(n)
-    return sum(_grow(*_STIRLING2, n))
+    return sum(stirling2_row(n))
 
 
 def factorial(n: int) -> int:

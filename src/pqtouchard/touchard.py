@@ -7,8 +7,16 @@ Three independent routes compute the same polynomials:
   explicit       the closed five-fold sum over signed Stirling numbers
   composition    EGF composition exp_p(x*(exp_q(t) - 1))
 
-plus a fourth, numeric-only route (taylor_oracle) that expands the same
-closed form as an ordinary power series with rational binomial exponents.
+Two scalar routes give T_n at one rational point without building a
+polynomial:
+
+  scalar sum          touchard_eval: the explicit sum at the point, over one
+                      common denominator, in O(n^2) integer operations
+  scalar composition  touchard_values: the EGF composition at the point,
+                      giving T_0..T_N at once
+
+plus a numeric-only oracle (taylor_oracle) that expands the same closed
+form as an ordinary power series with rational binomial exponents.
 verify_identity cross-checks all of them and the enumeration oracle.
 """
 
@@ -17,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
+from operator import mul
 
 from .partitions import _check_size, count_partitions, dist_poly
 from .poly import MultiPoly
@@ -30,6 +39,7 @@ from .tables import (
     stirling1_signed,
     stirling1_unsigned,
     stirling2,
+    stirling2_row,
 )
 
 ROUTES = ("substitution", "explicit", "composition")
@@ -45,12 +55,17 @@ def exp_q_series(order: int, var: str = "q") -> EgfSeries:
 
 
 def exp_q_values(q, order: int) -> EgfSeries:
-    """Deformed exponential at a rational q; q = 1 gives the classical e^t."""
+    """Deformed exponential at a rational q; q = 1 gives the classical e^t.
+
+    The coefficient of t^n/n! is Q_{n-1}(q) = prod_{m<n} (1 + m*(q-1)),
+    multiplied out over Fractions.
+    """
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    q = Fraction(q)
+    v = Fraction(q) - 1
     coeffs = [Fraction(1)]
-    coeffs += [q_product_poly(n - 1).evaluate({"q": q}) for n in range(1, order + 1)]
+    for n in range(1, order + 1):
+        coeffs.append(coeffs[-1] * (1 + (n - 1) * v))
     return EgfSeries(coeffs)
 
 
@@ -145,9 +160,51 @@ def touchard_series(order: int) -> EgfSeries:
 
 
 def touchard_eval(n: int, x, p, q) -> Fraction:
-    """Exact value of T_n at a rational point."""
-    point = {"x": Fraction(x), "p": Fraction(p), "q": Fraction(q)}
-    return touchard_poly(n).evaluate(point)
+    """Exact value of T_n at a rational point, with no polynomial built.
+
+    Sums T_n = sum_j c(n,n-j) v^j sum_k S(n-j,k) x^k prod_{m<k} (1 + m*u)
+    at u = p-1, v = q-1 (the closed form behind s_uv) in integers over the
+    one denominator (b*d*f)^n, where x = a/b, u = c/d and v = e/f in lowest
+    terms: O(n^2) big-integer operations on the Stirling tables.
+    """
+    _check_n(n)
+    x, u, v = Fraction(x), Fraction(p) - 1, Fraction(q) - 1
+    a, b = x.numerator, x.denominator
+    c, d = u.numerator, u.denominator
+    e, f = v.numerator, v.denominator
+    # weights[k] = a^k * prod_{m<k} (d + m*c) * (b*d)^(n-k), which is
+    # x^k * prod_{m<k} (1 + m*u) over the denominator (b*d)^n
+    weights = []
+    rising = 1
+    for k in range(n + 1):
+        weights.append(rising * (b * d) ** (n - k))
+        rising *= a * (d + k * c)
+    total = 0
+    # v = 0 leaves only the j = 0 term
+    for j in range(n + 1 if e else 1):
+        outer = stirling1_unsigned(n, n - j)
+        if outer:
+            inner = sum(map(mul, stirling2_row(n - j), weights))
+            total += outer * e**j * f ** (n - j) * inner
+    return Fraction(total, (b * d * f) ** n)
+
+
+def touchard_values(x, p, q, order: int) -> list[Fraction]:
+    """T_0..T_order at one rational point, by composing exp_p(x*(exp_q(t) - 1))
+    after both series are evaluated at the point.
+
+    Neither the Stirling sum nor a polynomial is involved.  With f the
+    denominator of q - 1, the inner coefficients are x*f * G_j / f^j, where
+    G_j = f^(j-1) * Q_{j-1}(q) is an integer.  Partial Bell polynomials are
+    homogeneous, B_{m,k}(a * b^j * G_j) = a^k * b^m * B_{m,k}(G), so the Bell
+    table runs on the integers G_j, x*f moves into the outer series and 1/f^m
+    onto entry m.
+    """
+    x, f = Fraction(x), (Fraction(q) - 1).denominator
+    inner = [0] + [int(c * f**j) for j, c in enumerate(exp_q_values(q, order).coeffs[1:])]
+    outer = [c * (x * f) ** k for k, c in enumerate(exp_q_values(p, order))]
+    composed = egf_compose(EgfSeries(outer), EgfSeries(inner))
+    return [c / f**m for m, c in enumerate(composed)]
 
 
 def taylor_oracle(x, p, q, order: int) -> list[Fraction]:
@@ -316,19 +373,52 @@ ORACLE_GRID = {
 }
 
 
-def _verify_oracle_vs_eval(run: _Run, n_max: int, force: bool, grid=None):
-    grid = grid or ORACLE_GRID
+def _verify_points(run: _Run, grid, first_mismatch):
+    # one cell per point; first_mismatch(x, p, q) describes the first entry
+    # at which two routes disagree there, or gives None
     for x in grid["x"]:
         for p in grid["p"]:
             for q in grid["q"]:
-                coeffs = taylor_oracle(x, p, q, n_max)
-                bad = None
-                for n in range(n_max + 1):
-                    expected = touchard_eval(n, x, p, q) / factorial(n)
-                    if coeffs[n] != expected:
-                        bad = f"entry {n}: {coeffs[n]} != {expected}"
-                        break
+                bad = first_mismatch(x, p, q)
                 run.check(f"x={x},p={p},q={q}", bad is None, bad or "")
+
+
+def _verify_oracle_vs_eval(run: _Run, n_max: int, force: bool, grid=None):
+    # taylor_oracle against both scalar routes, the sum and the composition
+    def first_mismatch(x, p, q):
+        coeffs = taylor_oracle(x, p, q, n_max)
+        composed = touchard_values(x, p, q, n_max)
+        for n in range(n_max + 1):
+            by_sum = touchard_eval(n, x, p, q)
+            by_oracle = coeffs[n] * factorial(n)
+            if by_oracle != by_sum:
+                return f"entry {n}: oracle {by_oracle} != sum {by_sum}"
+            if composed[n] != by_sum:
+                return f"entry {n}: composition {composed[n]} != sum {by_sum}"
+        return None
+
+    _verify_points(run, grid or ORACLE_GRID, first_mismatch)
+
+
+# ORACLE_GRID with the classical corners p = 1 and q = 1, where the oracle
+# does not apply
+EVAL_GRID = {
+    **ORACLE_GRID,
+    "p": ORACLE_GRID["p"] + (Fraction(1),),
+    "q": ORACLE_GRID["q"] + (Fraction(1),),
+}
+
+
+def _verify_eval_vs_poly(run: _Run, n_max: int, force: bool, grid=None):
+    def first_mismatch(x, p, q):
+        for n in range(n_max + 1):
+            by_sum = touchard_eval(n, x, p, q)
+            by_poly = touchard_poly(n).evaluate({"x": x, "p": p, "q": q})
+            if by_sum != by_poly:
+                return f"entry {n}: sum {by_sum} != polynomial {by_poly}"
+        return None
+
+    _verify_points(run, grid or EVAL_GRID, first_mismatch)
 
 
 _IDENTITIES = {
@@ -339,7 +429,8 @@ _IDENTITIES = {
     "lsp-slice": (partial(_verify_enumeration, "lsp", "v"), 7),
     "slp-slice": (partial(_verify_enumeration, "slp", "u"), 7),
     "series-vs-explicit": (_verify_series_vs_explicit, 12),
-    "oracle-vs-eval": (_verify_oracle_vs_eval, 10),
+    "oracle-vs-eval": (_verify_oracle_vs_eval, 20),
+    "eval-vs-poly": (_verify_eval_vs_poly, 10),
 }
 
 IDENTITY_NAMES = tuple(_IDENTITIES)
@@ -352,7 +443,7 @@ def verify_identity(
 
     n_max defaults to the documented budget for the identity.  force lifts
     the enumeration object budget where it applies; grid overrides
-    the evaluation points of oracle-vs-eval.
+    the evaluation points of oracle-vs-eval and eval-vs-poly.
     """
     if name not in _IDENTITIES:
         raise ValueError(
@@ -364,7 +455,7 @@ def verify_identity(
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     run = _Run()
-    if name == "oracle-vs-eval":
+    if name in ("oracle-vs-eval", "eval-vs-poly"):
         checker(run, n_max, force, grid)
     else:
         checker(run, n_max, force)

@@ -377,6 +377,23 @@ class TestHarness:
         assert kept.read_text(encoding="utf-8") == "earlier output\n"
         assert [p.name for p in tmp_path.iterdir()] == ["kept.txt"]
 
+    def test_closed_pipe_is_quiet(self):
+        # the reader stops after 100 bytes of a few megabytes, as `| head -c 100`
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pqtouchard.cli", "enumerate", "--n", "8",
+             "--k", "3", "--flavor", "slp"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+        try:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 1
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+            proc.stderr.close()
+
     def test_deterministic_output(self, capsys):
         argv = ("enumerate", "--n", "4", "--k", "2", "--flavor", "llp",
                 "--stats", "--format", "csv")
@@ -487,6 +504,22 @@ PINNED = [
         "eval --n 4 --x 2 --p 3 --q 1/2 --oracle --format csv",
         0,
         "n,x,p,q,value,oracle,equal\n4,2,3,1/2,2049,2049,True\n",
+    ),
+    # `--p -7/5` would be read as an option, hence `--p=-7/5`
+    (
+        "eval --n 30 --x 4/7 --p=-7/5 --q 5/7 --oracle",
+        0,
+        "sha256:d182995230e115bcadd3070415cb62163af0150131e4439284d4b085d8f05bc6",
+    ),
+    (
+        "eval --n 30 --x 4/7 --p=-7/5 --q 5/7 --oracle --format json",
+        0,
+        "sha256:2568f707d45ce2a901be58d976c7eeabf33cac0cc1a19eba4df7b4d320e5b7e3",
+    ),
+    (
+        "eval --n 30 --x 4/7 --p=-7/5 --q 5/7 --oracle --format csv",
+        0,
+        "sha256:fcb6fabce8bb26e1e970df870a1665c78ffccbf83a40321ebd5decaa54ec0afd",
     ),
     ("enumerate --n 3 --k 2 --flavor lsp", 0, "12/3\n3/12\n13/2\n2/13\n1/23\n23/1\n"),
     (

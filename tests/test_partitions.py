@@ -268,6 +268,24 @@ class TestBudget:
         assert partitions._size(10**31 - 1) == "a 31-digit number of"
         assert partitions._size(10**31) == "a 32-digit number of"
 
+    def test_huge_refusals_compute_no_factorial(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a factorial was computed")
+
+        monkeypatch.setattr(partitions, "factorial", refuse)
+        monkeypatch.setattr(partitions, "perm", refuse)
+        # llp(n, n-1) = n!*(n-1) and slp(n, 1) = n!
+        for k, flavor, digits in ((199999, "llp", 973356), (1, "slp", 973351)):
+            with pytest.raises(ValueError, match=(
+                f"{flavor} enumeration for n=200000, k={k} visits a {digits}-digit "
+                "number of objects, over the budget of 2000000"
+            )):
+                partitions._check_size(200000, k, flavor, False)
+        monkeypatch.undo()
+        # slp(n, n-1) = n*(n-1) is small and stated exactly
+        with pytest.raises(ValueError, match="visits 39999800000 objects"):
+            partitions._check_size(200000, 199999, "slp", False)
+
     def test_non_integer_k_is_rejected(self):
         with pytest.raises(ValueError, match="k must be an integer"):
             enumerate_partitions(3, 2.0, "ssp")

@@ -203,6 +203,12 @@ def polys(draw):
 points = st.fixed_dictionaries(
     {name: st.integers(-3, 3) for name in VAR_ORDER}
 )
+rational_points = st.fixed_dictionaries(
+    {
+        name: st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+        for name in VAR_ORDER
+    }
+)
 
 
 class TestAlgebraicLaws:
@@ -242,6 +248,18 @@ class TestAlgebraicLaws:
     def test_operations_commute_with_evaluation(self, a, b, point):
         assert (a + b).evaluate(point) == a.evaluate(point) + b.evaluate(point)
         assert (a * b).evaluate(point) == a.evaluate(point) * b.evaluate(point)
+
+    @given(polys(), rational_points)
+    @settings(max_examples=100)
+    def test_evaluation_matches_term_by_term_sum(self, a, point):
+        # the reference sums each term's value in Fractions
+        expected = Fraction(0)
+        for key, coeff in a.terms.items():
+            value = Fraction(coeff)
+            for name, e in zip(VAR_ORDER, key):
+                value *= point[name] ** e
+            expected += value
+        assert a.evaluate(point) == expected
 
     @given(polys())
     @settings(max_examples=100)

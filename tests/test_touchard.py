@@ -1,9 +1,13 @@
 """Deformed Touchard polynomials: closed forms, routes, and the oracle."""
 
 from fractions import Fraction
+from math import factorial as math_factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from pqtouchard import touchard
 from pqtouchard import (
     IDENTITY_NAMES,
     MultiPoly,
@@ -24,6 +28,7 @@ from pqtouchard import (
     touchard_eval,
     touchard_poly,
     touchard_series,
+    touchard_values,
     verify_identity,
 )
 
@@ -150,6 +155,53 @@ class TestEval:
     def test_rational_point(self):
         assert touchard_eval(2, Fraction(1, 2), 3, Fraction(1, 5)) == Fraction(17, 20)
 
+    @given(
+        st.integers(0, 15),
+        *(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)) for _ in "xpq"),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(7, Fraction(2, 3), Fraction(1), Fraction(-4, 5))
+    @example(7, Fraction(-2, 3), Fraction(4, 5), Fraction(1))
+    @example(7, Fraction(5, 9), Fraction(-3), Fraction(0))
+    @example(7, Fraction(0), Fraction(3, 7), Fraction(9, 2))
+    def test_scalar_routes_match_the_polynomial(self, n, x, p, q):
+        expected = touchard_poly(n).evaluate({"x": x, "p": p, "q": q})
+        assert touchard_eval(n, x, p, q) == expected
+        assert touchard_values(x, p, q, n)[n] == expected
+
+    def test_large_n_classical_point(self):
+        # p = q = 1: the Touchard polynomial, with S(200, k) grown here
+        row = [1]
+        for m in range(1, 201):
+            row = [0] + [k * a + b for k, a, b in zip(range(1, m + 1), row[1:] + [0], row)]
+        x = Fraction(-3, 7)
+        assert touchard_eval(200, x, 1, 1) == sum(s * x**k for k, s in enumerate(row))
+
+    def test_large_n_doubled_point(self):
+        x = Fraction(5, 3)
+        assert touchard_eval(200, x, 2, 2) == math_factorial(200) * x * (1 + x) ** 199
+
+    def test_large_n_matches_composition(self):
+        point = (Fraction(4, 7), Fraction(-7, 5), Fraction(5, 7))
+        assert touchard_eval(150, *point) == touchard_values(*point, 150)[150]
+
+    def test_builds_no_polynomial(self, monkeypatch):
+        point = (Fraction(-3, 4), Fraction(5, 2), Fraction(2, 9))
+        expected = touchard_poly(22).evaluate(dict(zip("xpq", point)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a polynomial was built or evaluated")
+
+        monkeypatch.setattr(touchard, "touchard_poly", refuse)
+        monkeypatch.setattr(MultiPoly, "evaluate", refuse)
+        monkeypatch.setattr(MultiPoly, "__init__", refuse)
+        assert touchard_eval(22, *point) == expected
+
+    @pytest.mark.parametrize("n", [True, -1, 2.0])
+    def test_bad_n(self, n):
+        with pytest.raises(ValueError, match=f"n must be a nonnegative integer, got {n!r}"):
+            touchard_eval(n, 1, 2, 3)
+
 
 class TestTaylorOracle:
     def test_geometric_case(self):
@@ -221,6 +273,7 @@ class TestVerifyIdentity:
         "slp-slice": 5,
         "series-vs-explicit": 6,
         "oracle-vs-eval": 4,
+        "eval-vs-poly": 5,
     }
 
     @pytest.mark.parametrize("name", IDENTITY_NAMES)
@@ -237,6 +290,28 @@ class TestVerifyIdentity:
         report = verify_identity("oracle-vs-eval", n_max=5, grid=grid)
         assert report.passed
         assert len(report.cells) == 1
+
+    def test_eval_vs_poly_covers_the_classical_corners(self):
+        report = verify_identity("eval-vs-poly", n_max=3)
+        labels = [label for label, _ in report.cells]
+        assert len(labels) == 75
+        assert "x=2,p=1,q=1" in labels and "x=1/2,p=-1,q=1" in labels
+
+    @pytest.mark.parametrize(
+        "route,name", [("touchard_values", "composition"), ("taylor_oracle", "oracle")]
+    )
+    def test_failure_names_the_route(self, monkeypatch, route, name):
+        right = getattr(touchard, route)
+
+        def off_by_one_at_entry_3(*args):
+            values = list(right(*args))
+            values[3] += 1
+            return values
+
+        monkeypatch.setattr(touchard, route, off_by_one_at_entry_3)
+        report = verify_identity("oracle-vs-eval", n_max=5)
+        assert report.failures == len(report.cells) == 48
+        assert report.first_counterexample.startswith(f"x=1/2,p=-1,q=-1: entry 3: {name} ")
 
     def test_unknown_identity(self):
         with pytest.raises(ValueError, match="stirling12"):
