@@ -26,12 +26,11 @@ from .permstats import (
     nse_perm,
 )
 from .poly import VAR_ORDER, MultiPoly
-from .series import EgfSeries, egf_compose, ogf_binomial_power, ogf_mul, partial_bell
+from .series import EgfSeries, egf_compose, ogf_binomial_power
 from .tables import (
     bell,
     binomial,
     factorial,
-    q_product_poly,
     stirling1_signed,
     stirling1_unsigned,
     stirling2,
@@ -43,8 +42,7 @@ from .touchard import (
     StatReport,
     VerificationReport,
     avg_nse,
-    exp_q_series,
-    exp_q_values,
+    exp_q,
     s_pq,
     s_uv,
     stat_report,
@@ -52,7 +50,6 @@ from .touchard import (
     touchard_eval,
     touchard_poly,
     touchard_series,
-    touchard_values,
     verify_identity,
 )
 
@@ -79,8 +76,7 @@ __all__ = [
     "dist_poly",
     "egf_compose",
     "enumerate_partitions",
-    "exp_q_series",
-    "exp_q_values",
+    "exp_q",
     "factorial",
     "ltr_max_count",
     "ltr_max_distribution",
@@ -89,9 +85,6 @@ __all__ = [
     "nse_distribution",
     "nse_perm",
     "ogf_binomial_power",
-    "ogf_mul",
-    "partial_bell",
-    "q_product_poly",
     "s_pq",
     "s_uv",
     "stat_report",
@@ -102,6 +95,5 @@ __all__ = [
     "touchard_eval",
     "touchard_poly",
     "touchard_series",
-    "touchard_values",
     "verify_identity",
 ]

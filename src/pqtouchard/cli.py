@@ -13,6 +13,7 @@ import contextlib
 import csv
 import json
 import os
+import re
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
@@ -22,12 +23,11 @@ from itertools import chain, islice
 
 from . import partitions, permstats, touchard
 from .partitions import nsb, nse
-from .poly import VAR_ORDER
+from .poly import VAR_ORDER, MultiPoly
 from .tables import (
     bell,
     binomial,
     factorial,
-    q_product_poly,
     stirling1_signed,
     stirling1_unsigned,
     stirling2,
@@ -164,7 +164,8 @@ def _cmd_table(args) -> _Output:
             lambda: chain([["n", "value"]], enumerate(values)),
             lambda: values,
         )
-    polys = [q_product_poly(n, args.var) for n in range(nmax + 1)]
+    # Q_n is the coefficient n + 1 of exp_q
+    polys = touchard.exp_q(nmax + 1, MultiPoly.var(args.var) - 1).coeffs[1:]
     return _Output(
         lambda: {
             "name": name,
@@ -434,6 +435,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # argparse reads a separate value like -7/5 as an option (only -1-like
+    # numbers pass), so a dash-led value of --x, --p or --q joins its option
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--x", "--p", "--q") and re.match(r"-\.?\d", argv[i]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,10 +1,10 @@
-"""Truncated exponential generating function arithmetic.
+"""Truncated exponential generating functions and their composition.
 
-An EgfSeries stores a_0..a_N where the series is sum a_n t^n / n!, so all
-arithmetic stays in integers (or polynomials) with no denominators.
-Composition goes through partial Bell polynomials.  A small ordinary-series
-toolkit at the bottom handles powers with rational exponents, which the EGF
-side cannot express.
+An EgfSeries stores a_0..a_N where the series is sum a_n t^n / n!, so the
+coefficients stay integers (or polynomials) with no denominators.
+egf_compose composes two of them through partial Bell polynomials.  One
+ordinary-series function at the bottom gives binomial powers with rational
+exponents, which the EGF side cannot express.
 """
 
 from __future__ import annotations
@@ -49,67 +49,16 @@ class EgfSeries:
     def __repr__(self):
         return f"EgfSeries({self.coeffs!r})"
 
-    def truncate(self, order: int) -> EgfSeries:
-        if order < 0 or order > self.order:
-            raise ValueError(f"order must be in 0..{self.order}, got {order}")
-        return EgfSeries(self.coeffs[: order + 1])
 
-    def _common(self, other) -> int:
-        # results of +,-,* are only trustworthy up to the shorter truncation
-        return min(self.order, other.order)
-
-    def __add__(self, other):
-        if not isinstance(other, EgfSeries):
-            return NotImplemented
-        n = self._common(other)
-        return EgfSeries([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
-
-    def __sub__(self, other):
-        if not isinstance(other, EgfSeries):
-            return NotImplemented
-        n = self._common(other)
-        return EgfSeries([self.coeffs[i] - other.coeffs[i] for i in range(n + 1)])
-
-    def __mul__(self, other):
-        """Binomial convolution: (fg)_n = sum_j C(n,j) f_j g_{n-j}."""
-        if not isinstance(other, EgfSeries):
-            return NotImplemented
-        n = self._common(other)
-        out = []
-        for m in range(n + 1):
-            acc = self.coeffs[0] * other.coeffs[m]
-            for j in range(1, m + 1):
-                acc = acc + binomial(m, j) * self.coeffs[j] * other.coeffs[m - j]
-            out.append(acc)
-        return EgfSeries(out)
-
-
-def partial_bell(n: int, k: int, g) -> object:
-    """Partial Bell polynomial B_{n,k} evaluated at g = [g_1, g_2, ...].
-
-    Needs g_1..g_{n-k+1}.  B_{0,0} = 1 and B_{n,0} = 0 for n > 0.
-    """
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be nonnegative")
-    if k > n:
-        return 0
-    if k == 0:
-        return 1 if n == 0 else 0
-    if len(g) < n - k + 1:
-        raise ValueError(f"need g_1..g_{n - k + 1}, got {len(g)} values")
-    # B_{n,k} never touches g_j past the window above, so padding with
-    # zeros keeps the shared table fill in range without changing the value
-    g = list(g[: n - k + 1]) + [0] * (k - 1)
-    return _bell_table(n, k, g)[n][k]
-
-
-def _bell_table(n: int, k_max: int, g):
-    # B[m][k] via B_{m,k} = sum_j C(m-1, j-1) g_j B_{m-j, k-1}
-    table = [[0] * (k_max + 1) for _ in range(n + 1)]
+def _bell_table(g):
+    """B[m][k] = B_{m,k}(g_1, g_2, ...) for 0 <= k <= m <= len(g), by
+    B_{m,k} = sum_j C(m-1, j-1) g_j B_{m-j, k-1}."""
+    n = len(g)
+    table = [[0] * (n + 1) for _ in range(n + 1)]
     table[0][0] = 1
     for m in range(1, n + 1):
         weighted = [binomial(m - 1, j - 1) * g[j - 1] for j in range(1, m + 1)]
-        for k in range(1, min(m, k_max) + 1):
+        for k in range(1, m + 1):
             acc = 0
             for j in range(1, m - k + 2):
                 acc = acc + weighted[j - 1] * table[m - j][k - 1]
@@ -126,8 +75,7 @@ def egf_compose(outer: EgfSeries, inner: EgfSeries) -> EgfSeries:
     if inner.coeffs[0] != 0:
         raise ValueError("inner series must have zero constant term")
     n = min(outer.order, inner.order)
-    g = inner.coeffs[1 : n + 1]
-    table = _bell_table(n, n, g) if n > 0 else [[1]]
+    table = _bell_table(inner.coeffs[1 : n + 1])
     out = [outer.coeffs[0]]
     for m in range(1, n + 1):
         acc = 0
@@ -138,21 +86,6 @@ def egf_compose(outer: EgfSeries, inner: EgfSeries) -> EgfSeries:
 
 
 # -- ordinary power series, used only as an independent cross-check ----------
-
-
-def ogf_mul(a, b, order: int) -> list:
-    """Cauchy product of ordinary series, truncated at the given order."""
-    a = list(a)[: order + 1]
-    b = list(b)[: order + 1]
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > order:
-                break
-            out[i + j] += ai * bj
-    return out
 
 
 def ogf_binomial_power(s, alpha, order: int) -> list[Fraction]:

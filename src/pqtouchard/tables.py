@@ -1,10 +1,9 @@
 """Memoized exact integer tables.
 
-Binomials, Stirling numbers of both kinds, Bell numbers, factorials, and the
-coefficient polynomials Q_n of the deformed exponential series.  The three
-triangles and the Q_n sequences grow row by row on demand under one lock
-and are kept for the process lifetime; Bell numbers are Stirling-2 row sums
-and factorials come from math.  Rows are stored as tuples and only ever
+Binomials, Stirling numbers of both kinds, Bell numbers and factorials.
+The three triangles grow row by row on demand under one lock and are kept
+for the process lifetime; Bell numbers are Stirling-2 row sums and
+factorials come from math.  Rows are stored as tuples and only ever
 appended, so a published row never changes and readers never block.
 """
 
@@ -14,14 +13,12 @@ import math
 import threading
 from itertools import count, repeat
 
-from .poly import MultiPoly
-
 _lock = threading.RLock()
 
 
-def _check_n(n: int):
+def _check_n(n: int, name: str = "n"):
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+        raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
 
 
 def _grow(rows: list, step, n: int):
@@ -45,7 +42,6 @@ def _pascal(weights):
 _BINOMIAL = ([(1,)], _pascal(lambda m: repeat(1)))
 _STIRLING2 = ([(1,)], _pascal(lambda m: count()))
 _STIRLING1 = ([(1,)], _pascal(lambda m: repeat(m - 1)))
-_Q_PRODUCTS: dict[str, list[MultiPoly]] = {}
 
 
 def _entry(triangle, n: int, k: int) -> int:
@@ -91,10 +87,3 @@ def factorial(n: int) -> int:
     # the check stays: math.factorial(True) is 1
     _check_n(n)
     return math.factorial(n)
-
-
-def q_product_poly(n: int, var: str = "q") -> MultiPoly:
-    """Q_n(var) = var * (2*var - 1) * ... * (n*var - (n-1)), with Q_0 = 1."""
-    _check_n(n)
-    seq = _Q_PRODUCTS.get(var) or _Q_PRODUCTS.setdefault(var, [MultiPoly.const(1)])
-    return _grow(seq, lambda m, prev: prev * (MultiPoly.var(var) * m - (m - 1)), n)

@@ -5,15 +5,15 @@ Three independent routes compute the same polynomials:
   substitution   sum of x^k * s_pq(n,k), with s_pq obtained from the
                  two-variable distribution polynomial by u -> p-1, v -> q-1
   explicit       the closed five-fold sum over signed Stirling numbers
-  composition    EGF composition exp_p(x*(exp_q(t) - 1))
+  composition    EGF composition exp_p(x*(exp_q(t) - 1)), touchard_series
 
 Two scalar routes give T_n at one rational point without building a
 polynomial:
 
   scalar sum          touchard_eval: the explicit sum at the point, over one
                       common denominator, in O(n^2) integer operations
-  scalar composition  touchard_values: the EGF composition at the point,
-                      giving T_0..T_N at once
+  scalar composition  touchard_series(order, x, p, q): the composition route
+                      itself, run at the point on integers, giving T_0..T_N
 
 plus a numeric-only oracle (taylor_oracle) that expands the same closed
 form as an ordinary power series with rational binomial exponents.
@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
+from itertools import accumulate, repeat
 from operator import mul
 
 from .partitions import _check_size, count_partitions, dist_poly
@@ -35,7 +36,6 @@ from .tables import (
     bell,
     binomial,
     factorial,
-    q_product_poly,
     stirling1_signed,
     stirling1_unsigned,
     stirling2,
@@ -45,27 +45,26 @@ from .tables import (
 ROUTES = ("substitution", "explicit", "composition")
 
 
-def exp_q_series(order: int, var: str = "q") -> EgfSeries:
-    """Deformed exponential, symbolic: coefficient of t^n/n! is Q_{n-1}(var)."""
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
-    coeffs = [MultiPoly.const(1)]
-    coeffs += [q_product_poly(n - 1, var) for n in range(1, order + 1)]
-    return EgfSeries(coeffs)
+X, P, Q = (MultiPoly.var(name) for name in "xpq")
 
 
-def exp_q_values(q, order: int) -> EgfSeries:
-    """Deformed exponential at a rational q; q = 1 gives the classical e^t.
+def exp_q(order: int, v, f=1) -> EgfSeries:
+    """Deformed exponential exp_q(t) through t^order, where q - 1 = v/f.
 
-    The coefficient of t^n/n! is Q_{n-1}(q) = prod_{m<n} (1 + m*(q-1)),
-    multiplied out over Fractions.
+    The coefficient of t^n/n! is prod_{0<m<n} (f + m*v) = f^(n-1) Q_{n-1}(q)
+    with Q_{n-1}(q) = prod_{0<m<n} (1 + m*(q-1)), multiplied out in the ring
+    of v.  With f = 1 these are the coefficients themselves: polynomials for
+    v = MultiPoly.var("q") - 1, rationals for a rational v, and all 1 (e^t)
+    for v = 0.  Integers v, f give the integer-scaled coefficients that
+    touchard_series composes at a rational q.
     """
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
-    v = Fraction(q) - 1
-    coeffs = [Fraction(1)]
-    for n in range(1, order + 1):
-        coeffs.append(coeffs[-1] * (1 + (n - 1) * v))
+    _check_n(order, "order")
+    one = v**0  # the ring's 1: a constant polynomial for a polynomial v
+    coeffs = [one, one][: order + 1]
+    factor = f
+    for _ in range(2, order + 1):
+        factor = factor + v
+        coeffs.append(coeffs[-1] * factor)
     return EgfSeries(coeffs)
 
 
@@ -146,17 +145,26 @@ def _explicit_poly(n: int) -> MultiPoly:
     return MultiPoly(("x", "p", "q"), terms)
 
 
-def touchard_series(order: int) -> EgfSeries:
-    """EGF of the T_n: composition of exp_p around x * (exp_q(t) - 1)."""
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
-    x = MultiPoly.var("x")
-    outer = [MultiPoly.const(1)]
-    inner = [MultiPoly.const(0)]
-    for m in range(1, order + 1):
-        outer.append(q_product_poly(m - 1, "p"))
-        inner.append(x * q_product_poly(m - 1, "q"))
-    return egf_compose(EgfSeries(outer), EgfSeries(inner))
+def touchard_series(order: int, x=X, p=P, q=Q) -> EgfSeries:
+    """EGF of the T_n through t^order: exp_p composed around x*(exp_q(t) - 1).
+
+    x, p, q are either the variables themselves (the default), giving the
+    polynomials T_0..T_order, or rationals, giving their values at that
+    point without a polynomial.  With q - 1 = v/f (f = 1 for a polynomial
+    q), the inner coefficients are x*Q_{j-1}(q) = x*f * G_j / f^j with
+    G_j = exp_q(order, v, f)[j], an integer at a rational q.  Partial Bell
+    polynomials are homogeneous, B_{m,k}(a * b^j * G_j) = a^k * b^m *
+    B_{m,k}(G), so the Bell table runs on the G_j, x*f moves into the outer
+    series and 1/f^m onto entry m.
+    """
+    _check_n(order, "order")
+    x, p, q = (a if isinstance(a, MultiPoly) else Fraction(a) for a in (x, p, q))
+    v, f = (q - 1, 1) if isinstance(q, MultiPoly) else (q - 1).as_integer_ratio()
+    powers = accumulate(repeat(x * f, order), mul, initial=1)  # (x*f)^k
+    outer = list(map(mul, exp_q(order, p - 1), powers))
+    inner = [0, *exp_q(order, v, f).coeffs[1:]]
+    composed = egf_compose(EgfSeries(outer), EgfSeries(inner))
+    return composed if f == 1 else EgfSeries(c / f**m for m, c in enumerate(composed))
 
 
 def touchard_eval(n: int, x, p, q) -> Fraction:
@@ -189,24 +197,6 @@ def touchard_eval(n: int, x, p, q) -> Fraction:
     return Fraction(total, (b * d * f) ** n)
 
 
-def touchard_values(x, p, q, order: int) -> list[Fraction]:
-    """T_0..T_order at one rational point, by composing exp_p(x*(exp_q(t) - 1))
-    after both series are evaluated at the point.
-
-    Neither the Stirling sum nor a polynomial is involved.  With f the
-    denominator of q - 1, the inner coefficients are x*f * G_j / f^j, where
-    G_j = f^(j-1) * Q_{j-1}(q) is an integer.  Partial Bell polynomials are
-    homogeneous, B_{m,k}(a * b^j * G_j) = a^k * b^m * B_{m,k}(G), so the Bell
-    table runs on the integers G_j, x*f moves into the outer series and 1/f^m
-    onto entry m.
-    """
-    x, f = Fraction(x), (Fraction(q) - 1).denominator
-    inner = [0] + [int(c * f**j) for j, c in enumerate(exp_q_values(q, order).coeffs[1:])]
-    outer = [c * (x * f) ** k for k, c in enumerate(exp_q_values(p, order))]
-    composed = egf_compose(EgfSeries(outer), EgfSeries(inner))
-    return [c / f**m for m, c in enumerate(composed)]
-
-
 def taylor_oracle(x, p, q, order: int) -> list[Fraction]:
     """Ordinary Taylor coefficients of the closed form, entry n = T_n/n!.
 
@@ -215,6 +205,7 @@ def taylor_oracle(x, p, q, order: int) -> list[Fraction]:
     routes.  Needs p != 1 and q != 1; the classical limits live on the
     series route instead.
     """
+    _check_n(order, "order")
     x, p, q = Fraction(x), Fraction(p), Fraction(q)
     if p == 1 or q == 1:
         raise ValueError(
@@ -383,11 +374,11 @@ def _verify_points(run: _Run, grid, first_mismatch):
                 run.check(f"x={x},p={p},q={q}", bad is None, bad or "")
 
 
-def _verify_oracle_vs_eval(run: _Run, n_max: int, force: bool, grid=None):
+def _verify_oracle_vs_eval(run: _Run, n_max: int, force: bool, grid):
     # taylor_oracle against both scalar routes, the sum and the composition
     def first_mismatch(x, p, q):
         coeffs = taylor_oracle(x, p, q, n_max)
-        composed = touchard_values(x, p, q, n_max)
+        composed = touchard_series(n_max, x, p, q)
         for n in range(n_max + 1):
             by_sum = touchard_eval(n, x, p, q)
             by_oracle = coeffs[n] * factorial(n)
@@ -397,7 +388,7 @@ def _verify_oracle_vs_eval(run: _Run, n_max: int, force: bool, grid=None):
                 return f"entry {n}: composition {composed[n]} != sum {by_sum}"
         return None
 
-    _verify_points(run, grid or ORACLE_GRID, first_mismatch)
+    _verify_points(run, grid, first_mismatch)
 
 
 # ORACLE_GRID with the classical corners p = 1 and q = 1, where the oracle
@@ -409,7 +400,7 @@ EVAL_GRID = {
 }
 
 
-def _verify_eval_vs_poly(run: _Run, n_max: int, force: bool, grid=None):
+def _verify_eval_vs_poly(run: _Run, n_max: int, force: bool, grid):
     def first_mismatch(x, p, q):
         for n in range(n_max + 1):
             by_sum = touchard_eval(n, x, p, q)
@@ -418,22 +409,25 @@ def _verify_eval_vs_poly(run: _Run, n_max: int, force: bool, grid=None):
                 return f"entry {n}: sum {by_sum} != polynomial {by_poly}"
         return None
 
-    _verify_points(run, grid or EVAL_GRID, first_mismatch)
+    _verify_points(run, grid, first_mismatch)
 
 
+# name: (checker, default n_max, default evaluation points or None); a
+# checker with points takes them as its last argument
 _IDENTITIES = {
-    "stirling12": (_verify_stirling12, 30),
-    "orthogonality": (_verify_orthogonality, 30),
-    "slp-count": (_verify_slp_count, 10),
-    "llp-grid": (partial(_verify_enumeration, "llp", None), 7),
-    "lsp-slice": (partial(_verify_enumeration, "lsp", "v"), 7),
-    "slp-slice": (partial(_verify_enumeration, "slp", "u"), 7),
-    "series-vs-explicit": (_verify_series_vs_explicit, 12),
-    "oracle-vs-eval": (_verify_oracle_vs_eval, 20),
-    "eval-vs-poly": (_verify_eval_vs_poly, 10),
+    "stirling12": (_verify_stirling12, 30, None),
+    "orthogonality": (_verify_orthogonality, 30, None),
+    "slp-count": (_verify_slp_count, 10, None),
+    "llp-grid": (partial(_verify_enumeration, "llp", None), 7, None),
+    "lsp-slice": (partial(_verify_enumeration, "lsp", "v"), 7, None),
+    "slp-slice": (partial(_verify_enumeration, "slp", "u"), 7, None),
+    "series-vs-explicit": (_verify_series_vs_explicit, 12, None),
+    "oracle-vs-eval": (_verify_oracle_vs_eval, 20, ORACLE_GRID),
+    "eval-vs-poly": (_verify_eval_vs_poly, 10, EVAL_GRID),
 }
 
 IDENTITY_NAMES = tuple(_IDENTITIES)
+_GRID_IDENTITIES = tuple(name for name, entry in _IDENTITIES.items() if entry[2])
 
 
 def verify_identity(
@@ -442,21 +436,24 @@ def verify_identity(
     """Check one named identity cell by cell and report the outcome.
 
     n_max defaults to the documented budget for the identity.  force lifts
-    the enumeration object budget where it applies; grid overrides
-    the evaluation points of oracle-vs-eval and eval-vs-poly.
+    the enumeration object budget where it applies; grid overrides the
+    evaluation points of oracle-vs-eval and eval-vs-poly, and is refused
+    for the identities without evaluation points.
     """
     if name not in _IDENTITIES:
         raise ValueError(
             f"unknown identity {name!r}: choose from {', '.join(IDENTITY_NAMES)}"
         )
-    checker, default_n = _IDENTITIES[name]
+    checker, default_n, default_grid = _IDENTITIES[name]
+    if grid is not None and default_grid is None:
+        raise ValueError(
+            f"identity {name!r} has no evaluation points: a grid applies only "
+            f"to {' and '.join(_GRID_IDENTITIES)}"
+        )
     if n_max is None:
         n_max = default_n
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    _check_n(n_max, "n_max")
     run = _Run()
-    if name in ("oracle-vs-eval", "eval-vs-poly"):
-        checker(run, n_max, force, grid)
-    else:
-        checker(run, n_max, force)
+    points = () if default_grid is None else (grid or default_grid,)
+    checker(run, n_max, force, *points)
     return VerificationReport(name, n_max, tuple(run.cells), run.first)

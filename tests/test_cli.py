@@ -72,6 +72,20 @@ class TestEval:
         assert status == 0
         assert out == "17/20\n"
 
+    @pytest.mark.parametrize("value", ["-7/5", "-1", "-.5"])
+    def test_negative_value_as_separate_argument(self, capsys, value):
+        base = ["eval", "--n", "5", "--x", "4/7", "--q", "5/7", "--oracle"]
+        joined = run(capsys, *base, f"--p={value}")
+        assert joined[0] == 0 and joined[2] == ""
+        assert run(capsys, *base, "--p", value) == joined
+        # the value may be the x or q of the point as well
+        assert run(capsys, "eval", "--n", "3", "--x", value, "--p", "2", "--q", value)[0] == 0
+
+    def test_missing_value_is_still_a_usage_error(self, capsys):
+        status, out, err = run(capsys, "eval", "--n", "5", "--x", "1", "--p", "--q", "2")
+        assert status == 2 and out == ""
+        assert "argument --p: expected one argument" in err
+
     def test_json(self, capsys):
         status, out, _ = run(
             capsys, "eval", "--n", "4", "--x", "1", "--p", "1", "--q", "1",

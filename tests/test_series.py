@@ -1,4 +1,4 @@
-"""EGF arithmetic, Bell-polynomial composition, and the ordinary-series side."""
+"""EGF container, Bell-polynomial composition, and the ordinary-series side."""
 
 from fractions import Fraction
 
@@ -11,22 +11,29 @@ from pqtouchard import (
     MultiPoly,
     bell,
     egf_compose,
-    exp_q_series,
+    exp_q,
     ogf_binomial_power,
-    ogf_mul,
-    partial_bell,
-    q_product_poly,
     stirling2,
 )
+from pqtouchard.series import _bell_table
+
+
+def cauchy_product(a, b, order):
+    """Product of two ordinary series, truncated at the given order."""
+    out = [Fraction(0)] * (order + 1)
+    for i, ai in enumerate(a[: order + 1]):
+        for j, bj in enumerate(b[: order + 1 - i]):
+            out[i + j] += ai * bj
+    return out
 
 
 def repeated_product_power(s, alpha, order):
-    """(1 + w)^alpha as sum_m C(alpha, m) w^m, each w^m by repeated ogf_mul."""
+    """(1 + w)^alpha as sum_m C(alpha, m) w^m, each w^m by repeated products."""
     out = [Fraction(1)] + [Fraction(0)] * order
     power = [Fraction(1)] + [Fraction(0)] * order
     coeff = Fraction(1)
     for m in range(1, order + 1):
-        power = ogf_mul(power, s, order)
+        power = cauchy_product(power, s, order)
         coeff = coeff * (alpha - (m - 1)) / m
         for i in range(m, order + 1):
             out[i] += coeff * power[i]
@@ -50,48 +57,24 @@ class TestEgfBasics:
         with pytest.raises(ValueError):
             EgfSeries([])
 
-    def test_truncate(self):
-        s = EgfSeries([1, 2, 3])
-        assert s.truncate(1) == EgfSeries([1, 2])
-        with pytest.raises(ValueError):
-            s.truncate(3)
-
-    def test_add_sub_align_to_shorter(self):
-        a = EgfSeries([1, 1, 1, 1])
-        b = EgfSeries([0, 1, 2])
-        assert a + b == EgfSeries([1, 2, 3])
-        assert a - b == EgfSeries([1, 0, -1])
-
-    def test_product_is_binomial_convolution(self):
-        # e^t * e^t = e^{2t}, so coefficient n is 2^n
-        doubled = exp_series(6) * exp_series(6)
-        assert list(doubled) == [2**n for n in range(7)]
-
 
 class TestPartialBell:
+    # the table egf_compose reads: entry [m][k] is B_{m,k}(g_1, g_2, ...)
     def test_small_values(self):
-        assert partial_bell(0, 0, []) == 1
-        assert partial_bell(3, 0, [1, 1, 1]) == 0
-        assert partial_bell(3, 2, [1, 1]) == 3
-        assert partial_bell(4, 2, [1, 1, 1]) == 7
+        assert _bell_table([]) == [[1]]
+        assert _bell_table([1, 1, 1])[3][0] == 0
+        assert _bell_table([1, 1, 1])[3][2] == 3
+        assert _bell_table([1, 1, 1, 1])[4][2] == 7
 
     def test_all_ones_gives_stirling2(self):
+        table = _bell_table([1] * 8)
         for n in range(9):
             for k in range(n + 1):
-                assert partial_bell(n, k, [1] * max(n - k + 1, 0)) == stirling2(n, k)
+                assert table[n][k] == stirling2(n, k)
 
     def test_diagonal_is_power(self):
         g1 = MultiPoly.var("q") + 1
-        assert partial_bell(4, 4, [g1]) == g1**4
-
-    def test_insufficient_entries(self):
-        with pytest.raises(ValueError, match="g_1..g_3"):
-            partial_bell(4, 2, [1, 1])
-
-    def test_out_of_range(self):
-        assert partial_bell(2, 5, []) == 0
-        with pytest.raises(ValueError):
-            partial_bell(-1, 0, [])
+        assert _bell_table([g1, 5, 7, 9])[4][4] == g1**4
 
 
 class TestComposition:
@@ -108,7 +91,7 @@ class TestComposition:
     def test_second_coefficient_by_hand(self):
         # outer exp_p around x*(exp_q - 1): coefficient 2 is f1*g2 + f2*g1^2
         x = MultiPoly.var("x")
-        outer = exp_q_series(2, "p")
+        outer = exp_q(2, MultiPoly.var("p") - 1)
         inner = EgfSeries([MultiPoly.const(0), x, x * MultiPoly.var("q")])
         composed = egf_compose(outer, inner)
         assert composed[0] == 1
@@ -153,14 +136,13 @@ class TestOgf:
         assert 2 * coeffs[2] == 3
 
     def test_matches_q_product_for_rational_q(self):
-        fact = 1
         for q in (Fraction(-1), Fraction(1, 2), Fraction(2), Fraction(5)):
             coeffs = ogf_binomial_power([0, 1 - q], 1 / (1 - q), 10)
+            symbolic = exp_q(10, MultiPoly.var("q") - 1)
             fact = 1
             for n in range(1, 11):
                 fact *= n
-                expected = q_product_poly(n - 1).evaluate({"q": q})
-                assert fact * coeffs[n] == expected
+                assert fact * coeffs[n] == symbolic[n].evaluate({"q": q})
 
     def test_nonzero_constant_rejected(self):
         with pytest.raises(ValueError, match="constant term"):
@@ -180,7 +162,7 @@ class TestOgf:
         base[0] = Fraction(1)  # the series 1 + w
         direct = [Fraction(1), 0, 0, 0, 0]
         for _ in range(m):
-            direct = ogf_mul(direct, base, 4)
+            direct = cauchy_product(direct, base, 4)
         assert ogf_binomial_power(s, m, 4) == direct
 
 

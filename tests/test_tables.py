@@ -13,8 +13,8 @@ from pqtouchard import (
     MultiPoly,
     bell,
     binomial,
+    exp_q,
     factorial,
-    q_product_poly,
     stirling1_signed,
     stirling1_unsigned,
     stirling2,
@@ -23,7 +23,6 @@ from pqtouchard import (
 
 TABLE_FUNCTIONS = (
     binomial, stirling2, stirling1_unsigned, stirling1_signed, bell, factorial,
-    q_product_poly,
 )
 
 
@@ -131,6 +130,12 @@ class TestBell:
             assert bell(n) == sum(stirling2(n, k) for k in range(n + 1))
 
 
+def q_product_poly(n, var="q"):
+    """Q_n(var) = var * (2*var - 1) * ... * (n*var - (n-1)), the coefficient
+    n + 1 of exp_q (the rows of `table --name q-product`)."""
+    return exp_q(n + 1, MultiPoly.var(var) - 1)[n + 1]
+
+
 class TestQProduct:
     def test_examples(self):
         q = MultiPoly.var("q")
@@ -159,7 +164,7 @@ class TestChecks:
     @pytest.mark.parametrize("n", [-1, True, 2.0], ids=["negative", "bool", "float"])
     @pytest.mark.parametrize("fn", TABLE_FUNCTIONS, ids=lambda fn: fn.__name__)
     def test_bad_n_rejected(self, fn, n):
-        args = (n,) if fn in (bell, factorial, q_product_poly) else (n, 0)
+        args = (n,) if fn in (bell, factorial) else (n, 0)
         with pytest.raises(ValueError, match="nonnegative integer"):
             fn(*args)
 
@@ -178,7 +183,7 @@ class TestConcurrency:
         script = textwrap.dedent(
             """
             import math, sys, threading
-            from pqtouchard import binomial, q_product_poly, stirling2
+            from pqtouchard import binomial, stirling2
 
             def stirling2_sum(n, k):
                 terms = ((-1) ** i * math.comb(k, i) * (k - i) ** n for i in range(k + 1))
@@ -192,9 +197,6 @@ class TestConcurrency:
                         errors.append(("binomial", n))
                     if stirling2(n // 2, n // 4) != stirling2_sum(n // 2, n // 4):
                         errors.append(("stirling2", n))
-                    # Q_m(2) = 2 * 3 * ... * (m + 1)
-                    if q_product_poly(n // 8).evaluate({"q": 2}) != math.factorial(n // 8 + 1):
-                        errors.append(("q_product", n))
 
             sys.setswitchinterval(1e-6)
             threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pqtouchard import touchard
+from pqtouchard import poly, touchard
 from pqtouchard import (
     IDENTITY_NAMES,
     MultiPoly,
@@ -17,8 +17,7 @@ from pqtouchard import (
     bell,
     count_partitions,
     dist_poly,
-    exp_q_series,
-    exp_q_values,
+    exp_q,
     factorial,
     s_pq,
     s_uv,
@@ -28,34 +27,72 @@ from pqtouchard import (
     touchard_eval,
     touchard_poly,
     touchard_series,
-    touchard_values,
     verify_identity,
 )
 
 X, P, Q, U, V = (MultiPoly.var(name) for name in "xpquv")
 
 
+RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
 class TestDeformedExponential:
     def test_symbolic_prefix(self):
-        series = exp_q_series(3)
+        series = exp_q(3, Q - 1)
         assert series[0] == 1
         assert series[1] == 1
         assert series[2] == Q
         assert series[3] == 2 * Q**2 - Q
+        assert all(isinstance(c, MultiPoly) for c in series)
 
     def test_alternate_variable(self):
-        assert exp_q_series(2, var="p")[2] == P
+        assert exp_q(2, P - 1)[2] == P
 
     def test_classical_point(self):
-        assert exp_q_values(1, 5).coeffs == [Fraction(1)] * 6
+        assert exp_q(5, Fraction(0)).coeffs == [Fraction(1)] * 6
 
     def test_rational_point(self):
-        assert exp_q_values(3, 3).coeffs == [1, 1, 3, 15]
-        assert exp_q_values(Fraction(1, 2), 4).coeffs == [1, 1, Fraction(1, 2), 0, 0]
+        assert exp_q(3, Fraction(2)).coeffs == [1, 1, 3, 15]
+        assert exp_q(4, Fraction(-1, 2)).coeffs == [1, 1, Fraction(1, 2), 0, 0]
+
+    def test_short_orders(self):
+        assert exp_q(0, Q - 1).coeffs == [1]
+        assert exp_q(1, Q - 1).coeffs == [1, 1]
 
     def test_bad_order(self):
         with pytest.raises(ValueError):
-            exp_q_series(-1)
+            exp_q(-1, Q - 1)
+
+    @given(st.integers(0, 12), RATIONALS)
+    @settings(max_examples=40, deadline=None)
+    def test_symbolic_series_evaluates_to_the_rational_one(self, order, q):
+        symbolic = exp_q(order, Q - 1)
+        at_q = exp_q(order, q - 1)
+        assert [c.evaluate({"q": q}) for c in symbolic] == list(at_q)
+        # integers v/f = q - 1 scale coefficient n by f^(n-1)
+        v, f = (q - 1).as_integer_ratio()
+        scaled = exp_q(order, v, f)
+        assert all(type(c) is int for c in scaled)
+        assert list(scaled)[1:] == [f ** (n - 1) * at_q[n] for n in range(1, order + 1)]
+
+
+class TestOrderCheck:
+    # the one order check of the series functions; touchard_eval's n is
+    # covered in TestEval
+    CALLS = {
+        "exp_q": lambda order: exp_q(order, Q - 1),
+        "touchard_series": touchard_series,
+        "touchard_series_at_a_point": lambda order: touchard_series(order, 1, 2, 3),
+        "taylor_oracle": lambda order: taylor_oracle(1, 2, 3, order),
+    }
+
+    @pytest.mark.parametrize("order", [True, -1, 2.0], ids=["bool", "negative", "float"])
+    @pytest.mark.parametrize("name", CALLS)
+    def test_bad_order_rejected(self, name, order):
+        with pytest.raises(
+            ValueError, match=f"order must be a nonnegative integer, got {order!r}"
+        ):
+            self.CALLS[name](order)
 
 
 class TestConnectionCoefficients:
@@ -137,6 +174,22 @@ class TestSeriesRoute:
         series = touchard_series(6)
         values = [series[n].evaluate({"x": 1, "p": 1, "q": 1}) for n in range(7)]
         assert values == [1, 1, 2, 5, 15, 52, 203]
+        assert list(touchard_series(6, 1, 1, 1)) == values
+
+    def test_symbolic_series_holds_polynomials(self):
+        series = touchard_series(4)
+        assert all(isinstance(c, MultiPoly) for c in series)
+
+    def test_point_builds_no_polynomial(self, monkeypatch):
+        point = (Fraction(-3, 4), Fraction(5, 2), Fraction(2, 9))
+        expected = [touchard_eval(n, *point) for n in range(23)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a polynomial was built")
+
+        monkeypatch.setattr(poly, "_wrap", refuse)
+        monkeypatch.setattr(MultiPoly, "__init__", refuse)
+        assert list(touchard_series(22, *point)) == expected
 
 
 class TestEval:
@@ -155,10 +208,7 @@ class TestEval:
     def test_rational_point(self):
         assert touchard_eval(2, Fraction(1, 2), 3, Fraction(1, 5)) == Fraction(17, 20)
 
-    @given(
-        st.integers(0, 15),
-        *(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)) for _ in "xpq"),
-    )
+    @given(st.integers(0, 15), RATIONALS, RATIONALS, RATIONALS)
     @settings(max_examples=60, deadline=None)
     @example(7, Fraction(2, 3), Fraction(1), Fraction(-4, 5))
     @example(7, Fraction(-2, 3), Fraction(4, 5), Fraction(1))
@@ -167,7 +217,7 @@ class TestEval:
     def test_scalar_routes_match_the_polynomial(self, n, x, p, q):
         expected = touchard_poly(n).evaluate({"x": x, "p": p, "q": q})
         assert touchard_eval(n, x, p, q) == expected
-        assert touchard_values(x, p, q, n)[n] == expected
+        assert touchard_series(n, x, p, q)[n] == expected
 
     def test_large_n_classical_point(self):
         # p = q = 1: the Touchard polynomial, with S(200, k) grown here
@@ -183,7 +233,7 @@ class TestEval:
 
     def test_large_n_matches_composition(self):
         point = (Fraction(4, 7), Fraction(-7, 5), Fraction(5, 7))
-        assert touchard_eval(150, *point) == touchard_values(*point, 150)[150]
+        assert touchard_eval(150, *point) == touchard_series(150, *point)[150]
 
     def test_builds_no_polynomial(self, monkeypatch):
         point = (Fraction(-3, 4), Fraction(5, 2), Fraction(2, 9))
@@ -291,6 +341,13 @@ class TestVerifyIdentity:
         assert report.passed
         assert len(report.cells) == 1
 
+    @pytest.mark.parametrize(
+        "name", [n for n in IDENTITY_NAMES if n not in ("oracle-vs-eval", "eval-vs-poly")]
+    )
+    def test_grid_refused_without_evaluation_points(self, name):
+        with pytest.raises(ValueError, match="only to oracle-vs-eval and eval-vs-poly"):
+            verify_identity(name, n_max=1, grid=touchard.ORACLE_GRID)
+
     def test_eval_vs_poly_covers_the_classical_corners(self):
         report = verify_identity("eval-vs-poly", n_max=3)
         labels = [label for label, _ in report.cells]
@@ -298,7 +355,7 @@ class TestVerifyIdentity:
         assert "x=2,p=1,q=1" in labels and "x=1/2,p=-1,q=1" in labels
 
     @pytest.mark.parametrize(
-        "route,name", [("touchard_values", "composition"), ("taylor_oracle", "oracle")]
+        "route,name", [("touchard_series", "composition"), ("taylor_oracle", "oracle")]
     )
     def test_failure_names_the_route(self, monkeypatch, route, name):
         right = getattr(touchard, route)
