@@ -25,6 +25,7 @@ from . import partitions, permstats, touchard
 from .partitions import nsb, nse
 from .poly import VAR_ORDER, MultiPoly
 from .tables import (
+    _check_n,
     bell,
     binomial,
     factorial,
@@ -242,6 +243,7 @@ def _dist_grid_rows(n, k, poly):
 
 
 def _cmd_dist(args) -> _Output:
+    _check_n(args.n)
     formula = touchard.s_uv(args.n, args.k)
     grid = partial(_dist_grid_rows, args.n, args.k, formula)
     if not args.oracle:

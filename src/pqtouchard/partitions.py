@@ -9,14 +9,17 @@ are ordered:
     slp  set of lists    counted by (n!/k!)*C(n-1,k-1)
     llp  list of lists   counted by n!*C(n-1,k-1)
 
-Everything here is brute-force enumeration; it is the ground truth the
-closed forms elsewhere are checked against.  Inside, partitions are plain
+Everything here counts real objects; it is the ground truth the closed
+forms elsewhere are checked against.  dist_poly scans block orders and
+block words once per cell and pairs them per skeleton by multiplication;
+enumerate_partitions streams every object.  Inside, partitions are plain
 tuples of block tuples; only the public OrderedPartition constructor checks
 input.  No cell over OBJECT_BUDGET objects is enumerated unless forced.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
 from itertools import accumulate, permutations, product
 from math import comb, factorial, lgamma, log, log10, perm
@@ -267,10 +270,11 @@ def _generate(n, k, flavor):
 def dist_poly(n: int, k: int, force: bool = False, flavor: str = "llp") -> MultiPoly:
     """Joint distribution sum of u^nsb * v^nse over all objects of a flavor.
 
-    Computed by visiting every object and cached once per (n, k, flavor).
-    The budget is checked on every call before the cache is consulted, so a
-    result computed with force=True does not answer a later call without
-    it.  Evaluating the result at u=v=1 recovers the object count.
+    Tallied skeleton by skeleton (see _tally) and cached once per (n, k,
+    flavor).  The budget still counts the cell's objects, and it is checked
+    on every call before the cache is consulted, so a result computed with
+    force=True does not answer a later call without it.  Evaluating the
+    result at u=v=1 recovers the object count.
     """
     flavor = _check_size(n, k, flavor, force)
     return _tally(n, k, flavor)
@@ -278,11 +282,62 @@ def dist_poly(n: int, k: int, force: bool = False, flavor: str = "llp") -> Multi
 
 @cache
 def _tally(n: int, k: int, flavor: str) -> MultiPoly:
-    counts: dict[tuple[int, int], int] = {}
-    for blocks in _generate(n, k, flavor):
-        stats = (_nsb(blocks), _nse(blocks))
-        counts[stats] = counts.get(stats, 0) + 1
-    return MultiPoly(("u", "v"), counts)
+    """The nsb/nse tally of a cell, one set-partition skeleton at a time.
+
+    Every object of the cell comes from exactly one skeleton (the set
+    partition it sorts to) by choosing a block order, any of the k! for
+    lsp/llp or the skeleton's own for ssp/slp, and independently a word for
+    each block, any of its b! for slp/llp or the increasing one for
+    ssp/lsp.  nsb reads only the sequence of block minima, so it depends on
+    the block order alone; nse sums len(w) - rl_min_count(w) over the
+    blocks, so it depends on the words alone and is a sum of independent
+    per-block terms.  Over one skeleton the pair (nsb, nse) is therefore
+    distributed as the product of the nsb tally over its block orders with
+    the convolution, over its blocks, of the per-block word tallies, and
+    the cell's tally is the sum of these products over its skeletons.
+
+    Two facts make each scan run once per cell.  A skeleton's blocks
+    increase, so each begins with its minimum, and its block orders permute
+    an increasing sequence of minima: every skeleton gives the same nsb
+    tally, scanned on the first skeleton's minima.  rl_min_count compares
+    entries only, so a block's word tally depends only on its length: it
+    is scanned once per length on a real block, and the convolution is
+    formed once per multiset of block lengths.  Only the pairing is counted
+    by multiplication.
+    """
+    order_blocks = flavor in ("lsp", "llp")
+    order_elements = flavor in ("slp", "llp")
+    orders = Counter()  # nsb -> block orders, from the first skeleton
+    by_length: dict[int, Counter] = {}  # block length -> nse tally of its words
+    shapes = Counter()  # sorted block lengths -> skeletons of that shape
+    for sk in _skeletons(n, k):
+        if not orders:
+            minima = [block[0] for block in sk]
+            arranged = permutations(minima) if order_blocks else (minima,)
+            orders = Counter(k - _rl_min_count(m) for m in arranged)
+        for block in sk:
+            length = len(block)
+            if length not in by_length:
+                words = permutations(block) if order_elements else (block,)
+                by_length[length] = Counter(length - _rl_min_count(w) for w in words)
+        shapes[tuple(sorted(map(len, sk)))] += 1
+    nse_counts = Counter()  # nse -> word tuples, over every skeleton
+    for shape, skeletons in shapes.items():
+        tally = Counter({0: skeletons})
+        for length in shape:
+            tally = _convolve(tally, by_length[length])
+        nse_counts.update(tally)
+    terms = {(i, j): a * b for i, a in orders.items() for j, b in nse_counts.items()}
+    return MultiPoly(("u", "v"), terms)
+
+
+def _convolve(left: Counter, right: Counter) -> Counter:
+    """The tally of a sum of two independent statistics with these tallies."""
+    out = Counter()
+    for i, a in left.items():
+        for j, b in right.items():
+            out[i + j] += a * b
+    return out
 
 
 def count_partitions(n: int, k: int, flavor: str) -> int:

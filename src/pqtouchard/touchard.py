@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import lru_cache, partial
 from itertools import accumulate, repeat
 from operator import mul
 
@@ -68,14 +68,23 @@ def exp_q(order: int, v, f=1) -> EgfSeries:
     return EgfSeries(coeffs)
 
 
-@cache
+# functools.cache, but keyed by type as well: 2.0 or True must not find the
+# entry of 2 or 1 and skip the argument check
+_cache = lru_cache(maxsize=None, typed=True)
+
+
+@_cache
 def s_uv(n: int, k: int) -> MultiPoly:
     """Closed form of the joint nsb/nse distribution over lists of lists.
 
     Coefficient of u^i v^j is c(n,n-j) * S(n-j,k) * c(k,k-i) with c unsigned
     Stirling-1 and S Stirling-2.  Out-of-range (n,k) gives the zero
-    polynomial, except s_uv(0,0) = 1 (empty partition).
+    polynomial, except s_uv(0,0) = 1 (empty partition).  A non-integer n
+    or k is refused.
     """
+    for value, name in ((n, "n"), (k, "k")):
+        if not (isinstance(value, int) and value < 0):
+            _check_n(value, name)
     if n < 0 or k < 0:
         return MultiPoly.const(0)
     terms = {}
@@ -92,14 +101,14 @@ def s_uv(n: int, k: int) -> MultiPoly:
     return MultiPoly(("u", "v"), terms)
 
 
-@cache
+@_cache
 def s_pq(n: int, k: int) -> MultiPoly:
     """Connection coefficients of T_n: s_uv at u = p-1, v = q-1."""
     shifted = s_uv(n, k).substitute("u", MultiPoly.var("p") - 1)
     return shifted.substitute("v", MultiPoly.var("q") - 1)
 
 
-@cache
+@_cache
 def touchard_poly(n: int, route: str = "substitution") -> MultiPoly:
     """T_n(x;p,q) as an exact polynomial; all routes agree.
 
@@ -158,6 +167,9 @@ def touchard_series(order: int, x=X, p=P, q=Q) -> EgfSeries:
     series and 1/f^m onto entry m.
     """
     _check_n(order, "order")
+    symbolic = [isinstance(a, MultiPoly) for a in (x, p, q)]
+    if any(symbolic) and not all(symbolic):
+        raise ValueError("x, p and q must be either all symbolic or all rational")
     x, p, q = (a if isinstance(a, MultiPoly) else Fraction(a) for a in (x, p, q))
     v, f = (q - 1, 1) if isinstance(q, MultiPoly) else (q - 1).as_integer_ratio()
     powers = accumulate(repeat(x * f, order), mul, initial=1)  # (x*f)^k
@@ -418,9 +430,9 @@ _IDENTITIES = {
     "stirling12": (_verify_stirling12, 30, None),
     "orthogonality": (_verify_orthogonality, 30, None),
     "slp-count": (_verify_slp_count, 10, None),
-    "llp-grid": (partial(_verify_enumeration, "llp", None), 7, None),
-    "lsp-slice": (partial(_verify_enumeration, "lsp", "v"), 7, None),
-    "slp-slice": (partial(_verify_enumeration, "slp", "u"), 7, None),
+    "llp-grid": (partial(_verify_enumeration, "llp", None), 8, None),
+    "lsp-slice": (partial(_verify_enumeration, "lsp", "v"), 8, None),
+    "slp-slice": (partial(_verify_enumeration, "slp", "u"), 8, None),
     "series-vs-explicit": (_verify_series_vs_explicit, 12, None),
     "oracle-vs-eval": (_verify_oracle_vs_eval, 20, ORACLE_GRID),
     "eval-vs-poly": (_verify_eval_vs_poly, 10, EVAL_GRID),

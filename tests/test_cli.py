@@ -228,6 +228,12 @@ class TestDist:
         assert MultiPoly.from_json_obj(payload["poly"]) == s_uv(4, 2)
         assert payload["poly"] == payload["enumeration"]
 
+    @pytest.mark.parametrize("oracle", [(), ("--oracle",)])
+    def test_negative_n_is_refused_on_both_paths(self, capsys, oracle):
+        status, out, err = run(capsys, "dist", "--n", "-1", "--k", "1", *oracle)
+        assert (status, out) == (2, "")
+        assert "n must be a nonnegative integer, got -1" in err
+
 
 class TestVerify:
     def test_single_identity(self, capsys):
@@ -326,13 +332,13 @@ class TestSmallCommands:
 
     def test_avg_nse_check_refuses_before_enumerating(self, capsys, monkeypatch):
         streams = []
-        generate = partitions._generate
+        skeletons = partitions._skeletons
 
-        def counting(n, k, flavor):
-            streams.append((n, k, flavor))
-            return generate(n, k, flavor)
+        def counting(n, k):
+            streams.append((n, k))
+            return skeletons(n, k)
 
-        monkeypatch.setattr(partitions, "_generate", counting)
+        monkeypatch.setattr(partitions, "_skeletons", counting)
         # slp(9,1) = 362,880 fits, slp(9,2) = 1,451,520 does not
         monkeypatch.setattr(partitions, "OBJECT_BUDGET", 400_000)
         partitions._tally.cache_clear()

@@ -1,5 +1,7 @@
 """Enumeration of the four partition flavors and the nsb/nse statistics."""
 
+from collections import Counter
+
 import pytest
 
 import pqtouchard.partitions as partitions
@@ -12,6 +14,7 @@ from pqtouchard import (
     factorial,
     nsb,
     nse,
+    s_uv,
     stat_report,
     stirling1_unsigned,
     tables,
@@ -168,18 +171,18 @@ class TestBudget:
 
     def test_dist_poly_enumerates_each_cell_once(self, monkeypatch):
         streams = []
-        generate = partitions._generate
+        skeletons = partitions._skeletons
 
-        def counting(n, k, flavor):
-            streams.append((n, k, flavor))
-            return generate(n, k, flavor)
+        def counting(n, k):
+            streams.append((n, k))
+            return skeletons(n, k)
 
-        monkeypatch.setattr(partitions, "_generate", counting)
+        monkeypatch.setattr(partitions, "_skeletons", counting)
         partitions._tally.cache_clear()
         report = stat_report(6, 3)
         assert dist_poly(6, 3) is report.poly
         assert dist_poly(6, 3, force=False) is report.poly
-        assert streams == [(6, 3, "llp")]
+        assert streams == [(6, 3)]
         # the budget is checked before the cache, so a cached cell over a
         # lowered budget is still refused without force
         monkeypatch.setattr(partitions, "OBJECT_BUDGET", 720)
@@ -209,13 +212,13 @@ class TestBudget:
 
     def test_multi_cell_checks_refuse_before_enumerating(self, monkeypatch):
         streams = []
-        generate = partitions._generate
+        skeletons = partitions._skeletons
 
-        def counting(n, k, flavor):
-            streams.append((n, k, flavor))
-            return generate(n, k, flavor)
+        def counting(n, k):
+            streams.append((n, k))
+            return skeletons(n, k)
 
-        monkeypatch.setattr(partitions, "_generate", counting)
+        monkeypatch.setattr(partitions, "_skeletons", counting)
         monkeypatch.setattr(partitions, "OBJECT_BUDGET", 100)
         partitions._tally.cache_clear()
         # lsp(5,3) = 150 is the first cell over; n <= 4 fits
@@ -332,3 +335,25 @@ class TestDistPoly:
 
     def test_cached(self):
         assert dist_poly(5, 2) is dist_poly(5, 2)
+
+    @pytest.mark.parametrize("flavor", partitions.FLAVORS)
+    def test_equals_the_per_object_tally(self, flavor):
+        for n in range(7):
+            for k in range(n + 2):
+                objects = enumerate_partitions(n, k, flavor, force=True)
+                counts = Counter((nsb(pi), nse(pi)) for pi in objects)
+                poly = dist_poly(n, k, force=True, flavor=flavor)
+                assert poly == MultiPoly(("u", "v"), counts), (n, k)
+                if flavor == "lsp":
+                    assert poly.degree("v") <= 0
+                if flavor == "slp":
+                    assert poly.degree("u") <= 0
+
+    def test_visits_no_object(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an object was generated")
+
+        monkeypatch.setattr(partitions, "_generate", refuse)
+        partitions._tally.cache_clear()
+        # llp(8,4) has 1,411,200 objects
+        assert dist_poly(8, 4) == s_uv(8, 4)

@@ -109,6 +109,16 @@ class TestConnectionCoefficients:
         assert s_uv(0, 2).is_zero
         assert s_uv(-1, 0).is_zero
 
+    @pytest.mark.parametrize("n,k", [(2.0, 1), (2, 1.0), (True, 1), (-1.5, 0)])
+    def test_non_integer_is_refused(self, n, k):
+        # the cached entries of (2, 1) and (1, 1) must not answer for these
+        s_pq(2, 1), s_pq(1, 1)
+        name, value = ("k", k) if isinstance(k, float) else ("n", n)
+        refusal = f"{name} must be a nonnegative integer, got {value}"
+        for fn in (s_uv, s_pq):
+            with pytest.raises(ValueError, match=refusal):
+                fn(n, k)
+
     def test_matches_enumeration(self):
         for n in range(1, 6):
             for k in range(1, n + 1):
@@ -163,6 +173,14 @@ class TestTouchardPoly:
         with pytest.raises(ValueError):
             touchard_poly(True)
 
+    def test_cached_entry_does_not_answer_a_bad_n(self):
+        touchard_poly(1)
+        touchard_poly(2)
+        for n in (True, 2.0):
+            refusal = f"n must be a nonnegative integer, got {n}"
+            with pytest.raises(ValueError, match=refusal):
+                touchard_poly(n)
+
 
 class TestSeriesRoute:
     def test_matches_polynomials(self):
@@ -190,6 +208,11 @@ class TestSeriesRoute:
         monkeypatch.setattr(poly, "_wrap", refuse)
         monkeypatch.setattr(MultiPoly, "__init__", refuse)
         assert list(touchard_series(22, *point)) == expected
+
+    @pytest.mark.parametrize("point", [(X, 2, 3), (1, P, 3), (1, 2, Q), (X, P, 3)])
+    def test_mixed_arguments_are_refused(self, point):
+        with pytest.raises(ValueError, match="all symbolic or all rational"):
+            touchard_series(3, *point)
 
 
 class TestEval:
