@@ -37,7 +37,6 @@ from .tables import (
 )
 from .touchard import (
     IDENTITY_NAMES,
-    ORACLE_GRID,
     ROUTES,
     StatReport,
     VerificationReport,
@@ -59,7 +58,6 @@ __all__ = [
     "FLAVORS",
     "IDENTITY_NAMES",
     "OBJECT_BUDGET",
-    "ORACLE_GRID",
     "ROUTES",
     "VAR_ORDER",
     "EgfSeries",

@@ -60,6 +60,8 @@ def _parse_assignment(text: str) -> dict[str, Fraction]:
                 f"bad assignment {piece!r}: expected var=value with var "
                 f"in {', '.join(VAR_ORDER)}"
             )
+        if name in point:
+            raise ValueError(f"bad assignment {text!r}: {name} is given twice")
         point[name] = _parse_fraction(value.strip())
     return point
 
@@ -278,13 +280,8 @@ def _cmd_dist(args) -> _Output:
 
 
 def _cmd_verify(args) -> _Output:
-    if args.identity == "all":
-        names = touchard.IDENTITY_NAMES
-        n_max = None
-    else:
-        names = (args.identity,)
-        n_max = args.nmax
-    reports = [touchard.verify_identity(name, n_max, force=args.force) for name in names]
+    names = touchard.IDENTITY_NAMES if args.identity == "all" else (args.identity,)
+    reports = [touchard.verify_identity(name, args.nmax, args.force) for name in names]
     return _Output(
         lambda: {
             "reports": [
@@ -414,8 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--nmax", type=int,
-        help="check cells up to this n (default: per-identity budget; "
-        "ignored with --identity all)",
+        help="check cells up to this n (default: per-identity budget)",
     )
 
     p = add("avg-nse", "average nse over all sets-of-lists of [n]", _cmd_avg_nse)

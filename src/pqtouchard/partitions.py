@@ -9,9 +9,10 @@ are ordered:
     slp  set of lists    counted by (n!/k!)*C(n-1,k-1)
     llp  list of lists   counted by n!*C(n-1,k-1)
 
-Everything here counts real objects; it is the ground truth the closed
-forms elsewhere are checked against.  dist_poly scans block orders and
-block words once per cell and pairs them per skeleton by multiplication;
+Everything here counts by exhaustive scan; it is the ground truth the
+closed forms elsewhere are checked against.  dist_poly tallies block orders
+and block words with _nse_counts, a scan of all words of m distinct entries,
+and pairs them per skeleton by multiplication;
 enumerate_partitions streams every object.  Inside, partitions are plain
 tuples of block tuples; only the public OrderedPartition constructor checks
 input.  No cell over OBJECT_BUDGET objects is enumerated unless forced.
@@ -127,21 +128,13 @@ def _rl_min_count(seq) -> int:
     return count
 
 
-def _nsb(blocks) -> int:
-    return len(blocks) - _rl_min_count([min(b) for b in blocks])
-
-
-def _nse(blocks) -> int:
-    return sum(len(b) - _rl_min_count(b) for b in blocks)
-
-
 def nsb(pi: OrderedPartition) -> int:
     """Blocks that must move right so the block minima increase left to right.
 
     A block stays put exactly when its minimum is a right-to-left minimum
     of the sequence of block minima.
     """
-    return _nsb(pi.blocks)
+    return pi.k - _rl_min_count([min(b) for b in pi.blocks])
 
 
 def nse(pi: OrderedPartition) -> int:
@@ -150,7 +143,7 @@ def nse(pi: OrderedPartition) -> int:
     Within each block the elements that stay are its right-to-left minima;
     block order contributes nothing.
     """
-    return _nse(pi.blocks)
+    return sum(len(b) - _rl_min_count(b) for b in pi.blocks)
 
 
 def _skeletons(n: int, k: int):
@@ -280,6 +273,20 @@ def dist_poly(n: int, k: int, force: bool = False, flavor: str = "llp") -> Multi
     return _tally(n, k, flavor)
 
 
+def _nse_counts(m: int) -> tuple[int, ...]:
+    """Entry j counts the words of m distinct entries with m - rl_min_count = j.
+
+    Every m! word is scanned on each call; the tally is the reversed
+    unsigned Stirling-1 row c(m, m-j), (1,) for the empty word.  It is not
+    cached across calls, so what a dist_poly cell or an nse_distribution
+    call costs does not depend on which calls came before it.
+    """
+    counts = [0] * max(m, 1)
+    for word in permutations(range(m)):
+        counts[m - _rl_min_count(word)] += 1
+    return tuple(counts)
+
+
 @cache
 def _tally(n: int, k: int, flavor: str) -> MultiPoly:
     """The nsb/nse tally of a cell, one set-partition skeleton at a time.
@@ -296,46 +303,37 @@ def _tally(n: int, k: int, flavor: str) -> MultiPoly:
     the convolution, over its blocks, of the per-block word tallies, and
     the cell's tally is the sum of these products over its skeletons.
 
-    Two facts make each scan run once per cell.  A skeleton's blocks
-    increase, so each begins with its minimum, and its block orders permute
-    an increasing sequence of minima: every skeleton gives the same nsb
-    tally, scanned on the first skeleton's minima.  rl_min_count compares
-    entries only, so a block's word tally depends only on its length: it
-    is scanned once per length on a real block, and the convolution is
-    formed once per multiset of block lengths.  Only the pairing is counted
-    by multiplication.
+    Both tallies are _nse_counts, since rl_min_count compares entries only.
+    A skeleton's block minima are k distinct entries, and its block orders
+    are all k! words of them, so the nsb tally is _nse_counts(k) for every
+    skeleton; a block of length b has b distinct entries, so its word tally
+    is _nse_counts(b).  An unordered flavor keeps the skeleton's own block
+    order or the increasing word, one choice with the statistic 0, so its
+    tally is (1,).  Each is scanned once per cell, the words once per block
+    length; the convolution is formed once per multiset of block lengths,
+    and only the pairing is counted by multiplication.
     """
-    order_blocks = flavor in ("lsp", "llp")
-    order_elements = flavor in ("slp", "llp")
-    orders = Counter()  # nsb -> block orders, from the first skeleton
-    by_length: dict[int, Counter] = {}  # block length -> nse tally of its words
-    shapes = Counter()  # sorted block lengths -> skeletons of that shape
-    for sk in _skeletons(n, k):
-        if not orders:
-            minima = [block[0] for block in sk]
-            arranged = permutations(minima) if order_blocks else (minima,)
-            orders = Counter(k - _rl_min_count(m) for m in arranged)
-        for block in sk:
-            length = len(block)
-            if length not in by_length:
-                words = permutations(block) if order_elements else (block,)
-                by_length[length] = Counter(length - _rl_min_count(w) for w in words)
-        shapes[tuple(sorted(map(len, sk)))] += 1
-    nse_counts = Counter()  # nse -> word tuples, over every skeleton
+    shapes = Counter(tuple(sorted(map(len, sk))) for sk in _skeletons(n, k))
+    # an empty cell (k > n) has no block order to scan
+    orders = _nse_counts(k) if shapes and flavor in ("lsp", "llp") else (1,)
+    lengths = {length for shape in shapes for length in shape}
+    words = {b: _nse_counts(b) if flavor in ("slp", "llp") else (1,) for b in lengths}
+    by_nse = Counter()  # nse -> word tuples, over every skeleton
     for shape, skeletons in shapes.items():
         tally = Counter({0: skeletons})
         for length in shape:
-            tally = _convolve(tally, by_length[length])
-        nse_counts.update(tally)
-    terms = {(i, j): a * b for i, a in orders.items() for j, b in nse_counts.items()}
+            tally = _convolve(tally, words[length])
+        by_nse.update(tally)
+    terms = {(i, j): a * b for i, a in enumerate(orders) for j, b in by_nse.items()}
     return MultiPoly(("u", "v"), terms)
 
 
-def _convolve(left: Counter, right: Counter) -> Counter:
-    """The tally of a sum of two independent statistics with these tallies."""
+def _convolve(left: Counter, right) -> Counter:
+    """The tally of a sum of two independent statistics, the right one's
+    given as a sequence indexed by value."""
     out = Counter()
     for i, a in left.items():
-        for j, b in right.items():
+        for j, b in enumerate(right):
             out[i + j] += a * b
     return out
 

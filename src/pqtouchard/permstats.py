@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import accumulate, permutations
 from operator import mul
 
-from .partitions import OBJECT_BUDGET, _rl_min_count
+from .partitions import OBJECT_BUDGET, _nse_counts, _rl_min_count
 
 
 def check_permutation(word) -> tuple[int, ...]:
@@ -33,15 +33,9 @@ def decompose(word):
     The two sets are disjoint and their sizes sum to n.
     """
     word = check_permutation(word)
-    rlm = set()
-    floor = None
-    for pos in range(len(word), 0, -1):
-        value = word[pos - 1]
-        if floor is None or value < floor:
-            rlm.add(pos)
-            floor = value
-    nse_set = frozenset(range(1, len(word) + 1)) - rlm
-    return nse_set, frozenset(rlm)
+    positions = frozenset(range(1, len(word) + 1))
+    rlm = frozenset(i for i in positions if word[i - 1] == min(word[i - 1 :]))
+    return positions - rlm, rlm
 
 
 def nse_perm(word) -> int:
@@ -81,13 +75,10 @@ def _check_budget(n: int) -> int:
 def nse_distribution(n: int) -> list[int]:
     """Entry j counts permutations in S_n with nse = j, for j = 0..n-1.
 
-    Exhaustive: equals the reversed unsigned Stirling-1 row c(n,n-j).
+    Exhaustive: equals the reversed unsigned Stirling-1 row c(n,n-j).  The
+    scan is the one dist_poly tallies block orders and block words with.
     """
-    n = _check_budget(n)
-    counts = [0] * n
-    for word in permutations(range(1, n + 1)):
-        counts[n - _rl_min_count(word)] += 1
-    return counts
+    return list(_nse_counts(_check_budget(n)))
 
 
 def ltr_max_distribution(n: int) -> list[int]:

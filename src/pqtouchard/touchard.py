@@ -386,7 +386,7 @@ def _verify_points(run: _Run, grid, first_mismatch):
                 run.check(f"x={x},p={p},q={q}", bad is None, bad or "")
 
 
-def _verify_oracle_vs_eval(run: _Run, n_max: int, force: bool, grid):
+def _verify_oracle_vs_eval(grid, run: _Run, n_max: int, force: bool):
     # taylor_oracle against both scalar routes, the sum and the composition
     def first_mismatch(x, p, q):
         coeffs = taylor_oracle(x, p, q, n_max)
@@ -412,7 +412,7 @@ EVAL_GRID = {
 }
 
 
-def _verify_eval_vs_poly(run: _Run, n_max: int, force: bool, grid):
+def _verify_eval_vs_poly(grid, run: _Run, n_max: int, force: bool):
     def first_mismatch(x, p, q):
         for n in range(n_max + 1):
             by_sum = touchard_eval(n, x, p, q)
@@ -424,48 +424,38 @@ def _verify_eval_vs_poly(run: _Run, n_max: int, force: bool, grid):
     _verify_points(run, grid, first_mismatch)
 
 
-# name: (checker, default n_max, default evaluation points or None); a
-# checker with points takes them as its last argument
+# name: (checker, default n_max)
 _IDENTITIES = {
-    "stirling12": (_verify_stirling12, 30, None),
-    "orthogonality": (_verify_orthogonality, 30, None),
-    "slp-count": (_verify_slp_count, 10, None),
-    "llp-grid": (partial(_verify_enumeration, "llp", None), 8, None),
-    "lsp-slice": (partial(_verify_enumeration, "lsp", "v"), 8, None),
-    "slp-slice": (partial(_verify_enumeration, "slp", "u"), 8, None),
-    "series-vs-explicit": (_verify_series_vs_explicit, 12, None),
-    "oracle-vs-eval": (_verify_oracle_vs_eval, 20, ORACLE_GRID),
-    "eval-vs-poly": (_verify_eval_vs_poly, 10, EVAL_GRID),
+    "stirling12": (_verify_stirling12, 30),
+    "orthogonality": (_verify_orthogonality, 30),
+    "slp-count": (_verify_slp_count, 10),
+    "llp-grid": (partial(_verify_enumeration, "llp", None), 8),
+    "lsp-slice": (partial(_verify_enumeration, "lsp", "v"), 8),
+    "slp-slice": (partial(_verify_enumeration, "slp", "u"), 8),
+    "series-vs-explicit": (_verify_series_vs_explicit, 12),
+    "oracle-vs-eval": (partial(_verify_oracle_vs_eval, ORACLE_GRID), 20),
+    "eval-vs-poly": (partial(_verify_eval_vs_poly, EVAL_GRID), 10),
 }
 
 IDENTITY_NAMES = tuple(_IDENTITIES)
-_GRID_IDENTITIES = tuple(name for name, entry in _IDENTITIES.items() if entry[2])
 
 
 def verify_identity(
-    name: str, n_max: int | None = None, force: bool = False, grid=None
+    name: str, n_max: int | None = None, force: bool = False
 ) -> VerificationReport:
     """Check one named identity cell by cell and report the outcome.
 
     n_max defaults to the documented budget for the identity.  force lifts
-    the enumeration object budget where it applies; grid overrides the
-    evaluation points of oracle-vs-eval and eval-vs-poly, and is refused
-    for the identities without evaluation points.
+    the enumeration object budget where it applies.
     """
     if name not in _IDENTITIES:
         raise ValueError(
             f"unknown identity {name!r}: choose from {', '.join(IDENTITY_NAMES)}"
         )
-    checker, default_n, default_grid = _IDENTITIES[name]
-    if grid is not None and default_grid is None:
-        raise ValueError(
-            f"identity {name!r} has no evaluation points: a grid applies only "
-            f"to {' and '.join(_GRID_IDENTITIES)}"
-        )
+    checker, default_n = _IDENTITIES[name]
     if n_max is None:
         n_max = default_n
     _check_n(n_max, "n_max")
     run = _Run()
-    points = () if default_grid is None else (grid or default_grid,)
-    checker(run, n_max, force, *points)
+    checker(run, n_max, force)
     return VerificationReport(name, n_max, tuple(run.cells), run.first)

@@ -8,7 +8,6 @@ PUBLIC_API = (
     "IDENTITY_NAMES",
     "MultiPoly",
     "OBJECT_BUDGET",
-    "ORACLE_GRID",
     "OrderedPartition",
     "ROUTES",
     "StatReport",

@@ -56,6 +56,13 @@ class TestExpand:
         assert status == 2
         assert err.startswith("error:")
 
+    def test_repeated_variable_is_refused(self, capsys):
+        argv = ("expand", "--n", "3", "--at", "x=1,p=1,q=1,x=2")
+        status, out, err = run(capsys, *argv)
+        assert status == 2
+        assert out == ""
+        assert err.startswith("error:") and "x is given twice" in err
+
 
 class TestEval:
     def test_oracle_agreement(self, capsys):
@@ -599,6 +606,19 @@ PINNED = [
         "verify --identity llp-grid --nmax 4 --format csv",
         0,
         "identity,nmax,cells,failures,passed\nllp-grid,4,10,0,True\n",
+    ),
+    (
+        "verify --identity all --nmax 2",
+        0,
+        "identity stirling12: 3 cells up to n=2: PASS\n"
+        "identity orthogonality: 6 cells up to n=2: PASS\n"
+        "identity slp-count: 3 cells up to n=2: PASS\n"
+        "identity llp-grid: 3 cells up to n=2: PASS\n"
+        "identity lsp-slice: 3 cells up to n=2: PASS\n"
+        "identity slp-slice: 3 cells up to n=2: PASS\n"
+        "identity series-vs-explicit: 3 cells up to n=2: PASS\n"
+        "identity oracle-vs-eval: 48 cells up to n=2: PASS\n"
+        "identity eval-vs-poly: 75 cells up to n=2: PASS\n",
     ),
     ("avg-nse --n 4", 0, "92/73\n"),
     ("avg-nse --n 4 --format json", 0, "{\n  \"n\": 4,\n  \"value\": \"92/73\"\n}\n"),

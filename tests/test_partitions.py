@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 import pqtouchard.partitions as partitions
+import pqtouchard.permstats as permstats
 from pqtouchard import (
     MultiPoly,
     OrderedPartition,
@@ -14,6 +15,7 @@ from pqtouchard import (
     factorial,
     nsb,
     nse,
+    nse_distribution,
     s_uv,
     stat_report,
     stirling1_unsigned,
@@ -357,3 +359,54 @@ class TestDistPoly:
         partitions._tally.cache_clear()
         # llp(8,4) has 1,411,200 objects
         assert dist_poly(8, 4) == s_uv(8, 4)
+
+
+class TestSharedScan:
+    """dist_poly and nse_distribution tally nse with the one S_m scan."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+        rl_min_count = partitions._rl_min_count
+
+        def counting(seq):
+            calls.append(1)
+            return rl_min_count(seq)
+
+        monkeypatch.setattr(partitions, "_rl_min_count", counting)
+        monkeypatch.setattr(permstats, "_rl_min_count", counting)
+        partitions._tally.cache_clear()
+        yield calls
+        partitions._tally.cache_clear()
+
+    def test_each_word_is_scanned_once_per_cell(self, scans):
+        # llp(8,8): the 8! block orders and one scan for the eight 1-blocks
+        dist_poly(8, 8)
+        assert len(scans) == factorial(8) + 1
+        # llp(8,2): 2! block orders and one scan per block length 1..7;
+        # the shape (4, 4) scans length 4 once
+        scans.clear()
+        dist_poly(8, 2)
+        assert len(scans) == factorial(2) + sum(factorial(b) for b in range(1, 8))
+
+    def test_cost_does_not_depend_on_earlier_calls(self, scans):
+        # no scan is shared across calls, so each call pays the same
+        # whether or not an earlier one scanned S_8
+        assert nse_distribution(8) == [stirling1_unsigned(8, 8 - j) for j in range(8)]
+        alone = len(scans)
+        scans.clear()
+        dist_poly(8, 8)
+        dist_poly(8, 1)
+        scans.clear()
+        nse_distribution(8)
+        assert len(scans) == alone == factorial(8)
+
+    def test_an_empty_cell_scans_nothing(self, scans):
+        assert dist_poly(3, 6).is_zero
+        assert scans == []
+
+    def test_one_block_slp_cell_is_the_symmetric_group(self):
+        v = MultiPoly.var("v")
+        for n in range(1, 8):
+            by_words = sum(c * v**j for j, c in enumerate(nse_distribution(n)))
+            assert dist_poly(n, 1, flavor="slp") == by_words

@@ -358,19 +358,6 @@ class TestVerifyIdentity:
         assert "PASS" in report.summary()
         assert name in report.summary()
 
-    def test_grid_override(self):
-        grid = {"x": (Fraction(2),), "p": (Fraction(3),), "q": (Fraction(-1),)}
-        report = verify_identity("oracle-vs-eval", n_max=5, grid=grid)
-        assert report.passed
-        assert len(report.cells) == 1
-
-    @pytest.mark.parametrize(
-        "name", [n for n in IDENTITY_NAMES if n not in ("oracle-vs-eval", "eval-vs-poly")]
-    )
-    def test_grid_refused_without_evaluation_points(self, name):
-        with pytest.raises(ValueError, match="only to oracle-vs-eval and eval-vs-poly"):
-            verify_identity(name, n_max=1, grid=touchard.ORACLE_GRID)
-
     def test_eval_vs_poly_covers_the_classical_corners(self):
         report = verify_identity("eval-vs-poly", n_max=3)
         labels = [label for label, _ in report.cells]
