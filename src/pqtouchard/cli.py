@@ -210,6 +210,11 @@ def _cmd_eval(args) -> _Output:
     x = _parse_fraction(args.x)
     p = _parse_fraction(args.p)
     q = _parse_fraction(args.q)
+    if args.oracle and (p == 1 or q == 1):
+        raise ValueError(
+            "--oracle needs p != 1 and q != 1 (its series has exponents "
+            "1/(1-p) and 1/(1-q)); run eval without --oracle at this point"
+        )
     value = touchard.touchard_eval(args.n, x, p, q)
     check = None
     if args.oracle:

@@ -2,16 +2,19 @@
 
 An EgfSeries stores a_0..a_N where the series is sum a_n t^n / n!, so the
 coefficients stay integers (or polynomials) with no denominators.
-egf_compose composes two of them through partial Bell polynomials.  One
-ordinary-series function at the bottom gives binomial powers with rational
-exponents, which the EGF side cannot express.
+egf_compose composes two of them through partial Bell polynomials.  At the
+bottom, one integer kernel (Miller's power recurrence) gives ordinary-series
+binomial powers with rational exponents, which the EGF side cannot express.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
+from math import comb, lcm
+from operator import mul
 
-from .tables import binomial
+from .tables import _check_n, binomial, factorial
 
 
 class EgfSeries:
@@ -86,26 +89,64 @@ def egf_compose(outer: EgfSeries, inner: EgfSeries) -> EgfSeries:
 
 
 # -- ordinary power series, used only as an independent cross-check ----------
+# ogf_binomial_power is the public wrapper over one integer kernel, _miller;
+# taylor_oracle (touchard.py) chains the kernel directly.
+
+
+def _miller(W, alpha: Fraction, order: int) -> list[int]:
+    """Integer-scaled coefficients G_0..G_order of (1 + w)^alpha.
+
+    With alpha = a/b (b > 0) and w = sum_{k>=1} W_k t^k / (k! * D^k) for
+    integers W_k (W[0] is ignored, missing entries are 0) and D, the
+    coefficient g_m of t^m is G_m / (m! * b^m * D^m).  J.C.P. Miller's
+    recurrence for powers of a series (TAOCP vol. 2, 4.7),
+    m*g_m = sum_{k=1..m} ((alpha+1)k - m) w_k g_{m-k}, scales to
+
+        m*G_m = sum_{k=1..m} ((a+b)k - bm) * C(m,k) * b^(k-1) * W_k * G_{m-k},
+
+    with G_0 = 1.  The division by m is exact because G_m is an integer:
+    by Faa di Bruno, m! g_m = sum_j alpha(alpha-1)...(alpha-j+1) *
+    B_{m,j}(k! w_k), and B_{m,j} is homogeneous of weight m, so
+    B_{m,j}(W_k / D^k) = B_{m,j}(W) / D^m and
+    G_m = sum_{j<=m} prod_{i<j} (a - i*b) * b^(m-j) * B_{m,j}(W), a sum of
+    integer-coefficient polynomials in integers.  D itself never enters.
+    """
+    a, b = alpha.as_integer_ratio()
+    # (k, b^(k-1) * W_k) for the nonzero W_k; the inner series of the
+    # oracle has one, so its recurrence is a running product
+    terms = [
+        (k, b ** (k - 1) * W[k]) for k in range(1, min(len(W), order + 1)) if W[k]
+    ]
+    G = [1]
+    for m in range(1, order + 1):
+        acc = 0
+        for k, v in terms:
+            if k > m:
+                break
+            acc += ((a + b) * k - b * m) * comb(m, k) * v * G[m - k]
+        G.append(acc // m)
+    return G
+
+
+def _unscale(G, scale: int) -> list[Fraction]:
+    """The Fractions G_m / (m! * scale^m), m = 0..len(G)-1."""
+    dens = accumulate(range(scale, len(G) * scale, scale), mul, initial=1)
+    return list(map(Fraction, G, dens))
 
 
 def ogf_binomial_power(s, alpha, order: int) -> list[Fraction]:
     """Ordinary coefficients of (1 + w)^alpha where w has coefficients s.
 
     s[0] must be 0 (when present); alpha may be any Fraction.  Short s is
-    padded with zeros, so s = [0, 1] with any order means w = t.  Uses
-    J.C.P. Miller's recurrence for powers of a series (TAOCP vol. 2, 4.7):
-    m*g_m = sum_{k=1..m} ((alpha+1)k - m) w_k g_{m-k}, with g_0 = 1.
+    padded with zeros, so s = [0, 1] with any order means w = t.  Over the
+    common denominator D of s, w_k = W_k / (k! * D^k) with the integers
+    W_k = k! * D^(k-1) * (s_k * D), and _miller gives the coefficients.
     """
-    s = [Fraction(v) for v in s]
+    _check_n(order, "order")
+    s = [Fraction(v) for v in s][: order + 1]
     if s and s[0] != 0:
         raise ValueError("w must have zero constant term")
-    s += [Fraction(0)] * (order + 1 - len(s))
     alpha = Fraction(alpha)
-    g = [Fraction(1)]
-    for m in range(1, order + 1):
-        acc = Fraction(0)
-        for k in range(1, m + 1):
-            if s[k]:
-                acc += ((alpha + 1) * k - m) * s[k] * g[m - k]
-        g.append(acc / m)
-    return g
+    D = lcm(*(v.denominator for v in s))
+    W = [factorial(k) * D ** (k - 1) * (v * D).numerator for k, v in enumerate(s) if k]
+    return _unscale(_miller([0, *W], alpha, order), alpha.denominator * D)

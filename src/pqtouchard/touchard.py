@@ -16,7 +16,8 @@ polynomial:
                       itself, run at the point on integers, giving T_0..T_N
 
 plus a numeric-only oracle (taylor_oracle) that expands the same closed
-form as an ordinary power series with rational binomial exponents.
+form as an ordinary power series with rational binomial exponents, by
+Miller's power recurrence run twice on integers.
 verify_identity cross-checks all of them and the enumeration oracle.
 """
 
@@ -30,7 +31,7 @@ from operator import mul
 
 from .partitions import _check_size, count_partitions, dist_poly
 from .poly import MultiPoly
-from .series import EgfSeries, egf_compose, ogf_binomial_power
+from .series import EgfSeries, _miller, _unscale, egf_compose
 from .tables import (
     _check_n,
     bell,
@@ -212,10 +213,14 @@ def touchard_eval(n: int, x, p, q) -> Fraction:
 def taylor_oracle(x, p, q, order: int) -> list[Fraction]:
     """Ordinary Taylor coefficients of the closed form, entry n = T_n/n!.
 
-    Expands (1 + (1-p)x((1 + (1-q)t)^{1/(1-q)} - 1))^{1/(1-p)} with the
-    generalized binomial series, entirely independent of the polynomial
-    routes.  Needs p != 1 and q != 1; the classical limits live on the
-    series route instead.
+    Expands (1 + (1-p)x((1 + (1-q)t)^{1/(1-q)} - 1))^{1/(1-p)} with Miller's
+    power recurrence, twice and entirely in integers (series._miller), so
+    it is independent of exp_q, the Bell table and the Stirling sums.  With
+    1 - q = c/d, the inner series is w = (c/d)t: W_1 = c over D = d, and
+    its scaled coefficients G_k give g_k = G_k / (k! (|c|d)^k).  With
+    (1-p)x = P/Q, the outer w_k = (P/Q) g_k for k >= 1 is W_k / (k! D^k)
+    with W_k = P Q^(k-1) G_k and D = |c|dQ.  Needs p != 1 and q != 1; the
+    classical limits live on the series route instead.
     """
     _check_n(order, "order")
     x, p, q = Fraction(x), Fraction(p), Fraction(q)
@@ -225,10 +230,13 @@ def taylor_oracle(x, p, q, order: int) -> list[Fraction]:
             "1/(1-p), 1/(1-q)); use touchard_series or touchard_eval for "
             "the classical limits"
         )
-    inner = ogf_binomial_power([0, 1 - q], 1 / (1 - q), order)
-    z = [(1 - p) * x * c for c in inner]
-    z[0] = Fraction(0)  # subtracting the constant term 1 of the inner series
-    return ogf_binomial_power(z, 1 / (1 - p), order)
+    c, d = (1 - q).as_integer_ratio()
+    inner = _miller([0, c], 1 / (1 - q), order)
+    P, Q = ((1 - p) * x).as_integer_ratio()
+    powers = accumulate(repeat(Q, order), mul, initial=P)  # P * Q^(k-1)
+    outer = _miller([0, *map(mul, powers, inner[1:])], 1 / (1 - p), order)
+    # T_n / n! = G_n / (n! * (b * D)^n) with b the denominator of 1/(1-p)
+    return _unscale(outer, (1 / (1 - p)).denominator * abs(c) * d * Q)
 
 
 def avg_nse(n: int) -> Fraction:
@@ -433,7 +441,7 @@ _IDENTITIES = {
     "lsp-slice": (partial(_verify_enumeration, "lsp", "v"), 8),
     "slp-slice": (partial(_verify_enumeration, "slp", "u"), 8),
     "series-vs-explicit": (_verify_series_vs_explicit, 12),
-    "oracle-vs-eval": (partial(_verify_oracle_vs_eval, ORACLE_GRID), 20),
+    "oracle-vs-eval": (partial(_verify_oracle_vs_eval, ORACLE_GRID), 25),
     "eval-vs-poly": (partial(_verify_eval_vs_poly, EVAL_GRID), 10),
 }
 

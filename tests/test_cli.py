@@ -109,6 +109,15 @@ class TestEval:
         assert status == 2
         assert "error:" in err and "p != 1" in err
 
+    @pytest.mark.parametrize("p,q", [("1", "2"), ("3", "1")])
+    def test_oracle_refusal_says_to_drop_the_flag(self, capsys, p, q):
+        status, out, err = run(
+            capsys, "eval", "--n", "2", "--x", "1", "--p", p, "--q", q, "--oracle"
+        )
+        assert (status, out) == (2, "")
+        assert "--oracle needs p != 1 and q != 1" in err
+        assert "without --oracle" in err
+
     def test_bad_fraction(self, capsys):
         status, _, err = run(capsys, "eval", "--n", "2", "--x", "abc", "--p", "1", "--q", "1")
         assert status == 2

@@ -19,6 +19,7 @@ from pqtouchard import (
     dist_poly,
     exp_q,
     factorial,
+    ogf_binomial_power,
     s_pq,
     s_uv,
     stat_report,
@@ -84,6 +85,7 @@ class TestOrderCheck:
         "touchard_series": touchard_series,
         "touchard_series_at_a_point": lambda order: touchard_series(order, 1, 2, 3),
         "taylor_oracle": lambda order: taylor_oracle(1, 2, 3, order),
+        "ogf_binomial_power": lambda order: ogf_binomial_power([0, 1], 2, order),
     }
 
     @pytest.mark.parametrize("order", [True, -1, 2.0], ids=["bool", "negative", "float"])
@@ -276,6 +278,23 @@ class TestEval:
             touchard_eval(n, 1, 2, 3)
 
 
+def fraction_miller_oracle(x, p, q, order):
+    """The oracle one Fraction at a time: Miller's recurrence
+    m*g_m = sum_k ((alpha+1)k - m) w_k g_{m-k} run twice on rationals, kept
+    here as the reference for the integer kernel."""
+
+    def power(w, alpha):
+        g = [Fraction(1)]
+        for m in range(1, order + 1):
+            acc = sum(((alpha + 1) * k - m) * w[k] * g[m - k] for k in range(1, m + 1))
+            g.append(acc / m)
+        return g
+
+    w = [Fraction(0), 1 - q] + [Fraction(0)] * order
+    inner = power(w, 1 / (1 - q))
+    return power([Fraction(0)] + [(1 - p) * x * c for c in inner[1:]], 1 / (1 - p))
+
+
 class TestTaylorOracle:
     def test_geometric_case(self):
         # x=1, p=q=2 collapses to (1-t)/(1-2t): 1, 1, 2, 4, 8, ...
@@ -291,6 +310,29 @@ class TestTaylorOracle:
         for n in range(8):
             expected = touchard_eval(n, Fraction(1, 2), -1, 3) / factorial(n)
             assert taylor_oracle(Fraction(1, 2), -1, 3, 7)[n] == expected
+
+    @given(
+        RATIONALS,
+        RATIONALS.filter(lambda p: p != 1),
+        RATIONALS.filter(lambda q: q != 1),
+        st.integers(0, 25),
+    )
+    # each sign of 1-p and of 1-q, and x = 0
+    @example(Fraction(2, 3), Fraction(1, 2), Fraction(-1, 3), 25)
+    @example(Fraction(-9, 4), Fraction(9, 2), Fraction(5, 9), 25)
+    @example(Fraction(1, 9), Fraction(-9), Fraction(9, 2), 25)
+    @example(Fraction(-7, 3), Fraction(7, 3), Fraction(8, 5), 25)
+    @example(Fraction(0), Fraction(-2, 9), Fraction(4), 25)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_recurrence(self, x, p, q, order):
+        assert taylor_oracle(x, p, q, order) == fraction_miller_oracle(x, p, q, order)
+
+    def test_large_n_matches_composition(self):
+        # the point of TestEval.test_large_n_matches_composition, every entry
+        point = (Fraction(4, 7), Fraction(-7, 5), Fraction(5, 7))
+        coeffs = taylor_oracle(*point, 150)
+        composed = touchard_series(150, *point)
+        assert [c * math_factorial(n) for n, c in enumerate(coeffs)] == list(composed)
 
     def test_classical_limit_refused(self):
         with pytest.raises(ValueError, match="touchard_series"):
