@@ -26,7 +26,7 @@ from .permstats import (
     nse_perm,
 )
 from .poly import VAR_ORDER, MultiPoly
-from .series import EgfSeries, egf_compose, ogf_binomial_power
+from .series import EgfSeries, egf_compose
 from .tables import (
     bell,
     binomial,
@@ -82,7 +82,6 @@ __all__ = [
     "nse",
     "nse_distribution",
     "nse_perm",
-    "ogf_binomial_power",
     "s_pq",
     "s_uv",
     "stat_report",

@@ -23,7 +23,7 @@ from itertools import chain, islice
 
 from . import partitions, permstats, touchard
 from .partitions import nsb, nse
-from .poly import VAR_ORDER, MultiPoly
+from .poly import MultiPoly
 from .tables import (
     _check_n,
     bell,
@@ -51,14 +51,14 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _parse_assignment(text: str) -> dict[str, Fraction]:
+    # T_n is a polynomial in x, p and q only
     point = {}
     for piece in text.split(","):
         name, sep, value = piece.partition("=")
         name = name.strip()
-        if not sep or name not in VAR_ORDER:
+        if not sep or name not in ("x", "p", "q"):
             raise ValueError(
-                f"bad assignment {piece!r}: expected var=value with var "
-                f"in {', '.join(VAR_ORDER)}"
+                f"bad assignment {piece!r}: expected var=value with var in x, p, q"
             )
         if name in point:
             raise ValueError(f"bad assignment {text!r}: {name} is given twice")
@@ -168,7 +168,7 @@ def _cmd_table(args) -> _Output:
             lambda: values,
         )
     # Q_n is the coefficient n + 1 of exp_q
-    polys = touchard.exp_q(nmax + 1, MultiPoly.var(args.var) - 1).coeffs[1:]
+    polys = touchard.exp_q(nmax + 1, MultiPoly.var(args.var) - 1)[1:]
     return _Output(
         lambda: {
             "name": name,

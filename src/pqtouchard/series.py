@@ -1,56 +1,39 @@
-"""Truncated exponential generating functions and their composition.
+"""One EGF container, one composition and one ordinary-series kernel.
 
-An EgfSeries stores a_0..a_N where the series is sum a_n t^n / n!, so the
+An EgfSeries is the list a_0..a_N of the series sum a_n t^n / n!, so the
 coefficients stay integers (or polynomials) with no denominators.
-egf_compose composes two of them through partial Bell polynomials.  At the
-bottom, one integer kernel (Miller's power recurrence) gives ordinary-series
-binomial powers with rational exponents, which the EGF side cannot express.
+egf_compose composes two coefficient sequences through partial Bell
+polynomials.  _miller is one integer kernel for Miller's power recurrence,
+the ordinary-series binomial power with a rational exponent that the EGF
+side cannot express; taylor_oracle chains it twice and _unscale turns its
+integers into the coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, lcm
+from math import comb
 from operator import mul
 
-from .tables import _check_n, binomial, factorial
+from .tables import binomial
 
 
-class EgfSeries:
+class EgfSeries(list):
     """Coefficients a_0..a_N of an EGF, exact and truncated at order N.
 
     Entries may be ints, Fractions, or MultiPoly values, as long as they
     support addition and multiplication with each other and with ints.
     """
 
-    __slots__ = ("coeffs",)
-
     def __init__(self, coeffs):
-        self.coeffs = list(coeffs)
-        if not self.coeffs:
+        super().__init__(coeffs)
+        if not self:
             raise ValueError("series needs at least the order-0 coefficient")
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __len__(self):
-        return len(self.coeffs)
-
-    def __iter__(self):
-        return iter(self.coeffs)
-
-    def __getitem__(self, n):
-        return self.coeffs[n]
-
-    def __eq__(self, other):
-        if not isinstance(other, EgfSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"EgfSeries({self.coeffs!r})"
+        return len(self) - 1
 
 
 def _bell_table(g):
@@ -69,30 +52,29 @@ def _bell_table(g):
     return table
 
 
-def egf_compose(outer: EgfSeries, inner: EgfSeries) -> EgfSeries:
+def egf_compose(outer, inner) -> EgfSeries:
     """EGF of F(G(t)) through order min(order F, order G).
 
-    Requires G_0 = 0, otherwise the composition is not a formal power
-    series operation.
+    outer and inner are any non-empty coefficient sequences.  Requires
+    G_0 = 0, otherwise the composition is not a formal power series
+    operation.
     """
-    if inner.coeffs[0] != 0:
+    n = min(len(outer), len(inner)) - 1
+    if n < 0:
+        raise ValueError("series needs at least the order-0 coefficient")
+    if inner[0] != 0:
         raise ValueError("inner series must have zero constant term")
-    n = min(outer.order, inner.order)
-    table = _bell_table(inner.coeffs[1 : n + 1])
-    out = [outer.coeffs[0]]
+    table = _bell_table(inner[1 : n + 1])
+    out = [outer[0]]
     for m in range(1, n + 1):
         acc = 0
         for k in range(1, m + 1):
-            acc = acc + outer.coeffs[k] * table[m][k]
+            acc = acc + outer[k] * table[m][k]
         out.append(acc)
     return EgfSeries(out)
 
 
 # -- ordinary power series, used only as an independent cross-check ----------
-# ogf_binomial_power is the public wrapper over one integer kernel, _miller;
-# taylor_oracle (touchard.py) chains the kernel directly.
-
-
 def _miller(W, alpha: Fraction, order: int) -> list[int]:
     """Integer-scaled coefficients G_0..G_order of (1 + w)^alpha.
 
@@ -132,21 +114,3 @@ def _unscale(G, scale: int) -> list[Fraction]:
     """The Fractions G_m / (m! * scale^m), m = 0..len(G)-1."""
     dens = accumulate(range(scale, len(G) * scale, scale), mul, initial=1)
     return list(map(Fraction, G, dens))
-
-
-def ogf_binomial_power(s, alpha, order: int) -> list[Fraction]:
-    """Ordinary coefficients of (1 + w)^alpha where w has coefficients s.
-
-    s[0] must be 0 (when present); alpha may be any Fraction.  Short s is
-    padded with zeros, so s = [0, 1] with any order means w = t.  Over the
-    common denominator D of s, w_k = W_k / (k! * D^k) with the integers
-    W_k = k! * D^(k-1) * (s_k * D), and _miller gives the coefficients.
-    """
-    _check_n(order, "order")
-    s = [Fraction(v) for v in s][: order + 1]
-    if s and s[0] != 0:
-        raise ValueError("w must have zero constant term")
-    alpha = Fraction(alpha)
-    D = lcm(*(v.denominator for v in s))
-    W = [factorial(k) * D ** (k - 1) * (v * D).numerator for k, v in enumerate(s) if k]
-    return _unscale(_miller([0, *W], alpha, order), alpha.denominator * D)

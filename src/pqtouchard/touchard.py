@@ -60,6 +60,8 @@ def exp_q(order: int, v, f=1) -> EgfSeries:
     touchard_series composes at a rational q.
     """
     _check_n(order, "order")
+    if f == 0:
+        raise ValueError("f must be nonzero: the series is defined by q - 1 = v/f")
     one = v**0  # the ring's 1: a constant polynomial for a polynomial v
     coeffs = [one, one][: order + 1]
     factor = f
@@ -175,8 +177,8 @@ def touchard_series(order: int, x=X, p=P, q=Q) -> EgfSeries:
     v, f = (q - 1, 1) if isinstance(q, MultiPoly) else (q - 1).as_integer_ratio()
     powers = accumulate(repeat(x * f, order), mul, initial=1)  # (x*f)^k
     outer = list(map(mul, exp_q(order, p - 1), powers))
-    inner = [0, *exp_q(order, v, f).coeffs[1:]]
-    composed = egf_compose(EgfSeries(outer), EgfSeries(inner))
+    inner = [0, *exp_q(order, v, f)[1:]]
+    composed = egf_compose(outer, inner)
     return composed if f == 1 else EgfSeries(c / f**m for m, c in enumerate(composed))
 
 

@@ -52,9 +52,12 @@ class TestExpand:
             assert out == "-q*x + 2*q^2*x - p*x^3 + 3*p*q*x^2 + 2*p^2*x^3\n"
 
     def test_bad_assignment(self, capsys):
-        status, _, err = run(capsys, "expand", "--n", "2", "--at", "y=1")
-        assert status == 2
-        assert err.startswith("error:")
+        # u is a variable of s_uv, not of T_n, so it is refused like y
+        for at in ("y=1", "x=1,p=1,q=1,u=7"):
+            status, out, err = run(capsys, "expand", "--n", "2", "--at", at)
+            assert status == 2
+            assert out == ""
+            assert err.startswith("error:")
 
     def test_repeated_variable_is_refused(self, capsys):
         argv = ("expand", "--n", "3", "--at", "x=1,p=1,q=1,x=2")

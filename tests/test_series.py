@@ -12,10 +12,10 @@ from pqtouchard import (
     bell,
     egf_compose,
     exp_q,
-    ogf_binomial_power,
+    factorial,
     stirling2,
 )
-from pqtouchard.series import _bell_table
+from pqtouchard.series import _bell_table, _miller, _unscale
 
 
 def cauchy_product(a, b, order):
@@ -56,6 +56,9 @@ class TestEgfBasics:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             EgfSeries([])
+        for outer, inner in (([], [0]), ([1], []), ((), ())):
+            with pytest.raises(ValueError, match="order-0 coefficient"):
+                egf_compose(outer, inner)
 
 
 class TestPartialBell:
@@ -79,8 +82,9 @@ class TestPartialBell:
 
 class TestComposition:
     def test_bell_numbers(self):
-        inner = EgfSeries([0] + [1] * 8)
-        composed = egf_compose(exp_series(8), inner)
+        # any sequences compose; the result is an EgfSeries
+        composed = egf_compose((1,) * 9, [0] + [1] * 8)
+        assert isinstance(composed, EgfSeries)
         assert list(composed) == [bell(n) for n in range(9)]
 
     def test_identity_inner(self):
@@ -117,12 +121,26 @@ class TestComposition:
         assert left == right
 
 
+def miller_power(W, D, alpha, order):
+    """(1 + w)^alpha through the integer kernel, w_k = W_k / (k! * D^k)."""
+    alpha = Fraction(alpha)
+    return _unscale(_miller(W, alpha, order), alpha.denominator * D)
+
+
+def series_of(W, D, order):
+    """s_0..s_order of w = sum_k W_k t^k / (k! * D^k); missing W_k are 0."""
+    W = W + [0] * (order + 1 - len(W))
+    return [0] + [Fraction(W[k], factorial(k) * D**k) for k in range(1, order + 1)]
+
+
 class TestOgf:
+    # the kernel taylor_oracle chains: _miller on integers W_k over D,
+    # _unscale back to the Fraction coefficients
     def test_geometric(self):
-        assert ogf_binomial_power([0, 1], -1, 3) == [1, -1, 1, -1]
+        assert miller_power([0, 1], 1, -1, 3) == [1, -1, 1, -1]
 
     def test_square_root(self):
-        assert ogf_binomial_power([0, 1], Fraction(1, 2), 2) == [
+        assert miller_power([0, 1], 1, Fraction(1, 2), 2) == [
             1,
             Fraction(1, 2),
             Fraction(-1, 8),
@@ -131,43 +149,36 @@ class TestOgf:
     def test_deformed_exponential_coefficients(self):
         # (1 + (1-q)t)^{1/(1-q)} at q=3: EGF coefficient 2 must be Q_1(3) = 3
         q = Fraction(3)
-        coeffs = ogf_binomial_power([0, 1 - q], 1 / (1 - q), 2)
+        coeffs = miller_power([0, -2], 1, 1 / (1 - q), 2)
         assert coeffs == [1, 1, Fraction(3, 2)]
         assert 2 * coeffs[2] == 3
 
     def test_matches_q_product_for_rational_q(self):
         for q in (Fraction(-1), Fraction(1, 2), Fraction(2), Fraction(5)):
-            coeffs = ogf_binomial_power([0, 1 - q], 1 / (1 - q), 10)
+            c, d = (1 - q).as_integer_ratio()
+            coeffs = miller_power([0, c], d, 1 / (1 - q), 10)
             symbolic = exp_q(10, MultiPoly.var("q") - 1)
-            fact = 1
             for n in range(1, 11):
-                fact *= n
-                assert fact * coeffs[n] == symbolic[n].evaluate({"q": q})
-
-    def test_nonzero_constant_rejected(self):
-        with pytest.raises(ValueError, match="constant term"):
-            ogf_binomial_power([1, 1], 2, 3)
-
-    def test_short_input_padded(self):
-        assert ogf_binomial_power([0, 1], -1, 5) == [1, -1, 1, -1, 1, -1]
+                assert factorial(n) * coeffs[n] == symbolic[n].evaluate({"q": q})
 
     @given(
         st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+        st.integers(1, 3),
         st.integers(0, 4),
     )
     @settings(max_examples=60)
-    def test_integer_exponent_matches_repeated_product(self, tail, m):
-        s = [Fraction(0)] + [Fraction(c) for c in tail]
-        base = list(s)
+    def test_integer_exponent_matches_repeated_product(self, tail, D, m):
+        W = [0, *tail]
+        base = series_of(W, D, 4)
         base[0] = Fraction(1)  # the series 1 + w
         direct = [Fraction(1), 0, 0, 0, 0]
         for _ in range(m):
             direct = cauchy_product(direct, base, 4)
-        assert ogf_binomial_power(s, m, 4) == direct
-
+        assert miller_power(W, D, m, 4) == direct
 
     @given(
-        st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=12),
+        st.lists(st.integers(-30, 30), max_size=12),
+        st.integers(1, 4),
         st.one_of(
             st.integers(-4, 6),
             st.fractions(min_value=-5, max_value=5, max_denominator=6),
@@ -175,8 +186,8 @@ class TestOgf:
         st.integers(0, 12),
     )
     @settings(max_examples=80)
-    def test_miller_recurrence_matches_repeated_products(self, tail, alpha, order):
-        s = [Fraction(0)] + tail
-        padded = s + [Fraction(0)] * (order + 1 - len(s))
-        expected = repeated_product_power(padded, Fraction(alpha), order)
-        assert ogf_binomial_power(s, alpha, order) == expected
+    def test_miller_recurrence_matches_repeated_products(self, tail, D, alpha, order):
+        W = [0, *tail]
+        s = series_of(W, D, order)
+        expected = repeated_product_power(s, Fraction(alpha), order)
+        assert miller_power(W, D, alpha, order) == expected
