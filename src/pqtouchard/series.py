@@ -16,6 +16,7 @@ from itertools import accumulate
 from math import comb
 from operator import mul
 
+from .poly import _sum_of_products
 from .tables import binomial
 
 
@@ -45,10 +46,9 @@ def _bell_table(g):
     for m in range(1, n + 1):
         weighted = [binomial(m - 1, j - 1) * g[j - 1] for j in range(1, m + 1)]
         for k in range(1, m + 1):
-            acc = 0
-            for j in range(1, m - k + 2):
-                acc = acc + weighted[j - 1] * table[m - j][k - 1]
-            table[m][k] = acc
+            table[m][k] = _sum_of_products(
+                (weighted[j - 1], table[m - j][k - 1]) for j in range(1, m - k + 2)
+            )
     return table
 
 
@@ -67,10 +67,7 @@ def egf_compose(outer, inner) -> EgfSeries:
     table = _bell_table(inner[1 : n + 1])
     out = [outer[0]]
     for m in range(1, n + 1):
-        acc = 0
-        for k in range(1, m + 1):
-            acc = acc + outer[k] * table[m][k]
-        out.append(acc)
+        out.append(_sum_of_products((outer[k], table[m][k]) for k in range(1, m + 1)))
     return EgfSeries(out)
 
 

@@ -2,9 +2,14 @@
 
 Three independent routes compute the same polynomials:
 
-  substitution   sum of x^k * s_pq(n,k), with s_pq obtained from the
-                 two-variable distribution polynomial by u -> p-1, v -> q-1
-  explicit       the closed five-fold sum over signed Stirling numbers
+  substitution   sum of x^k * s_pq(n,k), with s_pq the product of the two
+                 one-variable factors of the distribution polynomial
+                 s_uv(n,k) = A_{n,k}(v) * B_k(u), each shifted by
+                 MultiPoly.substitute (u -> p-1, v -> q-1)
+  explicit       the closed five-fold sum over signed Stirling numbers and
+                 binomials, split into an (i, m) sum alpha_{k,m} and a
+                 (j, l) sum beta_{n,k,l} whose products are the coefficients:
+                 O(n^3) integer products instead of O(n^5)
   composition    EGF composition exp_p(x*(exp_q(t) - 1)), touchard_series
 
 Two scalar routes give T_n at one rational point without building a
@@ -27,10 +32,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, repeat
+from math import comb
 from operator import mul
 
 from .partitions import _check_size, count_partitions, dist_poly
-from .poly import MultiPoly
+from .poly import MultiPoly, _sum_of_products, _wrap
 from .series import EgfSeries, _miller, _unscale, egf_compose
 from .tables import (
     _check_n,
@@ -76,6 +82,24 @@ def exp_q(order: int, v, f=1) -> EgfSeries:
 _cache = lru_cache(maxsize=None, typed=True)
 
 
+def _factors(n: int, k: int) -> tuple[MultiPoly, MultiPoly]:
+    """The factors of s_uv(n,k) = A_{n,k}(v) * B_k(u), after s_uv's argument
+    check: A_{n,k}(v) = sum_j c(n,n-j) S(n-j,k) v^j, B_k(u) = sum_i c(k,k-i) u^i."""
+    for value, name in ((n, "n"), (k, "k")):
+        if not (isinstance(value, int) and value < 0):
+            _check_n(value, name)
+    if n < 0 or k < 0:
+        return MultiPoly.const(0), MultiPoly.const(0)
+    a = {
+        (0, 0, 0, 0, j): stirling1_unsigned(n, n - j) * stirling2(n - j, k)
+        for j in range(n - k + 1)
+    }
+    # i = k contributes only when k = 0, where c(0,0) = 1 picks up the
+    # empty partition; for k >= 1 that extra term is c(k,0) = 0
+    b = {(0, 0, 0, i, 0): stirling1_unsigned(k, k - i) for i in range(k + 1)}
+    return _wrap(a), _wrap(b)
+
+
 @_cache
 def s_uv(n: int, k: int) -> MultiPoly:
     """Closed form of the joint nsb/nse distribution over lists of lists.
@@ -85,30 +109,19 @@ def s_uv(n: int, k: int) -> MultiPoly:
     polynomial, except s_uv(0,0) = 1 (empty partition).  A non-integer n
     or k is refused.
     """
-    for value, name in ((n, "n"), (k, "k")):
-        if not (isinstance(value, int) and value < 0):
-            _check_n(value, name)
-    if n < 0 or k < 0:
-        return MultiPoly.const(0)
-    terms = {}
-    for j in range(n - k + 1):
-        outer = stirling1_unsigned(n, n - j) * stirling2(n - j, k)
-        if not outer:
-            continue
-        # i = k contributes only when k = 0, where c(0,0) = 1 picks up the
-        # empty partition; for k >= 1 that extra term is c(k,0) = 0
-        for i in range(k + 1):
-            inner = stirling1_unsigned(k, k - i)
-            if inner:
-                terms[(i, j)] = outer * inner
-    return MultiPoly(("u", "v"), terms)
+    a, b = _factors(n, k)
+    return a * b
 
 
 @_cache
 def s_pq(n: int, k: int) -> MultiPoly:
-    """Connection coefficients of T_n: s_uv at u = p-1, v = q-1."""
-    shifted = s_uv(n, k).substitute("u", MultiPoly.var("p") - 1)
-    return shifted.substitute("v", MultiPoly.var("q") - 1)
+    """Connection coefficients of T_n: s_uv at u = p-1, v = q-1.
+
+    Each one-variable factor of s_uv is shifted on its own, so substitute
+    never runs on the two-variable product.
+    """
+    a, b = _factors(n, k)
+    return a.substitute("v", Q - 1) * b.substitute("u", P - 1)
 
 
 @_cache
@@ -123,38 +136,40 @@ def touchard_poly(n: int, route: str = "substitution") -> MultiPoly:
     if n == 0:
         return MultiPoly.const(1)
     if route == "substitution":
-        x = MultiPoly.var("x")
-        total = MultiPoly.const(0)
-        for k in range(1, n + 1):
-            total = total + s_pq(n, k) * x**k
-        return total
+        return _sum_of_products(
+            (s_pq(n, k), MultiPoly.var("x", k)) for k in range(1, n + 1)
+        )
     if route == "composition":
         return touchard_series(n)[n]
     return _explicit_poly(n)
 
 
+def _shifted(coeffs: list[int]) -> list[int]:
+    """Entry m is (-1)^m * sum_i coeffs[i] * C(i,m)."""
+    d = len(coeffs)
+    sums = (sum(coeffs[i] * comb(i, m) for i in range(m, d)) for m in range(d))
+    return [-c if m % 2 else c for m, c in enumerate(sums)]
+
+
 def _explicit_poly(n: int) -> MultiPoly:
-    # five-fold sum with signed Stirling numbers; exponents are
-    # (x, p, q) = (k, m, l)
-    terms: dict[tuple[int, int, int], int] = {}
+    # the paper's five-fold sum over signed Stirling numbers s, S and
+    # binomials, split in two: the coefficient of x^k p^m q^l is
+    #   alpha_{k,m}   = (-1)^m sum_{i<k} s(k,k-i) C(i,m)
+    #   beta_{n,k,l}  = (-1)^l sum_{j<=n-k} s(n,n-j) S(n-j,k) C(j,l)
+    # times each other.  The (i, m) sum depends on k only, so each half is
+    # O(n^2) per k and the whole is O(n^3) integer products, not O(n^5);
+    # the terms go straight into one map with no polynomial arithmetic
+    terms = {}
     for k in range(1, n + 1):
-        for j in range(n - k + 1):
-            left = stirling1_signed(n, n - j) * stirling2(n - j, k)
-            if not left:
-                continue
-            for i in range(k):
-                base = left * stirling1_signed(k, k - i)
-                if not base:
-                    continue
-                for m in range(i + 1):
-                    row = binomial(i, m) * base
-                    for l in range(j + 1):
-                        value = row * binomial(j, l)
-                        if (m + l) % 2:
-                            value = -value
-                        key = (k, m, l)
-                        terms[key] = terms.get(key, 0) + value
-    return MultiPoly(("x", "p", "q"), terms)
+        alpha = _shifted([stirling1_signed(k, k - i) for i in range(k)])
+        beta = _shifted(
+            [stirling1_signed(n, n - j) * stirling2(n - j, k) for j in range(n - k + 1)]
+        )
+        for m, a in enumerate(alpha):
+            if a:
+                for l, b in enumerate(beta):
+                    terms[(k, m, l, 0, 0)] = a * b
+    return _wrap(terms)
 
 
 def touchard_series(order: int, x=X, p=P, q=Q) -> EgfSeries:

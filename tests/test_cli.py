@@ -66,6 +66,39 @@ class TestExpand:
         assert out == ""
         assert err.startswith("error:") and "x is given twice" in err
 
+    def test_huge_n_is_refused_at_once(self):
+        # a subprocess, as a user runs it: the term bound refuses before any
+        # table or polynomial is built
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "pqtouchard.cli", "expand", "--n", "100000"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+        assert time.perf_counter() - start < 10
+        assert (result.returncode, result.stdout) == (2, "")
+        assert "expand for n=100000 builds up to 166671666700000 terms" in result.stderr
+        assert f"budget of {cli.EXPAND_TERM_BUDGET}; pass --force" in result.stderr
+
+    def test_budget_edge(self, capsys, monkeypatch):
+        # n(n+1)(n+2)/6 is 35 at n = 5 and 56 at n = 6
+        monkeypatch.setattr(cli, "EXPAND_TERM_BUDGET", 35)
+        assert run(capsys, "expand", "--n", "5")[0] == 0
+        for extra in ((), ("--at", "x=1,p=1,q=1")):
+            status, out, err = run(capsys, "expand", "--n", "6", *extra)
+            assert (status, out) == (2, "")
+            assert "expand for n=6 builds up to 56 terms, over the budget of 35" in err
+
+    def test_force_lifts_the_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "EXPAND_TERM_BUDGET", 1)
+        status, _, err = run(capsys, "expand", "--n", "3")
+        assert status == 2 and "--force" in err
+        for extra, expected in (
+            ((), "-q*x + 2*q^2*x - p*x^3 + 3*p*q*x^2 + 2*p^2*x^3\n"),
+            (("--at", "x=1,p=1,q=1"), "5\n"),
+        ):
+            assert run(capsys, "expand", "--n", "3", "--force", *extra)[:2] == (0, expected)
+
 
 class TestEval:
     def test_oracle_agreement(self, capsys):
@@ -499,6 +532,14 @@ PINNED = [
         "expand --n 3 --format csv",
         0,
         "x,p,q,coeff\n1,0,1,-1\n1,0,2,2\n3,1,0,-1\n2,1,1,3\n3,2,0,2\n",
+    ),
+    *(
+        (
+            f"expand --n 20 --route {route} --format csv",
+            0,
+            "sha256:0394c959985141f283ea5ad11537f558ac5a036acadfafc92d1ae4d4725d0ae3",
+        )
+        for route in ("substitution", "explicit", "composition")
     ),
     (
         "expand --n 4 --route composition",

@@ -15,6 +15,7 @@ from pqtouchard import (
     VerificationReport,
     avg_nse,
     bell,
+    binomial,
     count_partitions,
     dist_poly,
     exp_q,
@@ -22,6 +23,7 @@ from pqtouchard import (
     s_pq,
     s_uv,
     stat_report,
+    stirling1_signed,
     stirling2,
     taylor_oracle,
     touchard_eval,
@@ -136,6 +138,14 @@ class TestConnectionCoefficients:
         assert s_pq(3, 2) == 3 * P * Q
         assert s_pq(3, 3) == 2 * P**2 - P
 
+    def test_pq_is_uv_shifted(self):
+        # s_pq shifts the two one-variable factors of s_uv apart; the
+        # two-variable product shifted whole must give the same polynomial
+        for n in range(17):
+            for k in range(-1, n + 2):
+                shifted = s_uv(n, k).substitute("u", P - 1).substitute("v", Q - 1)
+                assert s_pq(n, k) == shifted, (n, k)
+
     def test_pq_specializations_count_the_flavors(self):
         corners = {(1, 1): "ssp", (2, 1): "lsp", (1, 2): "slp", (2, 2): "llp"}
         for n in range(9):
@@ -185,6 +195,37 @@ class TestTouchardPoly:
             refusal = f"n must be a nonnegative integer, got {n}"
             with pytest.raises(ValueError, match=refusal):
                 touchard_poly(n)
+
+
+def five_fold_explicit_poly(n):
+    """The explicit formula as the paper writes it: the five-fold sum over
+    k, j, i, m, l, one term at a time, kept here as the reference for the
+    factorized alpha * beta products of touchard._explicit_poly."""
+    terms = {}
+    for k in range(1, n + 1):
+        for j in range(n - k + 1):
+            left = stirling1_signed(n, n - j) * stirling2(n - j, k)
+            if not left:
+                continue
+            for i in range(k):
+                base = left * stirling1_signed(k, k - i)
+                if not base:
+                    continue
+                for m in range(i + 1):
+                    row = binomial(i, m) * base
+                    for l in range(j + 1):
+                        value = row * binomial(j, l)
+                        if (m + l) % 2:
+                            value = -value
+                        key = (k, m, l)
+                        terms[key] = terms.get(key, 0) + value
+    return MultiPoly(("x", "p", "q"), terms)
+
+
+class TestExplicitRoute:
+    def test_matches_the_five_fold_sum(self):
+        for n in range(15):
+            assert touchard._explicit_poly(n) == five_fold_explicit_poly(n), n
 
 
 class TestSeriesRoute:
@@ -402,6 +443,11 @@ class TestVerifyIdentity:
         assert report.first_counterexample is None
         assert "PASS" in report.summary()
         assert name in report.summary()
+
+    def test_series_vs_explicit_at_larger_n(self):
+        # twice the default n_max of 12, which stays small because the
+        # expand-cold benchmark workload ends with that default run
+        assert verify_identity("series-vs-explicit", 24).passed
 
     def test_eval_vs_poly_covers_the_classical_corners(self):
         report = verify_identity("eval-vs-poly", n_max=3)
