@@ -26,7 +26,7 @@ from .permstats import (
     nse_perm,
 )
 from .poly import VAR_ORDER, MultiPoly
-from .series import EgfSeries, egf_compose
+from .series import EgfSeries
 from .tables import (
     bell,
     binomial,
@@ -72,7 +72,6 @@ __all__ = [
     "count_partitions",
     "decompose",
     "dist_poly",
-    "egf_compose",
     "enumerate_partitions",
     "exp_q",
     "factorial",

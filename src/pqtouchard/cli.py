@@ -182,8 +182,9 @@ def _cmd_table(args) -> _Output:
 
 
 # T_n has at most n(n+1)(n+2)/6 terms, one per x^k p^m q^l with m < k and
-# l <= n - k.  The largest n within this budget, 95, builds in about 40 s on
-# the slowest route (composition) and in about 2 s on the default one.
+# l <= n - k.  The largest n within this budget, 95, is built and written in
+# about 1.3 s and 143 MB on the slowest route (substitution, the default) and
+# in under 1 s and 114 MB on the other two (cold process, --out, 2-vCPU VM).
 EXPAND_TERM_BUDGET = 150_000
 
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 from itertools import accumulate, permutations
 from operator import mul
 
-from .partitions import OBJECT_BUDGET, _nse_counts, _rl_min_count
+from . import partitions
+from .partitions import _nse_counts, _rl_min_count
 
 
 def check_permutation(word) -> tuple[int, ...]:
@@ -62,12 +63,14 @@ def ltr_max_count(word) -> int:
 def _check_budget(n: int) -> int:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    # the products stop at the first past the budget, so a huge n costs nothing
-    words = next((w for w in accumulate(range(1, n + 1), mul) if w > OBJECT_BUDGET), 0)
+    # read at call time, so a changed partitions.OBJECT_BUDGET holds here too;
+    # the products stop at the first past it, so a huge n costs nothing
+    budget = partitions.OBJECT_BUDGET
+    words = next((w for w in accumulate(range(1, n + 1), mul) if w > budget), 0)
     if words:
         raise ValueError(
             f"exhaustive scan over {n}! permutations (at least {words}) "
-            f"exceeds the budget of {OBJECT_BUDGET} objects"
+            f"exceeds the budget of {budget} objects"
         )
     return n
 

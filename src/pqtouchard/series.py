@@ -1,12 +1,12 @@
-"""One EGF container, one composition and one ordinary-series kernel.
+"""One EGF container and one ordinary-series kernel.
 
 An EgfSeries is the list a_0..a_N of the series sum a_n t^n / n!, so the
-coefficients stay integers (or polynomials) with no denominators.
-egf_compose composes two coefficient sequences through partial Bell
-polynomials.  _miller is one integer kernel for Miller's power recurrence,
-the ordinary-series binomial power with a rational exponent that the EGF
-side cannot express; taylor_oracle chains it twice and _unscale turns its
-integers into the coefficients.
+coefficients stay integers (or polynomials) with no denominators; the
+composition route (touchard.touchard_series) returns one.  _miller is one
+integer kernel for Miller's power recurrence, the ordinary-series binomial
+power with a rational exponent that the EGF side cannot express;
+taylor_oracle chains it twice and _unscale turns its integers into the
+coefficients.
 """
 
 from __future__ import annotations
@@ -15,9 +15,6 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb
 from operator import mul
-
-from .poly import _sum_of_products
-from .tables import binomial
 
 
 class EgfSeries(list):
@@ -35,40 +32,6 @@ class EgfSeries(list):
     @property
     def order(self) -> int:
         return len(self) - 1
-
-
-def _bell_table(g):
-    """B[m][k] = B_{m,k}(g_1, g_2, ...) for 0 <= k <= m <= len(g), by
-    B_{m,k} = sum_j C(m-1, j-1) g_j B_{m-j, k-1}."""
-    n = len(g)
-    table = [[0] * (n + 1) for _ in range(n + 1)]
-    table[0][0] = 1
-    for m in range(1, n + 1):
-        weighted = [binomial(m - 1, j - 1) * g[j - 1] for j in range(1, m + 1)]
-        for k in range(1, m + 1):
-            table[m][k] = _sum_of_products(
-                (weighted[j - 1], table[m - j][k - 1]) for j in range(1, m - k + 2)
-            )
-    return table
-
-
-def egf_compose(outer, inner) -> EgfSeries:
-    """EGF of F(G(t)) through order min(order F, order G).
-
-    outer and inner are any non-empty coefficient sequences.  Requires
-    G_0 = 0, otherwise the composition is not a formal power series
-    operation.
-    """
-    n = min(len(outer), len(inner)) - 1
-    if n < 0:
-        raise ValueError("series needs at least the order-0 coefficient")
-    if inner[0] != 0:
-        raise ValueError("inner series must have zero constant term")
-    table = _bell_table(inner[1 : n + 1])
-    out = [outer[0]]
-    for m in range(1, n + 1):
-        out.append(_sum_of_products((outer[k], table[m][k]) for k in range(1, m + 1)))
-    return EgfSeries(out)
 
 
 # -- ordinary power series, used only as an independent cross-check ----------

@@ -10,7 +10,10 @@ Three independent routes compute the same polynomials:
                  binomials, split into an (i, m) sum alpha_{k,m} and a
                  (j, l) sum beta_{n,k,l} whose products are the coefficients:
                  O(n^3) integer products instead of O(n^5)
-  composition    EGF composition exp_p(x*(exp_q(t) - 1)), touchard_series
+  composition    exp_p(x*(exp_q(t) - 1)) composed by powers:
+                 T_n = sum_k exp_p[k] x^k S(n,k), with S(n,k) the
+                 coefficients of (exp_q(t) - 1)^k / k!, whose rows grow by
+                 a two-term step (_power_rows); only row n is built
 
 Two scalar routes give T_n at one rational point without building a
 polynomial:
@@ -18,7 +21,8 @@ polynomial:
   scalar sum          touchard_eval: the explicit sum at the point, over one
                       common denominator, in O(n^2) integer operations
   scalar composition  touchard_series(order, x, p, q): the composition route
-                      itself, run at the point on integers, giving T_0..T_N
+                      itself, its rows run at the point on integers, giving
+                      T_0..T_N
 
 plus a numeric-only oracle (taylor_oracle) that expands the same closed
 form as an ordinary power series with rational binomial exponents, by
@@ -31,13 +35,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate, repeat
+from itertools import accumulate, count, islice, repeat
 from math import comb
 from operator import mul
 
 from .partitions import _check_size, count_partitions, dist_poly
 from .poly import MultiPoly, _sum_of_products, _wrap
-from .series import EgfSeries, _miller, _unscale, egf_compose
+from .series import EgfSeries, _miller, _unscale
 from .tables import (
     _check_n,
     bell,
@@ -55,22 +59,22 @@ ROUTES = ("substitution", "explicit", "composition")
 X, P, Q = (MultiPoly.var(name) for name in "xpq")
 
 
-def exp_q(order: int, v, f=1) -> EgfSeries:
-    """Deformed exponential exp_q(t) through t^order, where q - 1 = v/f.
+def exp_q(order: int, v) -> EgfSeries:
+    """Deformed exponential exp_q(t) through t^order, where v = q - 1.
 
-    The coefficient of t^n/n! is prod_{0<m<n} (f + m*v) = f^(n-1) Q_{n-1}(q)
-    with Q_{n-1}(q) = prod_{0<m<n} (1 + m*(q-1)), multiplied out in the ring
-    of v.  With f = 1 these are the coefficients themselves: polynomials for
-    v = MultiPoly.var("q") - 1, rationals for a rational v, and all 1 (e^t)
-    for v = 0.  Integers v, f give the integer-scaled coefficients that
-    touchard_series composes at a rational q.
+    The coefficient of t^n/n! is Q_{n-1}(q) = prod_{0<m<n} (1 + m*v),
+    multiplied out in the ring of v: polynomials for
+    v = MultiPoly.var("q") - 1, rationals for an int or a Fraction v, and
+    all 1 (e^t) for v = 0.  Any other v (a float, a bool) is refused.
     """
     _check_n(order, "order")
-    if f == 0:
-        raise ValueError("f must be nonzero: the series is defined by q - 1 = v/f")
+    if isinstance(v, bool) or not isinstance(v, (int, Fraction, MultiPoly)):
+        raise ValueError(
+            f"v must be an int, a Fraction or a MultiPoly, got {type(v).__name__}"
+        )
     one = v**0  # the ring's 1: a constant polynomial for a polynomial v
     coeffs = [one, one][: order + 1]
-    factor = f
+    factor = 1
     for _ in range(2, order + 1):
         factor = factor + v
         coeffs.append(coeffs[-1] * factor)
@@ -140,7 +144,9 @@ def touchard_poly(n: int, route: str = "substitution") -> MultiPoly:
             (s_pq(n, k), MultiPoly.var("x", k)) for k in range(1, n + 1)
         )
     if route == "composition":
-        return touchard_series(n)[n]
+        # row n alone: each row before it is dropped once the next is built
+        row = next(islice(_power_rows(n, Q - 1, 1), n, None))
+        return _sum_of_products(zip(_outer(n, X, P), row))
     return _explicit_poly(n)
 
 
@@ -172,17 +178,39 @@ def _explicit_poly(n: int) -> MultiPoly:
     return _wrap(terms)
 
 
+def _power_rows(order: int, v, f: int):
+    """Rows n = 0..order of U(n,k) = f^(n-k) * S(n,k), k = 0..n, where
+    S(n,k) = [t^n/n!] (exp_q(t) - 1)^k / k! and q - 1 = v/f.
+
+    (1 + (1-q)t) * exp_q' = exp_q gives Carlitz's degenerate Stirling step
+    S(n+1,k) = (k + n(q-1)) * S(n,k) + S(n,k-1) from S(0,.) = [1], which
+    scales to U(n+1,k) = (k*f + n*v) * U(n,k) + U(n,k-1): integers at a
+    rational q, polynomials for v = q - 1 symbolic (f = 1), and the
+    Stirling-2 rows at q = 1.
+    """
+    row = [1]
+    for n in range(order + 1):
+        yield row
+        nv = n * v
+        row = [(k * f + nv) * a + b for k, a, b in zip(count(), row + [0], [0] + row)]
+
+
+def _outer(order: int, x, p) -> list:
+    """exp_p[k] * x^k for k = 0..order."""
+    powers = accumulate(repeat(x, order), mul, initial=1)
+    return list(map(mul, exp_q(order, p - 1), powers))
+
+
 def touchard_series(order: int, x=X, p=P, q=Q) -> EgfSeries:
     """EGF of the T_n through t^order: exp_p composed around x*(exp_q(t) - 1).
 
     x, p, q are either the variables themselves (the default), giving the
     polynomials T_0..T_order, or rationals, giving their values at that
-    point without a polynomial.  With q - 1 = v/f (f = 1 for a polynomial
-    q), the inner coefficients are x*Q_{j-1}(q) = x*f * G_j / f^j with
-    G_j = exp_q(order, v, f)[j], an integer at a rational q.  Partial Bell
-    polynomials are homogeneous, B_{m,k}(a * b^j * G_j) = a^k * b^m *
-    B_{m,k}(G), so the Bell table runs on the G_j, x*f moves into the outer
-    series and 1/f^m onto entry m.
+    point without a polynomial.  Composition by powers: with
+    S(n,k) = [t^n/n!] (exp_q(t) - 1)^k / k!, T_n = sum_k exp_p[k] x^k S(n,k).
+    With q - 1 = v/f (f = 1 for a polynomial q) the rows run on
+    U(n,k) = f^(n-k) S(n,k) (_power_rows), so (x*f)^k goes into the outer
+    coefficients and 1/f^n onto entry n.
     """
     _check_n(order, "order")
     symbolic = [isinstance(a, MultiPoly) for a in (x, p, q)]
@@ -190,11 +218,9 @@ def touchard_series(order: int, x=X, p=P, q=Q) -> EgfSeries:
         raise ValueError("x, p and q must be either all symbolic or all rational")
     x, p, q = (a if isinstance(a, MultiPoly) else Fraction(a) for a in (x, p, q))
     v, f = (q - 1, 1) if isinstance(q, MultiPoly) else (q - 1).as_integer_ratio()
-    powers = accumulate(repeat(x * f, order), mul, initial=1)  # (x*f)^k
-    outer = list(map(mul, exp_q(order, p - 1), powers))
-    inner = [0, *exp_q(order, v, f)[1:]]
-    composed = egf_compose(outer, inner)
-    return composed if f == 1 else EgfSeries(c / f**m for m, c in enumerate(composed))
+    outer = _outer(order, x * f, p)
+    sums = (_sum_of_products(zip(outer, row)) for row in _power_rows(order, v, f))
+    return EgfSeries(sums if f == 1 else (c / f**n for n, c in enumerate(sums)))
 
 
 def touchard_eval(n: int, x, p, q) -> Fraction:
@@ -232,7 +258,7 @@ def taylor_oracle(x, p, q, order: int) -> list[Fraction]:
 
     Expands (1 + (1-p)x((1 + (1-q)t)^{1/(1-q)} - 1))^{1/(1-p)} with Miller's
     power recurrence, twice and entirely in integers (series._miller), so
-    it is independent of exp_q, the Bell table and the Stirling sums.  With
+    it is independent of exp_q, the power rows and the Stirling sums.  With
     1 - q = c/d, the inner series is w = (c/d)t: W_1 = c over D = d, and
     its scaled coefficients G_k give g_k = G_k / (k! (|c|d)^k).  With
     (1-p)x = P/Q, the outer w_k = (P/Q) g_k for k >= 1 is W_k / (k! D^k)

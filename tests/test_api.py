@@ -22,7 +22,6 @@ PUBLIC_API = (
     "count_partitions",
     "decompose",
     "dist_poly",
-    "egf_compose",
     "enumerate_partitions",
     "exp_q",
     "factorial",

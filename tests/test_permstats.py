@@ -14,6 +14,8 @@ from pqtouchard import (
     nse_perm,
     stirling1_unsigned,
 )
+from pqtouchard import partitions
+from pqtouchard.cli import main
 
 
 class TestDecompose:
@@ -105,3 +107,14 @@ class TestDistributions:
             nse_distribution(10)
         with pytest.raises(ValueError, match="positive"):
             ltr_max_distribution(0)
+
+    def test_budget_is_read_at_call_time(self, monkeypatch, capsys):
+        # 5! = 120 words: over a budget of 100 set after import
+        monkeypatch.setattr(partitions, "OBJECT_BUDGET", 100)
+        for scan in (nse_distribution, ltr_max_distribution):
+            with pytest.raises(ValueError, match="budget of 100 objects"):
+                scan(5)
+        assert main(["perm-stats", "--n", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "budget of 100 objects" in captured.err

@@ -1,21 +1,28 @@
-"""EGF container, Bell-polynomial composition, and the ordinary-series side."""
+"""EGF container, composition by powers of exp_q - 1, and the ordinary-series side."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pqtouchard import (
     EgfSeries,
     MultiPoly,
     bell,
-    egf_compose,
     exp_q,
     factorial,
     stirling2,
+    touchard_series,
 )
-from pqtouchard.series import _bell_table, _miller, _unscale
+from pqtouchard.series import _miller, _unscale
+from pqtouchard.tables import stirling2_row
+from pqtouchard.touchard import _power_rows
+
+X, P, Q = (MultiPoly.var(name) for name in "xpq")
+
+RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 
 
 def cauchy_product(a, b, order):
@@ -40,9 +47,38 @@ def repeated_product_power(s, alpha, order):
     return out
 
 
-def exp_series(order):
-    """Truncated e^t: every EGF coefficient is 1."""
-    return EgfSeries([1] * (order + 1))
+def bell_table(g):
+    """B[m][k] = B_{m,k}(g_1, g_2, ...) for 0 <= k <= m <= len(g), by
+    B_{m,k} = sum_j C(m-1, j-1) g_j B_{m-j, k-1}: the partial-Bell table the
+    composition route ran before composition by powers, kept here as the
+    reference for touchard_series."""
+    n = len(g)
+    table = [[0] * (n + 1) for _ in range(n + 1)]
+    table[0][0] = 1
+    for m in range(1, n + 1):
+        for k in range(1, m + 1):
+            table[m][k] = sum(
+                comb(m - 1, j - 1) * g[j - 1] * table[m - j][k - 1]
+                for j in range(1, m - k + 2)
+            )
+    return table
+
+
+def egf_compose(outer, inner):
+    """EGF coefficients of F(G(t)) through order min(order F, order G), for
+    G_0 = 0, by the partial-Bell table."""
+    n = min(len(outer), len(inner)) - 1
+    table = bell_table(inner[1 : n + 1])
+    return [outer[0]] + [
+        sum(outer[k] * table[m][k] for k in range(1, m + 1)) for m in range(1, n + 1)
+    ]
+
+
+def composed_by_bell_table(order, x, p, q):
+    """exp_p composed around x*(exp_q(t) - 1) by the reference, with no
+    integer scaling: the inner coefficients are x * Q_{j-1}(q) themselves."""
+    inner = [0] + [x * c for c in exp_q(order, q - 1)[1:]]
+    return egf_compose(exp_q(order, p - 1), inner)
 
 
 class TestEgfBasics:
@@ -54,38 +90,34 @@ class TestEgfBasics:
         assert list(s) == [1, 2, 3]
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="order-0 coefficient"):
             EgfSeries([])
-        for outer, inner in (([], [0]), ([1], []), ((), ())):
-            with pytest.raises(ValueError, match="order-0 coefficient"):
-                egf_compose(outer, inner)
 
 
 class TestPartialBell:
-    # the table egf_compose reads: entry [m][k] is B_{m,k}(g_1, g_2, ...)
+    # the reference table: entry [m][k] is B_{m,k}(g_1, g_2, ...)
     def test_small_values(self):
-        assert _bell_table([]) == [[1]]
-        assert _bell_table([1, 1, 1])[3][0] == 0
-        assert _bell_table([1, 1, 1])[3][2] == 3
-        assert _bell_table([1, 1, 1, 1])[4][2] == 7
+        assert bell_table([]) == [[1]]
+        assert bell_table([1, 1, 1])[3][0] == 0
+        assert bell_table([1, 1, 1])[3][2] == 3
+        assert bell_table([1, 1, 1, 1])[4][2] == 7
 
     def test_all_ones_gives_stirling2(self):
-        table = _bell_table([1] * 8)
+        table = bell_table([1] * 8)
         for n in range(9):
             for k in range(n + 1):
                 assert table[n][k] == stirling2(n, k)
 
     def test_diagonal_is_power(self):
         g1 = MultiPoly.var("q") + 1
-        assert _bell_table([g1, 5, 7, 9])[4][4] == g1**4
+        assert bell_table([g1, 5, 7, 9])[4][4] == g1**4
 
 
 class TestComposition:
+    # the reference composition touchard_series is checked against
     def test_bell_numbers(self):
-        # any sequences compose; the result is an EgfSeries
         composed = egf_compose((1,) * 9, [0] + [1] * 8)
-        assert isinstance(composed, EgfSeries)
-        assert list(composed) == [bell(n) for n in range(9)]
+        assert composed == [bell(n) for n in range(9)]
 
     def test_identity_inner(self):
         f = EgfSeries([5, -3, 7, 2])
@@ -102,10 +134,6 @@ class TestComposition:
         assert composed[1] == x
         assert composed[2] == MultiPoly.var("q") * x + MultiPoly.var("p") * x**2
 
-    def test_nonzero_constant_term_rejected(self):
-        with pytest.raises(ValueError, match="constant term"):
-            egf_compose(exp_series(3), exp_series(3))
-
     @given(
         st.lists(st.integers(-4, 4), min_size=7, max_size=7),
         st.lists(st.integers(-4, 4), min_size=6, max_size=6),
@@ -119,6 +147,43 @@ class TestComposition:
         left = egf_compose(egf_compose(outer, mid), inner)
         right = egf_compose(outer, egf_compose(mid, inner))
         assert left == right
+
+
+class TestCompositionByPowers:
+    # touchard_series: T_n = sum_k exp_p[k] x^k S(n,k) over the rows of
+    # (exp_q - 1)^k / k!, against the partial-Bell reference
+    def test_symbolic_matches_the_bell_table(self):
+        series = touchard_series(16)
+        assert isinstance(series, EgfSeries)
+        assert list(series) == composed_by_bell_table(16, X, P, Q)
+
+    @given(st.integers(0, 14), RATIONALS, RATIONALS, RATIONALS)
+    @example(9, Fraction(2, 3), Fraction(-4, 5), Fraction(1))
+    @example(9, Fraction(-2, 3), Fraction(1), Fraction(4, 5))
+    @example(9, Fraction(0), Fraction(3, 7), Fraction(9, 2))
+    @example(9, Fraction(5, 9), Fraction(1), Fraction(1))
+    @settings(max_examples=80, deadline=None)
+    def test_point_matches_the_bell_table(self, order, x, p, q):
+        expected = composed_by_bell_table(order, x, p, q)
+        assert list(touchard_series(order, x, p, q)) == expected
+
+    def test_rows_at_q_one_are_stirling2(self):
+        for n, row in enumerate(_power_rows(30, 0, 1)):
+            assert tuple(row) == stirling2_row(n)
+
+    @given(st.integers(0, 12), RATIONALS)
+    @settings(max_examples=40, deadline=None)
+    def test_rows_are_integer_scaled(self, order, q):
+        # U(n,k) = f^(n-k) S(n,k) with q - 1 = v/f: column 1 is exp_q - 1
+        # itself, f^(n-1) Q_{n-1}(q), and the diagonal is g_1^n = 1
+        v, f = (q - 1).as_integer_ratio()
+        at_q = exp_q(order, q - 1)
+        for n, row in enumerate(_power_rows(order, v, f)):
+            assert len(row) == n + 1
+            assert all(type(c) is int for c in row)
+            assert row[n] == 1
+            if n:
+                assert row[1] == f ** (n - 1) * at_q[n]
 
 
 def miller_power(W, D, alpha, order):

@@ -65,10 +65,14 @@ class TestDeformedExponential:
         with pytest.raises(ValueError):
             exp_q(-1, Q - 1)
 
-    def test_zero_denominator_refused(self):
-        # q - 1 = v/f has no value at f = 0
-        with pytest.raises(ValueError, match="f must be nonzero"):
-            exp_q(3, 2, 0)
+    def test_integer_point(self):
+        assert exp_q(3, 2) == [1, 1, 3, 15]
+        assert all(type(c) is int for c in exp_q(3, 2))
+
+    @pytest.mark.parametrize("v", [0.5, True, "q"], ids=["float", "bool", "str"])
+    def test_inexact_or_foreign_v_refused(self, v):
+        with pytest.raises(ValueError, match=f"got {type(v).__name__}$"):
+            exp_q(3, v)
 
     @given(st.integers(0, 12), RATIONALS)
     @settings(max_examples=40, deadline=None)
@@ -76,11 +80,6 @@ class TestDeformedExponential:
         symbolic = exp_q(order, Q - 1)
         at_q = exp_q(order, q - 1)
         assert [c.evaluate({"q": q}) for c in symbolic] == list(at_q)
-        # integers v/f = q - 1 scale coefficient n by f^(n-1)
-        v, f = (q - 1).as_integer_ratio()
-        scaled = exp_q(order, v, f)
-        assert all(type(c) is int for c in scaled)
-        assert list(scaled)[1:] == [f ** (n - 1) * at_q[n] for n in range(1, order + 1)]
 
 
 class TestOrderCheck:
@@ -179,6 +178,21 @@ class TestTouchardPoly:
             sub = touchard_poly(n)
             for route in ROUTES[1:]:
                 assert touchard_poly(n, route) == sub
+
+    def test_composition_sums_one_row(self, monkeypatch):
+        # the composition route reads row n of the power rows alone; it
+        # neither builds the series T_0..T_n nor reads another route
+        by_other_routes = [
+            (touchard_poly(n), touchard_poly(n, "explicit")) for n in range(25)
+        ]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the series was built")
+
+        monkeypatch.setattr(touchard, "touchard_series", refuse)
+        touchard_poly.cache_clear()
+        for n, (by_subst, by_sum) in enumerate(by_other_routes):
+            assert touchard_poly(n, "composition") == by_subst == by_sum, n
 
     def test_validation(self):
         with pytest.raises(ValueError, match="route"):
