@@ -183,8 +183,7 @@ def _cmd_table(args) -> _Output:
 
 # T_n has at most n(n+1)(n+2)/6 terms, one per x^k p^m q^l with m < k and
 # l <= n - k.  The largest n within this budget, 95, is built and written in
-# about 1.3 s and 143 MB on the slowest route (substitution, the default) and
-# in under 1 s and 114 MB on the other two (cold process, --out, 2-vCPU VM).
+# 0.85-1.25 s and 112-114 MB on each route (cold process, --out, 2-vCPU VM).
 EXPAND_TERM_BUDGET = 150_000
 
 
@@ -265,7 +264,8 @@ def _dist_grid_rows(n, k, poly):
 
 def _cmd_dist(args) -> _Output:
     _check_n(args.n)
-    formula = touchard.s_uv(args.n, args.k)
+    report = touchard.stat_report(args.n, args.k, force=args.force) if args.oracle else None
+    formula = report.formula if args.oracle else touchard.s_uv(args.n, args.k)
     grid = partial(_dist_grid_rows, args.n, args.k, formula)
     if not args.oracle:
         return _Output(
@@ -273,7 +273,6 @@ def _cmd_dist(args) -> _Output:
             grid,
             lambda: [formula],
         )
-    report = touchard.stat_report(args.n, args.k, force=args.force)
     failed = ", ".join(name for name, ok in report.checks if not ok)
     if failed:
         print(f"verification failed: {failed}", file=sys.stderr)

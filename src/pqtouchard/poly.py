@@ -41,6 +41,16 @@ def _coerce(value) -> "MultiPoly":
     raise TypeError(f"cannot treat {type(value).__name__} as a polynomial")
 
 
+def _exact(value, name: str, symbolic: bool = False):
+    """value if an int (not a bool), a Fraction or, when symbolic, a MultiPoly:
+    Fraction() would take a float at its binary value and a bool as 0 or 1."""
+    kinds = (int, Fraction, MultiPoly) if symbolic else (int, Fraction)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        allowed = "an int, a Fraction or a MultiPoly" if symbolic else "an int or a Fraction"
+        raise ValueError(f"{name} must be {allowed}, got {type(value).__name__}")
+    return value
+
+
 def _wrap(terms: Mapping[tuple[int, ...], int]) -> "MultiPoly":
     """The polynomial of a term map with 5-slot keys, without zero
     coefficients; nothing else is checked."""
@@ -236,11 +246,12 @@ class MultiPoly:
     # -- evaluation and substitution ----------------------------------------
 
     def evaluate(self, assignment: Mapping[str, Fraction | int]) -> Fraction:
-        """Exact value at the given point; every variable present must be assigned."""
+        """Exact value at a point of ints and Fractions, one for each variable present."""
         used = self.variables
         for name in used:
             if name not in assignment:
                 raise ValueError(f"no value given for variable {name!r}")
+            _exact(assignment[name], name)
         point = [Fraction(assignment[n]) if n in used else Fraction(1) for n in VAR_ORDER]
         # integers over one common denominator: with value a/b and top degree
         # d in a slot, exponent e there contributes a^e * b^(d-e) over b^d

@@ -35,12 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate, count, islice, repeat
+from itertools import accumulate, count, islice, product, repeat
 from math import comb
 from operator import mul
 
 from .partitions import _check_size, count_partitions, dist_poly
-from .poly import MultiPoly, _sum_of_products, _wrap
+from .poly import MultiPoly, _exact, _sum_of_products, _wrap
 from .series import EgfSeries, _miller, _unscale
 from .tables import (
     _check_n,
@@ -68,10 +68,7 @@ def exp_q(order: int, v) -> EgfSeries:
     all 1 (e^t) for v = 0.  Any other v (a float, a bool) is refused.
     """
     _check_n(order, "order")
-    if isinstance(v, bool) or not isinstance(v, (int, Fraction, MultiPoly)):
-        raise ValueError(
-            f"v must be an int, a Fraction or a MultiPoly, got {type(v).__name__}"
-        )
+    _exact(v, "v", symbolic=True)
     one = v**0  # the ring's 1: a constant polynomial for a polynomial v
     coeffs = [one, one][: order + 1]
     factor = 1
@@ -79,11 +76,6 @@ def exp_q(order: int, v) -> EgfSeries:
         factor = factor + v
         coeffs.append(coeffs[-1] * factor)
     return EgfSeries(coeffs)
-
-
-# functools.cache, but keyed by type as well: 2.0 or True must not find the
-# entry of 2 or 1 and skip the argument check
-_cache = lru_cache(maxsize=None, typed=True)
 
 
 def _factors(n: int, k: int) -> tuple[MultiPoly, MultiPoly]:
@@ -104,7 +96,6 @@ def _factors(n: int, k: int) -> tuple[MultiPoly, MultiPoly]:
     return _wrap(a), _wrap(b)
 
 
-@_cache
 def s_uv(n: int, k: int) -> MultiPoly:
     """Closed form of the joint nsb/nse distribution over lists of lists.
 
@@ -117,7 +108,6 @@ def s_uv(n: int, k: int) -> MultiPoly:
     return a * b
 
 
-@_cache
 def s_pq(n: int, k: int) -> MultiPoly:
     """Connection coefficients of T_n: s_uv at u = p-1, v = q-1.
 
@@ -128,7 +118,9 @@ def s_pq(n: int, k: int) -> MultiPoly:
     return a.substitute("v", Q - 1) * b.substitute("u", P - 1)
 
 
-@_cache
+# functools.cache, but keyed by type as well: 2.0 or True must not find the
+# entry of 2 or 1 and skip the argument check
+@lru_cache(maxsize=None, typed=True)
 def touchard_poly(n: int, route: str = "substitution") -> MultiPoly:
     """T_n(x;p,q) as an exact polynomial; all routes agree.
 
@@ -213,6 +205,8 @@ def touchard_series(order: int, x=X, p=P, q=Q) -> EgfSeries:
     coefficients and 1/f^n onto entry n.
     """
     _check_n(order, "order")
+    for a, name in zip((x, p, q), "xpq"):
+        _exact(a, name, symbolic=True)
     symbolic = [isinstance(a, MultiPoly) for a in (x, p, q)]
     if any(symbolic) and not all(symbolic):
         raise ValueError("x, p and q must be either all symbolic or all rational")
@@ -232,7 +226,8 @@ def touchard_eval(n: int, x, p, q) -> Fraction:
     terms: O(n^2) big-integer operations on the Stirling tables.
     """
     _check_n(n)
-    x, u, v = Fraction(x), Fraction(p) - 1, Fraction(q) - 1
+    # an int has a numerator and a denominator too: no Fraction is needed
+    x, u, v = _exact(x, "x"), _exact(p, "p") - 1, _exact(q, "q") - 1
     a, b = x.numerator, x.denominator
     c, d = u.numerator, u.denominator
     e, f = v.numerator, v.denominator
@@ -266,7 +261,7 @@ def taylor_oracle(x, p, q, order: int) -> list[Fraction]:
     classical limits live on the series route instead.
     """
     _check_n(order, "order")
-    x, p, q = Fraction(x), Fraction(p), Fraction(q)
+    x, p, q = Fraction(_exact(x, "x")), Fraction(_exact(p, "p")), Fraction(_exact(q, "q"))
     if p == 1 or q == 1:
         raise ValueError(
             "taylor_oracle needs p != 1 and q != 1 (rational exponents "
@@ -352,34 +347,31 @@ class VerificationReport:
         return text
 
 
-class _Run:
-    def __init__(self):
-        self.cells: list[tuple[str, bool]] = []
-        self.first: str | None = None
-
-    def check(self, label: str, ok: bool, detail: str = ""):
-        self.cells.append((label, ok))
-        if not ok and self.first is None:
-            self.first = f"{label}: {detail}" if detail else label
+# Each checker yields (label, failure) per cell: failure is None for a
+# passing cell, and its text is built only for a failing one.
 
 
-def _verify_stirling12(run: _Run, n_max: int, force: bool):
+def _unequal(lhs, rhs) -> str | None:
+    return None if lhs == rhs else f"{lhs} != {rhs}"
+
+
+def _verify_stirling12(n_max: int, force: bool):
     for n in range(1, n_max + 1):
         for k in range(1, n + 1):
             lhs = sum(stirling1_unsigned(n, l) * stirling2(l, k) for l in range(n + 1))
             rhs = factorial(n) // factorial(k) * binomial(n - 1, k - 1)
-            run.check(f"n={n},k={k}", lhs == rhs, f"{lhs} != {rhs}")
+            yield f"n={n},k={k}", _unequal(lhs, rhs)
 
 
-def _verify_orthogonality(run: _Run, n_max: int, force: bool):
+def _verify_orthogonality(n_max: int, force: bool):
     for n in range(n_max + 1):
         for k in range(n + 1):
             lhs = sum(stirling1_signed(n, l) * stirling2(l, k) for l in range(n + 1))
             rhs = 1 if n == k else 0
-            run.check(f"n={n},k={k}", lhs == rhs, f"{lhs} != {rhs}")
+            yield f"n={n},k={k}", _unequal(lhs, rhs)
 
 
-def _verify_slp_count(run: _Run, n_max: int, force: bool):
+def _verify_slp_count(n_max: int, force: bool):
     for n in range(1, n_max + 1):
         for k in range(1, n + 1):
             slice_sum = sum(
@@ -387,10 +379,10 @@ def _verify_slp_count(run: _Run, n_max: int, force: bool):
                 for j in range(n - k + 1)
             )
             expected = count_partitions(n, k, "slp")
-            run.check(f"n={n},k={k}", slice_sum == expected, f"{slice_sum} != {expected}")
+            yield f"n={n},k={k}", _unequal(slice_sum, expected)
 
 
-def _verify_enumeration(flavor: str, zero, run: _Run, n_max: int, force: bool):
+def _verify_enumeration(flavor: str, zero, n_max: int, force: bool):
     # a flavor's tally is s_uv at zero = 0 (lsp has nse = 0, slp nsb = 0);
     # every cell is checked against the budget before the first is enumerated
     cells = [(n, k) for n in range(1, n_max + 1) for k in range(1, n + 1)]
@@ -399,24 +391,19 @@ def _verify_enumeration(flavor: str, zero, run: _Run, n_max: int, force: bool):
     for n, k in cells:
         enumerated = dist_poly(n, k, force=force, flavor=flavor)
         closed = s_uv(n, k) if zero is None else s_uv(n, k).coefficient(zero, 0)
-        run.check(
-            f"n={n},k={k}",
-            enumerated == closed,
-            f"enumeration {enumerated} != formula {closed}",
+        yield f"n={n},k={k}", None if enumerated == closed else (
+            f"enumeration {enumerated} != formula {closed}"
         )
 
 
-def _verify_series_vs_explicit(run: _Run, n_max: int, force: bool):
+def _verify_series_vs_explicit(n_max: int, force: bool):
     series = touchard_series(n_max)
     for n in range(n_max + 1):
         by_series = series[n]
         by_sum = _explicit_poly(n) if n else MultiPoly.const(1)
         by_subst = touchard_poly(n)
-        ok = by_series == by_sum == by_subst
-        run.check(
-            f"n={n}",
-            ok,
-            f"series {by_series} / explicit {by_sum} / substitution {by_subst}",
+        yield f"n={n}", None if by_series == by_sum == by_subst else (
+            f"series {by_series} / explicit {by_sum} / substitution {by_subst}"
         )
 
 
@@ -427,17 +414,14 @@ ORACLE_GRID = {
 }
 
 
-def _verify_points(run: _Run, grid, first_mismatch):
+def _verify_points(grid, first_mismatch):
     # one cell per point; first_mismatch(x, p, q) describes the first entry
     # at which two routes disagree there, or gives None
-    for x in grid["x"]:
-        for p in grid["p"]:
-            for q in grid["q"]:
-                bad = first_mismatch(x, p, q)
-                run.check(f"x={x},p={p},q={q}", bad is None, bad or "")
+    for x, p, q in product(grid["x"], grid["p"], grid["q"]):
+        yield f"x={x},p={p},q={q}", first_mismatch(x, p, q)
 
 
-def _verify_oracle_vs_eval(grid, run: _Run, n_max: int, force: bool):
+def _verify_oracle_vs_eval(grid, n_max: int, force: bool):
     # taylor_oracle against both scalar routes, the sum and the composition
     def first_mismatch(x, p, q):
         coeffs = taylor_oracle(x, p, q, n_max)
@@ -451,7 +435,7 @@ def _verify_oracle_vs_eval(grid, run: _Run, n_max: int, force: bool):
                 return f"entry {n}: composition {composed[n]} != sum {by_sum}"
         return None
 
-    _verify_points(run, grid, first_mismatch)
+    yield from _verify_points(grid, first_mismatch)
 
 
 # ORACLE_GRID with the classical corners p = 1 and q = 1, where the oracle
@@ -463,7 +447,7 @@ EVAL_GRID = {
 }
 
 
-def _verify_eval_vs_poly(grid, run: _Run, n_max: int, force: bool):
+def _verify_eval_vs_poly(grid, n_max: int, force: bool):
     def first_mismatch(x, p, q):
         for n in range(n_max + 1):
             by_sum = touchard_eval(n, x, p, q)
@@ -472,7 +456,7 @@ def _verify_eval_vs_poly(grid, run: _Run, n_max: int, force: bool):
                 return f"entry {n}: sum {by_sum} != polynomial {by_poly}"
         return None
 
-    _verify_points(run, grid, first_mismatch)
+    yield from _verify_points(grid, first_mismatch)
 
 
 # name: (checker, default n_max)
@@ -507,6 +491,9 @@ def verify_identity(
     if n_max is None:
         n_max = default_n
     _check_n(n_max, "n_max")
-    run = _Run()
-    checker(run, n_max, force)
-    return VerificationReport(name, n_max, tuple(run.cells), run.first)
+    cells, first = [], None
+    for label, failure in checker(n_max, force):
+        cells.append((label, failure is None))
+        if first is None and failure is not None:
+            first = f"{label}: {failure}"
+    return VerificationReport(name, n_max, tuple(cells), first)

@@ -1,6 +1,9 @@
 """The public API, pinned: a change to it must edit this list on purpose."""
 
 import importlib
+import subprocess
+import sys
+from pathlib import Path
 
 import pqtouchard
 
@@ -68,3 +71,15 @@ def test_names_the_benchmark_reaches_resolve():
     assert isinstance(series, pqtouchard.EgfSeries)
     assert type(series)(list(series)) == series
     assert callable(pqtouchard.touchard.touchard_poly.cache_info)
+
+
+def test_benchmark_self_test_passes():
+    # perfbench's checkers read the names, types and outputs of the package;
+    # its self-test runs each workload once and requires a corrupted result
+    # of each kind of operation to be counted as a failure
+    root = Path(__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--self-test"],
+        cwd=root, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr

@@ -101,6 +101,25 @@ class TestOrderCheck:
             self.CALLS[name](order)
 
 
+class TestInexactPointRefused:
+    # Fraction() would take 0.1 at its binary value and True as 1; exp_q's
+    # refusal is tested in TestDeformedExponential
+    CALLS = {
+        "touchard_eval": ("q", lambda a: touchard_eval(2, 1, 2, a)),
+        "touchard_series_at_a_point": ("p", lambda a: touchard_series(2, 1, a, 3)),
+        "taylor_oracle": ("x", lambda a: taylor_oracle(a, 2, 3, 2)),
+        "MultiPoly.evaluate": ("x", lambda a: (X + P).evaluate({"x": a, "p": 1})),
+    }
+
+    @pytest.mark.parametrize("value", [0.1, True, "1/2"], ids=["float", "bool", "str"])
+    @pytest.mark.parametrize("name", CALLS)
+    def test_refused(self, name, value):
+        arg, call = self.CALLS[name]
+        refusal = rf"^{arg} must be an int.* a Fraction.*, got {type(value).__name__}$"
+        with pytest.raises(ValueError, match=refusal):
+            call(value)
+
+
 class TestConnectionCoefficients:
     def test_small_uv(self):
         assert s_uv(0, 0) == 1
@@ -117,7 +136,8 @@ class TestConnectionCoefficients:
 
     @pytest.mark.parametrize("n,k", [(2.0, 1), (2, 1.0), (True, 1), (-1.5, 0)])
     def test_non_integer_is_refused(self, n, k):
-        # the cached entries of (2, 1) and (1, 1) must not answer for these
+        # were s_uv or s_pq cached, the entries of (2, 1) and (1, 1) must not
+        # answer for these
         s_pq(2, 1), s_pq(1, 1)
         name, value = ("k", k) if isinstance(k, float) else ("n", n)
         refusal = f"{name} must be a nonnegative integer, got {value}"
@@ -484,6 +504,56 @@ class TestVerifyIdentity:
         report = verify_identity("oracle-vs-eval", n_max=5)
         assert report.failures == len(report.cells) == 48
         assert report.first_counterexample.startswith(f"x=1/2,p=-1,q=-1: entry 3: {name} ")
+
+    @pytest.mark.parametrize(
+        "name", ["series-vs-explicit", "llp-grid", "lsp-slice", "slp-slice", "eval-vs-poly"]
+    )
+    def test_passing_cells_format_nothing(self, monkeypatch, name):
+        def refuse(poly):
+            raise AssertionError("a passing cell formatted a polynomial")
+
+        monkeypatch.setattr(MultiPoly, "__str__", refuse)
+        assert verify_identity(name, n_max=self.SMALL[name]).passed
+
+    # one injected fault per checker family: the touchard attribute it
+    # patches and a wrapper that puts it in
+    TABLE = ("stirling2", lambda f: lambda n, k: f(n, k) + ((n, k) == (3, 2)))
+    ENUMERATION = (
+        "dist_poly",
+        lambda f: lambda n, k, **kw: f(n, k, **kw) + (V if (n, k) == (3, 2) else 0),
+    )
+    EXPLICIT = ("_explicit_poly", lambda f: lambda n: f(n) + (X if n == 3 else 0))
+    POLY = ("touchard_poly", lambda f: lambda n: f(n) + (X if n == 2 else 0))
+    # (fault, identity, n_max, cells, failures, first counterexample)
+    FAULTS = [
+        (TABLE, "stirling12", 5, 15, 3, "n=3,k=2: 7 != 6"),
+        (TABLE, "orthogonality", 5, 21, 3, "n=3,k=2: 1 != 0"),
+        (TABLE, "slp-count", 5, 15, 3, "n=3,k=2: 7 != 6"),
+        (ENUMERATION, "llp-grid", 4, 10, 1,
+         "n=3,k=2: enumeration 3 + 3*u + 4*v + 3*u*v != formula 3 + 3*u + 3*v + 3*u*v"),
+        (ENUMERATION, "lsp-slice", 4, 10, 1,
+         "n=3,k=2: enumeration 3 + 3*u + v != formula 3 + 3*u"),
+        (ENUMERATION, "slp-slice", 4, 10, 1,
+         "n=3,k=2: enumeration 3 + 4*v != formula 3 + 3*v"),
+        (EXPLICIT, "series-vs-explicit", 5, 6, 1,
+         "n=3: series -q*x + 2*q^2*x - p*x^3 + 3*p*q*x^2 + 2*p^2*x^3"
+         " / explicit x - q*x + 2*q^2*x - p*x^3 + 3*p*q*x^2 + 2*p^2*x^3"
+         " / substitution -q*x + 2*q^2*x - p*x^3 + 3*p*q*x^2 + 2*p^2*x^3"),
+        (POLY, "eval-vs-poly", 3, 75, 75,
+         "x=1/2,p=-1,q=-1: entry 2: sum -3/4 != polynomial -1/4"),
+    ]
+
+    @pytest.mark.parametrize(
+        "fault,name,n_max,cells,failures,first", FAULTS, ids=[f[1] for f in FAULTS]
+    )
+    def test_injected_fault_is_described(
+        self, monkeypatch, fault, name, n_max, cells, failures, first
+    ):
+        attr, wrap = fault
+        monkeypatch.setattr(touchard, attr, wrap(getattr(touchard, attr)))
+        report = verify_identity(name, n_max)
+        assert (len(report.cells), report.failures) == (cells, failures)
+        assert report.first_counterexample == first
 
     def test_unknown_identity(self):
         with pytest.raises(ValueError, match="stirling12"):
