@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, islice
+from math import lgamma, log, log10
 
 from . import partitions, permstats, touchard
 from .partitions import nsb, nse
@@ -143,10 +144,47 @@ def _value_output(n: int, inputs: dict, value, check=None) -> _Output:
     return _Output(lambda: payload, lambda: [header, row], lambda: lines, status)
 
 
+# Digits `table` may print without --force.  The bound below stays within it
+# up to nmax = 359 for the Stirling triangles and bell, 690 for binomial, 345
+# for q-product and 3,973 for factorial, and at 300 for every name.  At those
+# edges every name ran in at most 1.3 s and 93 MB peak RSS in each format
+# (the largest, q-product --format json, wrote 35 MB in 1.2 s; factorial
+# stops with an error from nmax = 1,559, where a value passes the
+# interpreter's 4,300-digit limit for printing an int), measured as cold
+# processes with --out on a 2-vCPU VM.  stirling2 at nmax = 1500, which wrote
+# 1.48 GB in 55 s at 715 MB, is refused.
+TABLE_DIGIT_BUDGET = 50_000_000
+
+
+def _table_digits(name: str, nmax: int) -> int:
+    """An upper bound on the digits of rows 0..nmax, from a bound on the
+    largest entry of row nmax, so no entry is computed: C(n,k) <= 2^n;
+    c(n,k) <= n! (row n sums to n!); S(n,k) <= B(n) <= n! (a set partition
+    read as a permutation of cycles); the coefficients of Q_n are at most
+    (2n-1)!! <= 2^n n! in size.  factorial prints one number per row; bell
+    prints one too, but grows and holds the Stirling-2 triangle, so it
+    counts that."""
+    log_factorial, log_power = lgamma(nmax + 1) / log(10), nmax * log10(2)
+    log_top = {"binomial": log_power, "q-product": log_power + log_factorial}.get(
+        name, log_factorial
+    )
+    numbers = nmax + 1 if name == "factorial" else (nmax + 1) * (nmax + 2) // 2
+    return numbers * (int(log_top) + 1)
+
+
 def _cmd_table(args) -> _Output:
     if args.nmax < 0:
         raise ValueError("--nmax must be nonnegative")
     name, nmax = args.name, args.nmax
+    try:
+        digits = _table_digits(name, nmax)
+    except OverflowError:
+        raise ValueError(f"--nmax {nmax} is too large to print") from None
+    if digits > TABLE_DIGIT_BUDGET and not args.force:
+        raise ValueError(
+            f"table {name} for nmax={nmax} prints up to {partitions._size(digits)} "
+            f"digits, over the budget of {TABLE_DIGIT_BUDGET}; pass --force to run it anyway"
+        )
     if name in _TRIANGLES:
         fn = _TRIANGLES[name]
         rows = [[fn(n, k) for k in range(n + 1)] for n in range(nmax + 1)]
@@ -376,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
-    p = add("table", "print a number table", _cmd_table)
+    p = add("table", "print a number table", _cmd_table, force=True)
     p.add_argument(
         "--name", required=True,
         choices=tuple(_TRIANGLES) + tuple(_SEQUENCES) + ("q-product",),

@@ -68,22 +68,14 @@ def _add_products(out: dict, ta: Mapping, tb: Mapping) -> None:
             out[key] = get(key, 0) + ca * cb
 
 
-def _sum_of_products(pairs):
-    """The sum of a*b over the (a, b) pairs, a fused multiply-add: products
-    with a polynomial factor go into one term map, with no partial sum
-    copied, and products of two numbers (ints, Fractions) add up plainly."""
-    terms = None
-    total = 0
+def _sum_of_products(pairs) -> "MultiPoly":
+    """The sum of a*b over the (a, b) pairs of polynomials, a fused
+    multiply-add: every product goes into one term map, with no partial sum
+    copied."""
+    terms: dict[tuple[int, ...], int] = {}
     for a, b in pairs:
-        if isinstance(a, MultiPoly) or isinstance(b, MultiPoly):
-            if terms is None:
-                terms = {}
-            _add_products(terms, _coerce(a).terms, _coerce(b).terms)
-        else:
-            total += a * b
-    if terms is None:
-        return total
-    return _wrap(terms) + total if total else _wrap(terms)
+        _add_products(terms, a.terms, b.terms)
+    return _wrap(terms)
 
 
 class MultiPoly:

@@ -12,8 +12,11 @@ Three independent routes compute the same polynomials:
                  O(n^3) integer products instead of O(n^5)
   composition    exp_p(x*(exp_q(t) - 1)) composed by powers:
                  T_n = sum_k exp_p[k] x^k S(n,k), with S(n,k) the
-                 coefficients of (exp_q(t) - 1)^k / k!, whose rows grow by
-                 a two-term step (_power_rows); only row n is built
+                 coefficients of (exp_q(t) - 1)^k / k!, Carlitz's degenerate
+                 Stirling numbers, whose rows grow by a two-term step on
+                 integer coefficient lists in q (_power_rows); column 1 is
+                 exp_q - 1, so exp_p[k] = Q_{k-1}(p) is read from it, and
+                 only row n is built
 
 Two scalar routes give T_n at one rational point without building a
 polynomial:
@@ -22,7 +25,7 @@ polynomial:
                       common denominator, in O(n^2) integer operations
   scalar composition  touchard_series(order, x, p, q): the composition route
                       itself, its rows run at the point on integers, giving
-                      T_0..T_N
+                      T_0..T_N with one Fraction per entry
 
 plus a numeric-only oracle (taylor_oracle) that expands the same closed
 form as an ordinary power series with rational binomial exponents, by
@@ -137,8 +140,7 @@ def touchard_poly(n: int, route: str = "substitution") -> MultiPoly:
         )
     if route == "composition":
         # row n alone: each row before it is dropped once the next is built
-        row = next(islice(_power_rows(n, Q - 1, 1), n, None))
-        return _sum_of_products(zip(_outer(n, X, P), row))
+        return _row_terms(*next(islice(_symbolic_rows(n), n, None)))
     return _explicit_poly(n)
 
 
@@ -170,27 +172,53 @@ def _explicit_poly(n: int) -> MultiPoly:
     return _wrap(terms)
 
 
-def _power_rows(order: int, v, f: int):
+def _power_rows(order: int, v0: int, v1: int, f: int):
     """Rows n = 0..order of U(n,k) = f^(n-k) * S(n,k), k = 0..n, where
-    S(n,k) = [t^n/n!] (exp_q(t) - 1)^k / k! and q - 1 = v/f.
+    S(n,k) = [t^n/n!] (exp_q(t) - 1)^k / k! and q - 1 = (v0 + v1*q) / f,
+    each U(n,k) the integer coefficient list of a polynomial in q.
 
     (1 + (1-q)t) * exp_q' = exp_q gives Carlitz's degenerate Stirling step
     S(n+1,k) = (k + n(q-1)) * S(n,k) + S(n,k-1) from S(0,.) = [1], which
-    scales to U(n+1,k) = (k*f + n*v) * U(n,k) + U(n,k-1): integers at a
-    rational q, polynomials for v = q - 1 symbolic (f = 1), and the
-    Stirling-2 rows at q = 1.
+    scales to U(n+1,k) = (k*f + n*v) * U(n,k) + U(n,k-1) with v = v0 + v1*q.
+    Symbolic q is (v0, v1, f) = (-1, 1, 1): U(n,k) = S(n,k) has degree
+    n - k in q, so n - k + 1 coefficients.  A rational point q - 1 = e/f is
+    (e, 0, f), and every list has one entry.  At q = 1 the rows are the
+    Stirling-2 rows, and column 1 is exp_q - 1: f^(n-1) * Q_{n-1}(q).
     """
-    row = [1]
+    row = [[1]]
     for n in range(order + 1):
         yield row
-        nv = n * v
-        row = [(k * f + nv) * a + b for k, a, b in zip(count(), row + [0], [0] + row)]
+        shift = n * v1
+        # U(n,-1) = 0 as long as U(n+1,0); U(n,n+1) = 0 is the empty list
+        zero = [0] * (n + 2 if v1 else 1)
+        row = [
+            [c * a + shift * b + u for a, b, u in zip(us + [0], [0] + us, lower)]
+            for c, us, lower in zip(count(n * v0, f), row + [[]], [zero] + row)
+        ]
 
 
-def _outer(order: int, x, p) -> list:
-    """exp_p[k] * x^k for k = 0..order."""
-    powers = accumulate(repeat(x, order), mul, initial=1)
-    return list(map(mul, exp_q(order, p - 1), powers))
+def _symbolic_rows(order: int):
+    """(alpha, row) for n = 0..order: row n of the symbolic power rows, and
+    alpha[k] the coefficient list in p of exp_p[k] = Q_{k-1}(p), k = 0..n
+    (one list, grown in place).  Column 1 of row k is Q_{k-1}(q) (k >= 1),
+    read here as a list in p, so no second product loop runs; exp_p[0] = 1."""
+    alpha = []
+    for n, row in enumerate(_power_rows(order, -1, 1, 1)):
+        alpha.append(row[1] if n else [1])
+        yield alpha, row
+
+
+def _row_terms(alpha, row) -> MultiPoly:
+    """T_n from row n: the coefficient of x^k p^m q^l is alpha_{k,m} * U(n,k)_l,
+    written straight into one term map."""
+    return _wrap(
+        {
+            (k, m, l, 0, 0): a * u
+            for k, (coeffs, us) in enumerate(zip(alpha, row))
+            for m, a in enumerate(coeffs)
+            for l, u in enumerate(us)
+        }
+    )
 
 
 def touchard_series(order: int, x=X, p=P, q=Q) -> EgfSeries:
@@ -198,11 +226,14 @@ def touchard_series(order: int, x=X, p=P, q=Q) -> EgfSeries:
 
     x, p, q are either the variables themselves (the default), giving the
     polynomials T_0..T_order, or rationals, giving their values at that
-    point without a polynomial.  Composition by powers: with
-    S(n,k) = [t^n/n!] (exp_q(t) - 1)^k / k!, T_n = sum_k exp_p[k] x^k S(n,k).
-    With q - 1 = v/f (f = 1 for a polynomial q) the rows run on
-    U(n,k) = f^(n-k) S(n,k) (_power_rows), so (x*f)^k goes into the outer
-    coefficients and 1/f^n onto entry n.
+    point without a polynomial; any other polynomial is refused.
+    Composition by powers: with S(n,k) = [t^n/n!] (exp_q(t) - 1)^k / k!,
+    T_n = sum_k exp_p[k] x^k S(n,k), over the power rows (_power_rows) on
+    integers.  Symbolic: the coefficient of x^k p^m q^l is
+    alpha_{k,m} * U(n,k)_l (_row_terms).  At x = a/b, p - 1 = c/d and
+    q - 1 = e/f, exp_p[k] (x*f)^k = N_k / (b*d)^k with N_0 = 1 and
+    N_k = (a*f)^k * d * prod_{0<m<k} (d + m*c), so entry n is
+    sum_k N_k (b*d)^(n-k) U(n,k) over (b*d)^n f^n: one Fraction per entry.
     """
     _check_n(order, "order")
     for a, name in zip((x, p, q), "xpq"):
@@ -210,11 +241,26 @@ def touchard_series(order: int, x=X, p=P, q=Q) -> EgfSeries:
     symbolic = [isinstance(a, MultiPoly) for a in (x, p, q)]
     if any(symbolic) and not all(symbolic):
         raise ValueError("x, p and q must be either all symbolic or all rational")
-    x, p, q = (a if isinstance(a, MultiPoly) else Fraction(a) for a in (x, p, q))
-    v, f = (q - 1, 1) if isinstance(q, MultiPoly) else (q - 1).as_integer_ratio()
-    outer = _outer(order, x * f, p)
-    sums = (_sum_of_products(zip(outer, row)) for row in _power_rows(order, v, f))
-    return EgfSeries(sums if f == 1 else (c / f**n for n, c in enumerate(sums)))
+    if all(symbolic):
+        if (x, p, q) != (X, P, Q):
+            raise ValueError(
+                "symbolic x, p and q must be the variables x, p and q themselves"
+            )
+        return EgfSeries(_row_terms(*pair) for pair in _symbolic_rows(order))
+    a, b = x.as_integer_ratio()
+    c, d = (p - 1).as_integer_ratio()
+    e, f = (q - 1).as_integer_ratio()
+    bd = b * d
+    weights = list(
+        accumulate((a * f * (d + m * c) for m in range(order)), mul, initial=1)
+    )
+    series = []
+    for n, row in enumerate(_power_rows(order, e, 0, f)):
+        total = 0  # sum_k N_k (b*d)^(n-k) U(n,k), by Horner's rule in b*d
+        for w, (u,) in zip(weights, row):
+            total = total * bd + w * u
+        series.append(Fraction(total, (bd * f) ** n))
+    return EgfSeries(series)
 
 
 def touchard_eval(n: int, x, p, q) -> Fraction:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from pqtouchard import MultiPoly, VerificationReport, s_uv, touchard_poly
+from pqtouchard import MultiPoly, VerificationReport, exp_q, s_uv, touchard_poly
 from pqtouchard import cli, partitions, touchard
 from pqtouchard.cli import main
 
@@ -355,6 +355,70 @@ class TestTable:
         assert values[30] == "846749014511809332450147"
 
 
+    def test_large_table_is_refused_at_once(self):
+        # a subprocess, as a user runs it: the digit bound refuses before any
+        # row is grown (this table wrote 1.48 GB before the budget)
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "pqtouchard.cli", "table", "--name", "stirling2",
+             "--nmax", "1500"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+        assert time.perf_counter() - start < 10
+        assert (result.returncode, result.stdout) == (2, "")
+        assert "table stirling2 for nmax=1500 prints up to 4638637865 digits" in result.stderr
+        assert f"budget of {cli.TABLE_DIGIT_BUDGET}; pass --force" in result.stderr
+
+    def test_budget_edge(self, capsys, monkeypatch):
+        # binomial rows 0..3 are 10 one-digit numbers; rows 0..4 are bounded
+        # by 15 numbers of at most 2 digits (2^4 = 16)
+        monkeypatch.setattr(cli, "TABLE_DIGIT_BUDGET", 10)
+        assert run(capsys, "table", "--name", "binomial", "--nmax", "3")[:2] == (
+            0, "1\n1 1\n1 2 1\n1 3 3 1\n"
+        )
+        status, out, err = run(capsys, "table", "--name", "binomial", "--nmax", "4")
+        assert (status, out) == (2, "")
+        assert "table binomial for nmax=4 prints up to 30 digits, over the budget of 10" in err
+
+    def test_documented_edges(self):
+        # the largest nmax each name may print without --force, as the
+        # comment at TABLE_DIGIT_BUDGET states them; 300 fits for every name
+        edges = {"binomial": 690, "q-product": 345, "factorial": 3973}
+        for name in (*cli._TRIANGLES, *cli._SEQUENCES, "q-product"):
+            edge = edges.get(name, 359)
+            assert cli._table_digits(name, 300) <= cli.TABLE_DIGIT_BUDGET, name
+            assert cli._table_digits(name, edge) <= cli.TABLE_DIGIT_BUDGET, name
+            assert cli._table_digits(name, edge + 1) > cli.TABLE_DIGIT_BUDGET, name
+
+    def test_bound_covers_the_printed_numbers(self):
+        def digits(values):
+            return sum(len(str(abs(v))) for v in values)
+
+        for nmax in range(40):
+            for name, fn in cli._TRIANGLES.items():
+                printed = digits(fn(n, k) for n in range(nmax + 1) for k in range(n + 1))
+                assert printed <= cli._table_digits(name, nmax), (name, nmax)
+            for name, fn in cli._SEQUENCES.items():
+                printed = digits(fn(n) for n in range(nmax + 1))
+                assert printed <= cli._table_digits(name, nmax), (name, nmax)
+            polys = exp_q(nmax + 1, MultiPoly.var("q") - 1)[1:]
+            printed = digits(c for poly in polys for c in poly.terms.values())
+            assert printed <= cli._table_digits("q-product", nmax), nmax
+
+    def test_force_lifts_the_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "TABLE_DIGIT_BUDGET", 1)
+        status, out, err = run(capsys, "table", "--name", "bell", "--nmax", "3")
+        assert (status, out) == (2, "") and "pass --force" in err
+        argv = ("table", "--name", "bell", "--nmax", "3", "--force")
+        assert run(capsys, *argv)[:2] == (0, "1\n1\n2\n5\n")
+
+    def test_unprintable_nmax_is_refused(self, capsys):
+        status, out, err = run(capsys, "table", "--name", "bell", "--nmax", str(10**400))
+        assert (status, out) == (2, "")
+        assert "is too large to print" in err
+
+
 class TestSmallCommands:
     def test_avg_nse_check(self, capsys):
         status, out, _ = run(capsys, "avg-nse", "--n", "2", "--check")
@@ -485,6 +549,17 @@ PINNED = [
         "sha256:a69dca9c96c5c700ab0c914ab10eab5c216a9f29e3e42ad650dd3d32d8934a3a",
     ),
     ("table --name binomial --nmax 3 --format csv", 0, "1\n1,1\n1,2,1\n1,3,3,1\n"),
+    # the two largest tables the benchmark prints, inside the digit budget
+    (
+        "table --name binomial --nmax 300",
+        0,
+        "sha256:c633281436646182e26dc58cde6b8f47c3bab1c523fc7255a21fa6a0f3eab950",
+    ),
+    (
+        "table --name stirling2 --nmax 300",
+        0,
+        "sha256:97654bb3556d98187ea5583d982e13f43602939da5a4d479964b7f4d5b7b0ebe",
+    ),
     ("table --name stirling1-signed --nmax 3", 0, "1\n0 1\n0 -1 1\n0 2 -3 1\n"),
     (
         "table --name stirling1-signed --nmax 3 --format json",
@@ -555,6 +630,16 @@ PINNED = [
         "expand --n 4 --route composition --format csv",
         0,
         "sha256:00d2301c83ed6376fc87b67f7eb45c3e08932aa0fc62f545e435c27ae0f96375",
+    ),
+    (
+        "expand --n 30 --route composition",
+        0,
+        "sha256:319989bf903e9d0e0b4ce5535c458a345fbc8775c18270c0bb51e4f044593269",
+    ),
+    (
+        "expand --n 30 --route composition --format json",
+        0,
+        "sha256:a3594fa40e7f41747061d491dee2363b9b6c9cb31f0b57e11dd3e7db2d8df4a1",
     ),
     ("expand --n 4 --at x=1/2,p=2,q=-3", 0, "-72\n"),
     (

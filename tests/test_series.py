@@ -168,8 +168,13 @@ class TestCompositionByPowers:
         assert list(touchard_series(order, x, p, q)) == expected
 
     def test_rows_at_q_one_are_stirling2(self):
-        for n, row in enumerate(_power_rows(30, 0, 1)):
-            assert tuple(row) == stirling2_row(n)
+        # at the point q = 1 every entry is a one-entry list; the symbolic
+        # rows at q = 1 (the sum of their coefficients) are the same rows
+        point = _power_rows(30, 0, 0, 1)
+        symbolic = _power_rows(30, -1, 1, 1)
+        for n, (at_one, row) in enumerate(zip(point, symbolic)):
+            assert at_one == [[s] for s in stirling2_row(n)]
+            assert tuple(map(sum, row)) == stirling2_row(n)
 
     @given(st.integers(0, 12), RATIONALS)
     @settings(max_examples=40, deadline=None)
@@ -178,12 +183,33 @@ class TestCompositionByPowers:
         # itself, f^(n-1) Q_{n-1}(q), and the diagonal is g_1^n = 1
         v, f = (q - 1).as_integer_ratio()
         at_q = exp_q(order, q - 1)
-        for n, row in enumerate(_power_rows(order, v, f)):
+        for n, row in enumerate(_power_rows(order, v, 0, f)):
             assert len(row) == n + 1
-            assert all(type(c) is int for c in row)
-            assert row[n] == 1
+            assert all(len(us) == 1 and type(us[0]) is int for us in row)
+            assert row[n] == [1]
             if n:
-                assert row[1] == f ** (n - 1) * at_q[n]
+                assert row[1] == [f ** (n - 1) * at_q[n]]
+
+    @given(st.integers(0, 12), RATIONALS)
+    @settings(max_examples=40, deadline=None)
+    def test_symbolic_rows_evaluate_to_the_point_rows(self, order, q):
+        # the symbolic U(n,k) = S(n,k) has n - k + 1 coefficients in q, and
+        # at q - 1 = v/f it is the point's U(n,k) over f^(n-k)
+        v, f = (q - 1).as_integer_ratio()
+        symbolic = _power_rows(order, -1, 1, 1)
+        point = _power_rows(order, v, 0, f)
+        for n, (row, at_q) in enumerate(zip(symbolic, point)):
+            assert [len(us) for us in row[1:]] == list(range(n, 0, -1))
+            for k, (us, (u,)) in enumerate(zip(row, at_q)):
+                value = sum(c * q**l for l, c in enumerate(us))
+                assert value * f ** (n - k) == u, (n, k)
+
+    def test_symbolic_column_one_is_the_q_product(self):
+        at_q = exp_q(25, Q - 1)
+        for n, row in enumerate(_power_rows(25, -1, 1, 1)):
+            if n:
+                coeffs = {(0, 0, l, 0, 0): c for l, c in enumerate(row[1])}
+                assert MultiPoly(("x", "p", "q", "u", "v"), coeffs) == at_q[n]
 
 
 def miller_power(W, D, alpha, order):

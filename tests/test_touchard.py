@@ -214,6 +214,32 @@ class TestTouchardPoly:
         for n, (by_subst, by_sum) in enumerate(by_other_routes):
             assert touchard_poly(n, "composition") == by_subst == by_sum, n
 
+    def test_composition_matches_explicit_through_n_40(self):
+        touchard_poly.cache_clear()
+        for n in range(1, 41):
+            assert touchard_poly(n, "composition") == touchard._explicit_poly(n), n
+
+    def test_composition_runs_no_polynomial_arithmetic(self, monkeypatch):
+        # the composition route and the symbolic series write integer
+        # products straight into term maps: no MultiPoly sum or product
+        by_sum = [touchard._explicit_poly(n) for n in range(1, 21)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("polynomial arithmetic ran")
+
+        monkeypatch.setattr(poly, "_add_products", refuse)
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+            monkeypatch.setattr(MultiPoly, name, refuse)
+        touchard_poly.cache_clear()
+        try:
+            composed = [touchard_poly(n, "composition") for n in range(1, 21)]
+            series = touchard_series(20)
+        finally:
+            touchard_poly.cache_clear()
+        assert composed == by_sum
+        assert series[1:] == by_sum
+        assert series[0] == 1
+
     def test_validation(self):
         with pytest.raises(ValueError, match="route"):
             touchard_poly(2, "lagrange")
@@ -288,6 +314,21 @@ class TestSeriesRoute:
         monkeypatch.setattr(poly, "_wrap", refuse)
         monkeypatch.setattr(MultiPoly, "__init__", refuse)
         assert list(touchard_series(22, *point)) == expected
+
+    def test_symbolic_matches_explicit_at_every_entry(self):
+        series = touchard_series(30)
+        assert series[0] == 1
+        for n in range(1, 31):
+            assert series[n] == touchard._explicit_poly(n), n
+
+    @pytest.mark.parametrize(
+        "point",
+        [(P, X, Q), (X, P, Q + 1), (2 * X, P, Q), (X, Q, P), (MultiPoly.const(1), P, Q)],
+        ids=["swapped-xp", "shifted-q", "scaled-x", "swapped-pq", "constant-x"],
+    )
+    def test_other_polynomials_are_refused(self, point):
+        with pytest.raises(ValueError, match="the variables x, p and q themselves"):
+            touchard_series(3, *point)
 
     @pytest.mark.parametrize("point", [(X, 2, 3), (1, P, 3), (1, 2, Q), (X, P, 3)])
     def test_mixed_arguments_are_refused(self, point):
