@@ -147,12 +147,11 @@ def _value_output(n: int, inputs: dict, value, check=None) -> _Output:
 # Digits `table` may print without --force.  The bound below stays within it
 # up to nmax = 359 for the Stirling triangles and bell, 690 for binomial, 345
 # for q-product and 3,973 for factorial, and at 300 for every name.  At those
-# edges every name ran in at most 1.3 s and 93 MB peak RSS in each format
-# (the largest, q-product --format json, wrote 35 MB in 1.2 s; factorial
-# stops with an error from nmax = 1,559, where a value passes the
-# interpreter's 4,300-digit limit for printing an int), measured as cold
-# processes with --out on a 2-vCPU VM.  stirling2 at nmax = 1500, which wrote
-# 1.48 GB in 55 s at 715 MB, is refused.
+# edges every name ran in at most 2.5 s and 93 MB peak RSS in each format
+# (the largest, q-product --format json, wrote 35 MB in 1.2 s; factorial,
+# whose values pass 4,300 digits from nmax = 1,559, took 2.5 s at 27-49 MB),
+# measured as cold processes with --out on a 2-vCPU VM.  stirling2 at
+# nmax = 1500, which wrote 1.48 GB in 55 s at 715 MB, is refused.
 TABLE_DIGIT_BUDGET = 50_000_000
 
 
@@ -500,6 +499,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse handles --help (0) and usage errors (2) itself
         return int(exc.code or 0)
+    # the budgets bound every printed number, so the str<->int digit limit
+    # (CPython 3.10.7 and later) is lifted while the command runs
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_limit(0)
     try:
         output = args.handler(args)
         if args.out:
@@ -518,6 +522,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        set_limit(limit)
     return output.status
 
 

@@ -79,9 +79,6 @@ class OrderedPartition:
     def k(self) -> int:
         return len(self.blocks)
 
-    def block_minima(self) -> tuple[int, ...]:
-        return tuple(min(b) for b in self.blocks)
-
     def __eq__(self, other):
         if not isinstance(other, OrderedPartition):
             return NotImplemented
@@ -195,7 +192,10 @@ def _size(count: int) -> str:
 def _check_size(n, k, flavor, force, hint="pass force=True (--force) to run it anyway"):
     """The flavor's name, after rejecting a bad flavor, n or k, and a cell
     over OBJECT_BUDGET unless forced; hint says how to get past the budget."""
-    flavor = _check_flavor(flavor)
+    name = str(flavor).lower()
+    if name not in FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}: choose from {', '.join(FLAVORS)}")
+    flavor = name
     _check_n(n)
     if not isinstance(k, int) or isinstance(k, bool):
         raise ValueError(f"k must be an integer, got {k!r}")
@@ -239,13 +239,6 @@ def _log10_count(n: int, k: int, flavor: str) -> float:
     if flavor == "slp":
         logs -= lgamma(k + 1)
     return logs / log(10)
-
-
-def _check_flavor(flavor: str) -> str:
-    name = str(flavor).lower()
-    if name not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}: choose from {', '.join(FLAVORS)}")
-    return name
 
 
 def _generate(n, k, flavor):
@@ -322,20 +315,15 @@ def _tally(n: int, k: int, flavor: str) -> MultiPoly:
     for shape, skeletons in shapes.items():
         tally = Counter({0: skeletons})
         for length in shape:
-            tally = _convolve(tally, words[length])
+            # convolve with the word tally of one more block
+            step = Counter()
+            for i, a in tally.items():
+                for j, b in enumerate(words[length]):
+                    step[i + j] += a * b
+            tally = step
         by_nse.update(tally)
     terms = {(i, j): a * b for i, a in enumerate(orders) for j, b in by_nse.items()}
     return MultiPoly(("u", "v"), terms)
-
-
-def _convolve(left: Counter, right) -> Counter:
-    """The tally of a sum of two independent statistics, the right one's
-    given as a sequence indexed by value."""
-    out = Counter()
-    for i, a in left.items():
-        for j, b in enumerate(right):
-            out[i + j] += a * b
-    return out
 
 
 def count_partitions(n: int, k: int, flavor: str) -> int:

@@ -8,8 +8,8 @@ never stored, so structural equality coincides with mathematical equality.
 `variables` is derived: the names that some term actually uses.
 
 Only the public constructor checks its input and embeds it into the five
-slots.  Arithmetic, substitution and coefficient extraction combine keys
-that are already canonical and wrap their results without re-checking.
+slots.  Arithmetic and substitution combine keys that are already canonical
+and wrap their results without re-checking.
 """
 
 from __future__ import annotations
@@ -66,16 +66,6 @@ def _add_products(out: dict, ta: Mapping, tb: Mapping) -> None:
         for (b0, b1, b2, b3, b4), cb in tb.items():
             key = (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4)
             out[key] = get(key, 0) + ca * cb
-
-
-def _sum_of_products(pairs) -> "MultiPoly":
-    """The sum of a*b over the (a, b) pairs of polynomials, a fused
-    multiply-add: every product goes into one term map, with no partial sum
-    copied."""
-    terms: dict[tuple[int, ...], int] = {}
-    for a, b in pairs:
-        _add_products(terms, a.terms, b.terms)
-    return _wrap(terms)
 
 
 class MultiPoly:
@@ -138,10 +128,6 @@ class MultiPoly:
             if any(key[slot] for key in self.terms)
         )
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -183,18 +169,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"exponent must be a nonnegative integer, got {exponent}")
-        result = MultiPoly.const(1)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
-
     def __eq__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
             other = MultiPoly.const(other)
@@ -207,33 +181,12 @@ class MultiPoly:
 
     # -- queries ------------------------------------------------------------
 
-    def degree(self, name: str) -> int:
-        """Largest exponent of `name`; 0 if absent, -1 for the zero polynomial."""
-        slot = _slot(name)
-        if not self.terms:
-            return -1
-        return max(key[slot] for key in self.terms)
-
-    def coefficient(self, name: str, power: int) -> "MultiPoly":
-        """The coefficient of name**power, as a polynomial in the other variables."""
-        slot = _slot(name)
-        return _wrap(
-            {
-                key[:slot] + (0,) + key[slot + 1 :]: c
-                for key, c in self.terms.items()
-                if key[slot] == power
-            }
-        )
-
     def monomial_coefficient(self, exponents: Mapping[str, int]) -> int:
         """Integer coefficient of one monomial; unnamed variables mean exponent 0."""
         key = list(_ZERO_KEY)
         for name, e in exponents.items():
             key[_slot(name)] = e
         return self.terms.get(tuple(key), 0)
-
-    def constant_term(self) -> int:
-        return self.monomial_coefficient({})
 
     # -- evaluation and substitution ----------------------------------------
 
@@ -279,10 +232,11 @@ class MultiPoly:
     # -- canonical presentation ----------------------------------------------
 
     def _graded_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0])),
-        )
+        # exponent vectors descending, then a stable sort by total degree:
+        # the keys are unique, so no coefficient is ever compared
+        items = sorted(self.terms.items(), reverse=True)
+        items.sort(key=lambda kv: sum(kv[0]))
+        return items
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in graded-lexicographic order (degree first, then x before p
@@ -333,16 +287,3 @@ class MultiPoly:
             }
             for key, coeff in self._graded_terms()
         ]
-
-    @classmethod
-    def from_json_obj(cls, data: Iterable[Mapping]) -> "MultiPoly":
-        items = list(data)
-        names = sorted(
-            {n for item in items for n in item["exponents"]},
-            key=_slot,
-        )
-        terms: dict[tuple[int, ...], int] = {}
-        for item in items:
-            key = tuple(int(item["exponents"].get(n, 0)) for n in names)
-            terms[key] = terms.get(key, 0) + int(item["coeff"])
-        return cls(tuple(names), terms)

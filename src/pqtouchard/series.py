@@ -29,10 +29,6 @@ class EgfSeries(list):
         if not self:
             raise ValueError("series needs at least the order-0 coefficient")
 
-    @property
-    def order(self) -> int:
-        return len(self) - 1
-
 
 # -- ordinary power series, used only as an independent cross-check ----------
 def _miller(W, alpha: Fraction, order: int) -> list[int]:

@@ -43,7 +43,7 @@ from math import comb
 from operator import mul
 
 from .partitions import _check_size, count_partitions, dist_poly
-from .poly import MultiPoly, _exact, _sum_of_products, _wrap
+from .poly import MultiPoly, _add_products, _exact, _wrap
 from .series import EgfSeries, _miller, _unscale
 from .tables import (
     _check_n,
@@ -72,7 +72,7 @@ def exp_q(order: int, v) -> EgfSeries:
     """
     _check_n(order, "order")
     _exact(v, "v", symbolic=True)
-    one = v**0  # the ring's 1: a constant polynomial for a polynomial v
+    one = v * 0 + 1  # the ring's 1: a constant polynomial for a polynomial v
     coeffs = [one, one][: order + 1]
     factor = 1
     for _ in range(2, order + 1):
@@ -135,9 +135,11 @@ def touchard_poly(n: int, route: str = "substitution") -> MultiPoly:
     if n == 0:
         return MultiPoly.const(1)
     if route == "substitution":
-        return _sum_of_products(
-            (s_pq(n, k), MultiPoly.var("x", k)) for k in range(1, n + 1)
-        )
+        # every product goes into one term map, with no partial sum copied
+        terms = {}
+        for k in range(1, n + 1):
+            _add_products(terms, s_pq(n, k).terms, MultiPoly.var("x", k).terms)
+        return _wrap(terms)
     if route == "composition":
         # row n alone: each row before it is dropped once the next is built
         return _row_terms(*next(islice(_symbolic_rows(n), n, None)))
@@ -436,7 +438,7 @@ def _verify_enumeration(flavor: str, zero, n_max: int, force: bool):
         _check_size(n, k, flavor, force)
     for n, k in cells:
         enumerated = dist_poly(n, k, force=force, flavor=flavor)
-        closed = s_uv(n, k) if zero is None else s_uv(n, k).coefficient(zero, 0)
+        closed = s_uv(n, k) if zero is None else s_uv(n, k).substitute(zero, 0)
         yield f"n={n},k={k}", None if enumerated == closed else (
             f"enumeration {enumerated} != formula {closed}"
         )

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import pqtouchard
 
 PUBLIC_API = (
@@ -47,11 +49,37 @@ PUBLIC_API = (
     "verify_identity",
 )
 
+# the public attributes each class defines itself (EgfSeries adds none to
+# list's); a member added or removed must edit these on purpose
+CLASS_SURFACES = {
+    "EgfSeries": (),
+    "MultiPoly": (
+        "const",
+        "evaluate",
+        "monomial_coefficient",
+        "sorted_terms",
+        "substitute",
+        "terms",
+        "to_json_obj",
+        "var",
+        "variables",
+    ),
+    "OrderedPartition": ("blocks", "from_string", "k", "n", "to_string"),
+}
+
 
 def test_public_names_are_pinned():
     assert PUBLIC_API == tuple(sorted(PUBLIC_API))
     assert sorted(pqtouchard.__all__) == list(PUBLIC_API)
     assert len(set(pqtouchard.__all__)) == len(pqtouchard.__all__)
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_SURFACES))
+def test_class_surfaces_are_pinned(name):
+    pinned = CLASS_SURFACES[name]
+    assert pinned == tuple(sorted(pinned))
+    cls = getattr(pqtouchard, name)
+    assert tuple(sorted(a for a in vars(cls) if not a.startswith("_"))) == pinned
 
 
 def test_every_public_name_resolves():

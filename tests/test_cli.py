@@ -1,5 +1,6 @@
 """End-to-end runs of the command line through main(argv)."""
 
+import contextlib
 import hashlib
 import json
 import os
@@ -10,7 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from pqtouchard import MultiPoly, VerificationReport, exp_q, s_uv, touchard_poly
+from pqtouchard import (
+    MultiPoly,
+    VerificationReport,
+    exp_q,
+    factorial,
+    s_uv,
+    touchard_eval,
+    touchard_poly,
+)
 from pqtouchard import cli, partitions, touchard
 from pqtouchard.cli import main
 
@@ -38,7 +47,7 @@ class TestExpand:
         assert status == 0
         payload = json.loads(out)
         assert payload["n"] == 4
-        assert MultiPoly.from_json_obj(payload["poly"]) == touchard_poly(4)
+        assert payload["poly"] == touchard_poly(4).to_json_obj()
 
     def test_csv(self, capsys):
         status, out, _ = run(capsys, "expand", "--n", "2", "--format", "csv")
@@ -277,7 +286,7 @@ class TestDist:
         assert status == 0
         payload = json.loads(out)
         assert payload["passed"] is True
-        assert MultiPoly.from_json_obj(payload["poly"]) == s_uv(4, 2)
+        assert payload["poly"] == s_uv(4, 2).to_json_obj()
         assert payload["poly"] == payload["enumeration"]
 
     @pytest.mark.parametrize("oracle", [(), ("--oracle",)])
@@ -417,6 +426,62 @@ class TestTable:
         status, out, err = run(capsys, "table", "--name", "bell", "--nmax", str(10**400))
         assert (status, out) == (2, "")
         assert "is too large to print" in err
+
+
+# CPython 3.10.7 and later refuse str() of an int past a digit limit
+_get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+
+
+@contextlib.contextmanager
+def _digit_limit(limit):
+    """The interpreter's str<->int digit limit set to `limit` (0 lifts it)
+    inside the block and restored after it; nothing on interpreters without
+    the limit."""
+    old = _get_limit()
+    if old is not None:
+        sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
+
+
+class TestDigitLimit:
+    # each command runs under the interpreter's default limit of 4,300 digits;
+    # the expected strings are built with the limit lifted
+
+    def test_table_prints_past_the_limit(self, capsys):
+        argv = ("table", "--name", "factorial", "--nmax", "1560")
+        with _digit_limit(4300):
+            status, out, err = run(capsys, *argv)
+        assert (status, err) == (0, "")
+        lines = out.splitlines()
+        with _digit_limit(0):
+            assert len(lines) == 1561
+            assert lines[-1] == str(factorial(1560))
+
+    def test_eval_prints_past_the_limit(self, capsys):
+        x = "1" + "0" * 40
+        argv = ("eval", "--n", "120", "--x", x, "--p", "2", "--q", "2")
+        with _digit_limit(4300):
+            status, out, err = run(capsys, *argv)
+        assert (status, err) == (0, "")
+        with _digit_limit(0):
+            expected = str(touchard_eval(120, int(x), 2, 2))
+        assert len(expected) > 4300
+        assert out == expected + "\n"
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [(("table", "--name", "factorial", "--nmax", "1560"), 0),
+         (("table", "--name", "stirling2", "--nmax", "1500"), 2)],
+        ids=["success", "error"],
+    )
+    def test_limit_is_restored(self, capsys, argv, code):
+        with _digit_limit(4300):
+            assert run(capsys, *argv)[0] == code
+            assert _get_limit() in (4300, None)
 
 
 class TestSmallCommands:

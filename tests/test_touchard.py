@@ -33,6 +33,8 @@ from pqtouchard import (
 )
 
 X, P, Q, U, V = (MultiPoly.var(name) for name in "xpquv")
+X2, X3 = MultiPoly.var("x", 2), MultiPoly.var("x", 3)
+P2, Q2 = MultiPoly.var("p", 2), MultiPoly.var("q", 2)
 
 
 RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
@@ -44,7 +46,7 @@ class TestDeformedExponential:
         assert series[0] == 1
         assert series[1] == 1
         assert series[2] == Q
-        assert series[3] == 2 * Q**2 - Q
+        assert series[3] == 2 * Q2 - Q
         assert all(isinstance(c, MultiPoly) for c in series)
 
     def test_alternate_variable(self):
@@ -129,10 +131,10 @@ class TestConnectionCoefficients:
         assert s_uv(3, 2) == 3 * (1 + U) * (1 + V)
 
     def test_out_of_range_is_zero(self):
-        assert s_uv(3, 5).is_zero
-        assert s_uv(3, 0).is_zero
-        assert s_uv(0, 2).is_zero
-        assert s_uv(-1, 0).is_zero
+        assert s_uv(3, 5) == 0
+        assert s_uv(3, 0) == 0
+        assert s_uv(0, 2) == 0
+        assert s_uv(-1, 0) == 0
 
     @pytest.mark.parametrize("n,k", [(2.0, 1), (2, 1.0), (True, 1), (-1.5, 0)])
     def test_non_integer_is_refused(self, n, k):
@@ -153,9 +155,9 @@ class TestConnectionCoefficients:
     def test_small_pq(self):
         assert s_pq(2, 1) == Q
         assert s_pq(2, 2) == P
-        assert s_pq(3, 1) == 2 * Q**2 - Q
+        assert s_pq(3, 1) == 2 * Q2 - Q
         assert s_pq(3, 2) == 3 * P * Q
-        assert s_pq(3, 3) == 2 * P**2 - P
+        assert s_pq(3, 3) == 2 * P2 - P
 
     def test_pq_is_uv_shifted(self):
         # s_pq shifts the two one-variable factors of s_uv apart; the
@@ -178,20 +180,20 @@ class TestTouchardPoly:
     def test_first_few(self):
         assert touchard_poly(0) == 1
         assert touchard_poly(1) == X
-        assert touchard_poly(2) == Q * X + P * X**2
-        expected = (2 * Q**2 - Q) * X + 3 * P * Q * X**2 + (2 * P**2 - P) * X**3
+        assert touchard_poly(2) == Q * X + P * X2
+        expected = (2 * Q2 - Q) * X + 3 * P * Q * X2 + (2 * P2 - P) * X3
         assert touchard_poly(3) == expected
 
     def test_classical_point_is_stirling_row(self):
         assert touchard_poly(3).evaluate({"p": 1, "q": 1, "x": 1}) == bell(3)
         collapsed = touchard_poly(3).substitute("p", 1).substitute("q", 1)
-        assert collapsed == X + 3 * X**2 + X**3
+        assert collapsed == X + 3 * X2 + X3
 
     def test_shape(self):
         for n in range(1, 16):
             poly = touchard_poly(n)
-            assert poly.degree("x") == n
-            assert poly.coefficient("x", 0).is_zero
+            assert max(key[0] for key in poly.terms) == n  # slot 0 is x
+            assert not poly.substitute("x", 0)
 
     def test_routes_agree(self):
         for n in range(7):
