@@ -15,7 +15,7 @@ import json
 import os
 import re
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -23,23 +23,19 @@ from itertools import chain, islice
 from math import lgamma, log, log10
 
 from . import partitions, permstats, touchard
-from .partitions import nsb, nse
+from .partitions import nsb
 from .poly import MultiPoly
-from .tables import (
-    _check_n,
-    bell,
-    binomial,
-    factorial,
-    stirling1_signed,
-    stirling1_unsigned,
-    stirling2,
-)
+from .tables import _BINOMIAL, _STIRLING1, _check_n, _row, bell, factorial, stirling2_row
 
+# each name's rows, read whole from its triangle; a signed Stirling-1 entry
+# c(n, k) carries the sign (-1)^(n-k)
 _TRIANGLES = {
-    "binomial": binomial,
-    "stirling2": stirling2,
-    "stirling1": stirling1_unsigned,
-    "stirling1-signed": stirling1_signed,
+    "binomial": partial(_row, _BINOMIAL),
+    "stirling2": stirling2_row,
+    "stirling1": partial(_row, _STIRLING1),
+    "stirling1-signed": lambda n: [
+        -v if (n - k) % 2 else v for k, v in enumerate(_row(_STIRLING1, n))
+    ],
 }
 _SEQUENCES = {"bell": bell, "factorial": factorial}
 
@@ -77,7 +73,7 @@ class _Output:
     """
 
     payload: Callable[[], object]
-    rows: Callable[[], Iterable]
+    rows: Callable[[], Iterable[Sequence]]
     lines: Callable[[], Iterable]
     status: int = 0
 
@@ -104,7 +100,15 @@ def _emit(output: _Output, fmt: str, handle) -> None:
             handle.writelines(encoder.iterencode(payload))
         handle.write("\n")
     elif fmt == "csv":
-        csv.writer(handle, lineterminator="\n").writerows(output.rows())
+        # QUOTE_MINIMAL never quotes a str(int), which holds only digits and
+        # "-", so a row of ints alone is joined directly: csv.writer's quoting
+        # scan of every character costs about three times the row's str()
+        writer = csv.writer(handle, lineterminator="\n")
+        for row in output.rows():
+            if {int}.issuperset(map(type, row)):
+                handle.write(",".join(map(str, row)) + "\n")
+            else:
+                writer.writerow(row)
     else:
         for line in output.lines():
             print(line, file=handle)
@@ -185,13 +189,12 @@ def _cmd_table(args) -> _Output:
             f"digits, over the budget of {TABLE_DIGIT_BUDGET}; pass --force to run it anyway"
         )
     if name in _TRIANGLES:
-        fn = _TRIANGLES[name]
-        rows = [[fn(n, k) for k in range(n + 1)] for n in range(nmax + 1)]
+        rows = list(map(_TRIANGLES[name], range(nmax + 1)))
         return _Output(
             lambda: {
                 "name": name,
                 "nmax": nmax,
-                "rows": [[str(v) for v in row] for row in rows],
+                "rows": [list(map(str, row)) for row in rows],
             },
             lambda: rows,
             lambda: (" ".join(map(str, row)) for row in rows),
@@ -276,11 +279,25 @@ def _cmd_eval(args) -> _Output:
 def _cmd_enumerate(args) -> _Output:
     stream = partitions.enumerate_partitions(args.n, args.k, args.flavor, force=args.force)
     header = ["partition", "nsb", "nse"] if args.stats else ["partition"]
+    # each distinct block is rendered once, to its text and its nse term:
+    # the 7,200 objects of llp(6,3) hold 21,600 blocks but only 516 distinct
+    words = {}
 
     # the three formats share the one stream; the emitter drains only one
     def records():
         for pi in stream:
-            yield [pi.to_string(), nsb(pi), nse(pi)] if args.stats else [pi.to_string()]
+            texts, moved = [], 0
+            for block in pi.blocks:
+                word = words.get(block)
+                if word is None:
+                    word = words[block] = (
+                        partitions._block_text(block, args.n),
+                        partitions._block_nse(block),
+                    )
+                texts.append(word[0])
+                moved += word[1]
+            text = "/".join(texts)
+            yield [text, nsb(pi), moved] if args.stats else [text]
 
     return _Output(
         lambda: (dict(zip(header, record)) for record in records()),

@@ -110,8 +110,14 @@ class OrderedPartition:
         return cls(blocks)
 
     def to_string(self) -> str:
-        sep = "" if self.n <= 9 else ","
-        return "/".join(sep.join(str(e) for e in b) for b in self.blocks)
+        n = self.n
+        return "/".join(_block_text(b, n) for b in self.blocks)
+
+
+def _block_text(block, n: int) -> str:
+    """A block of a partition of {1..n} in slash notation: its digits, or
+    its elements separated by commas past n = 9."""
+    return ("" if n <= 9 else ",").join(map(str, block))
 
 
 def _rl_min_count(seq) -> int:
@@ -131,7 +137,7 @@ def nsb(pi: OrderedPartition) -> int:
     A block stays put exactly when its minimum is a right-to-left minimum
     of the sequence of block minima.
     """
-    return pi.k - _rl_min_count([min(b) for b in pi.blocks])
+    return len(pi.blocks) - _rl_min_count(list(map(min, pi.blocks)))
 
 
 def nse(pi: OrderedPartition) -> int:
@@ -140,7 +146,12 @@ def nse(pi: OrderedPartition) -> int:
     Within each block the elements that stay are its right-to-left minima;
     block order contributes nothing.
     """
-    return sum(len(b) - _rl_min_count(b) for b in pi.blocks)
+    return sum(map(_block_nse, pi.blocks))
+
+
+def _block_nse(block) -> int:
+    """A block's term of nse: its elements that are not right-to-left minima."""
+    return len(block) - _rl_min_count(block)
 
 
 def _skeletons(n: int, k: int):
@@ -331,10 +342,15 @@ def count_partitions(n: int, k: int, flavor: str) -> int:
     flavor = _check_size(n, k, flavor, force=True)  # nothing is enumerated here
     if not 1 <= k <= n:
         return 1 if n == k == 0 else 0
-    if flavor == "ssp":
-        return stirling2(n, k)
-    if flavor == "lsp":
-        return factorial(k) * stirling2(n, k)
+    if flavor in ("ssp", "lsp"):
+        if n - k > 2:
+            s = stirling2(n, k)
+        else:
+            # by closed form near the diagonal, so that a refused cell does
+            # not grow the Stirling table to row n: all blocks single, one
+            # pair, or one triple or two pairs with the rest single
+            s = (1, comb(n, 2), comb(n, 3) + 3 * comb(n, 4))[n - k]
+        return s if flavor == "ssp" else factorial(k) * s
     if flavor == "slp":
         return perm(n, n - k) * comb(n - 1, k - 1)
     return factorial(n) * comb(n - 1, k - 1)

@@ -44,6 +44,12 @@ _STIRLING2 = ([(1,)], _pascal(lambda m: count()))
 _STIRLING1 = ([(1,)], _pascal(lambda m: repeat(m - 1)))
 
 
+def _row(triangle, n: int) -> tuple[int, ...]:
+    """Row n of a triangle as one tuple, grown on demand."""
+    _check_n(n)
+    return _grow(*triangle, n)
+
+
 def _entry(triangle, n: int, k: int) -> int:
     _check_n(n)
     if k < 0 or k > n:
@@ -64,8 +70,7 @@ def stirling2(n: int, k: int) -> int:
 
 def stirling2_row(n: int) -> tuple[int, ...]:
     """S(n, 0), ..., S(n, n) as one tuple."""
-    _check_n(n)
-    return _grow(*_STIRLING2, n)
+    return _row(_STIRLING2, n)
 
 
 def stirling1_unsigned(n: int, k: int) -> int:

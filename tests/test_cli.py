@@ -1,7 +1,9 @@
 """End-to-end runs of the command line through main(argv)."""
 
 import contextlib
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqtouchard import (
     MultiPoly,
@@ -22,6 +26,15 @@ from pqtouchard import (
 )
 from pqtouchard import cli, partitions, touchard
 from pqtouchard.cli import main
+from pqtouchard.tables import binomial, stirling1_signed, stirling1_unsigned, stirling2
+
+# each triangle name of `table`, by its public entry function
+ENTRIES = {
+    "binomial": binomial,
+    "stirling2": stirling2,
+    "stirling1": stirling1_unsigned,
+    "stirling1-signed": stirling1_signed,
+}
 
 
 def run(capsys, *argv):
@@ -247,16 +260,55 @@ class TestEnumerate:
             assert (status, out) == (0, expected)
             assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
+    def test_partition_text_past_nine_is_quoted(self, capsys):
+        argv = ("enumerate", "--n", "10", "--k", "9", "--flavor", "ssp", "--stats")
+        status, out, _ = run(capsys, *argv, "--format", "csv")
+        lines = out.splitlines()
+        assert status == 0 and len(lines) == 46
+        assert lines[:2] == ["partition,nsb,nse", '"1,2/3/4/5/6/7/8/9/10",0,0']
+        # the block words carry the comma separator in every format
+        status, out, _ = run(capsys, *argv)
+        assert status == 0 and out.startswith("1,2/3/4/5/6/7/8/9/10 0 0\n")
+        status, out, _ = run(capsys, *argv, "--format", "json")
+        assert status == 0
+        assert json.loads(out)[0] == {"partition": "1,2/3/4/5/6/7/8/9/10", "nsb": 0, "nse": 0}
+
+    @pytest.mark.parametrize(
+        "n, k, flavor",
+        [(5, 2, "ssp"), (5, 2, "lsp"), (5, 2, "slp"), (5, 2, "llp"), (10, 9, "slp")],
+    )
+    def test_records_equal_the_definitions(self, capsys, n, k, flavor):
+        # every block is rendered once per command; each record must still
+        # be the object's own text, nsb and nse
+        argv = ("--n", str(n), "--k", str(k), "--flavor", flavor, "--stats")
+        status, out, _ = run(capsys, "enumerate", *argv, "--format", "csv")
+        expected = [
+            [pi.to_string(), str(partitions.nsb(pi)), str(partitions.nse(pi))]
+            for pi in partitions.enumerate_partitions(n, k, flavor)
+        ]
+        assert status == 0
+        assert list(csv.reader(io.StringIO(out)))[1:] == expected
+
+    def test_near_diagonal_refusal_is_stated_at_once(self, capsys):
+        # S(n, n-1) = C(n, 2) is stated without growing the Stirling table
+        start = time.perf_counter()
+        status, out, err = run(
+            capsys, "enumerate", "--n", "100000", "--k", "99999", "--flavor", "ssp"
+        )
+        assert time.perf_counter() - start < 2
+        assert (status, out) == (2, "")
+        assert "ssp enumeration for n=100000, k=99999 visits 4999950000 objects" in err
+
     def test_json_is_written_while_enumerating(self, capsys, monkeypatch):
         calls = []
 
-        def nse_failing_late(pi):
+        def nsb_failing_late(pi):
             calls.append(pi)
             if len(calls) == 2500:
                 raise ValueError("late failure")
-            return partitions.nse(pi)
+            return partitions.nsb(pi)
 
-        monkeypatch.setattr(cli, "nse", nse_failing_late)
+        monkeypatch.setattr(cli, "nsb", nsb_failing_late)
         status, out, err = run(
             capsys, "enumerate", "--n", "7", "--k", "1", "--flavor", "llp", "--stats",
             "--format", "json",
@@ -355,6 +407,26 @@ class TestTable:
         assert status == 0
         assert out.splitlines()[3] == "0 2 -3 1"
 
+    @pytest.mark.parametrize("name", list(ENTRIES))
+    def test_rows_equal_the_entries(self, capsys, name):
+        # rows are read whole from the triangle; each entry must be the one
+        # the public entry function gives
+        nmax = 40
+        rows = [[ENTRIES[name](n, k) for k in range(n + 1)] for n in range(nmax + 1)]
+        table = io.StringIO()
+        csv.writer(table, lineterminator="\n").writerows(rows)
+        expected = {
+            "plain": "".join(" ".join(map(str, row)) + "\n" for row in rows),
+            "csv": table.getvalue(),
+            "json": json.dumps(
+                {"name": name, "nmax": nmax, "rows": [list(map(str, r)) for r in rows]},
+                indent=2,
+            ) + "\n",
+        }
+        for fmt, text in expected.items():
+            argv = ("table", "--name", name, "--nmax", str(nmax), "--format", fmt)
+            assert run(capsys, *argv)[:2] == (0, text), fmt
+
     def test_json_big_values_are_strings(self, capsys):
         status, out, _ = run(
             capsys, "table", "--name", "bell", "--nmax", "30", "--format", "json"
@@ -404,8 +476,9 @@ class TestTable:
         def digits(values):
             return sum(len(str(abs(v))) for v in values)
 
+        assert ENTRIES.keys() == cli._TRIANGLES.keys()
         for nmax in range(40):
-            for name, fn in cli._TRIANGLES.items():
+            for name, fn in ENTRIES.items():
                 printed = digits(fn(n, k) for n in range(nmax + 1) for k in range(n + 1))
                 assert printed <= cli._table_digits(name, nmax), (name, nmax)
             for name, fn in cli._SEQUENCES.items():
@@ -565,13 +638,13 @@ class TestHarness:
         # an error raised while the output is being written
         calls = []
 
-        def nse_failing_late(pi):
+        def nsb_failing_late(pi):
             calls.append(pi)
             if len(calls) == 3:
                 raise ValueError("late failure")
-            return partitions.nse(pi)
+            return partitions.nsb(pi)
 
-        monkeypatch.setattr(cli, "nse", nse_failing_late)
+        monkeypatch.setattr(cli, "nsb", nsb_failing_late)
         argv = ("enumerate", "--n", "3", "--k", "1", "--flavor", "llp", "--stats")
         status, _, err = run(capsys, *argv, "--out", str(kept))
         assert status == 2 and "late failure" in err
@@ -869,3 +942,25 @@ def test_output_bytes_are_pinned(capsys, tmp_path, command, status, expected):
     target = tmp_path / "out.txt"
     assert run(capsys, *argv, "--out", str(target))[:2] == (status, "")
     assert target.read_bytes() == out.encode()
+
+
+# csv fields of every kind a command writes: ints (joined directly when a
+# row holds nothing else), bools, fractions and text that needs quoting
+_INTS = st.integers(min_value=-(10**50), max_value=10**50)
+_FIELDS = st.one_of(
+    _INTS,
+    st.booleans(),
+    st.fractions(),
+    st.sampled_from(["", ",", '"', "\n", "1,2/3", 'a"b']),
+    st.text(alphabet=',"\n -/0123456789ab', max_size=8),
+)
+
+
+@given(st.lists(st.one_of(st.lists(_INTS, max_size=6), st.lists(_FIELDS, max_size=6))))
+@settings(max_examples=300)
+def test_csv_rows_equal_the_writer(rows):
+    got = io.StringIO()
+    cli._emit(cli._Output(dict, lambda: rows, list), "csv", got)
+    want = io.StringIO()
+    csv.writer(want, lineterminator="\n").writerows(rows)
+    assert got.getvalue() == want.getvalue()

@@ -1,6 +1,7 @@
 """Enumeration of the four partition flavors and the nsb/nse statistics."""
 
 from collections import Counter
+from math import comb
 
 import pytest
 
@@ -316,6 +317,23 @@ class TestCounts:
         # far beyond any enumeration budget
         assert count_partitions(30, 1, "llp") == partitions.factorial(30)
         assert count_partitions(12, 12, "slp") == 1
+
+    def test_near_diagonal_closed_forms_equal_the_table(self):
+        for n in range(1, 61):
+            for k in range(max(n - 2, 1), n + 1):
+                s = tables.stirling2(n, k)
+                assert count_partitions(n, k, "ssp") == s, (n, k)
+                assert count_partitions(n, k, "lsp") == factorial(k) * s, (n, k)
+
+    def test_near_diagonal_counts_grow_no_table(self):
+        rows = len(tables._STIRLING2[0])
+        assert count_partitions(5000, 4999, "ssp") == comb(5000, 2)
+        assert count_partitions(5000, 4998, "ssp") == comb(5000, 3) + 3 * comb(5000, 4)
+        assert len(tables._STIRLING2[0]) == rows
+        # a refusal near the diagonal is decided without the table too
+        with pytest.raises(ValueError, match="visits 12497500 objects"):
+            enumerate_partitions(5000, 4999, "ssp")
+        assert len(tables._STIRLING2[0]) == rows
 
 
 class TestDistPoly:
