@@ -316,8 +316,35 @@ def _dist_grid_rows(n, k, poly):
     return rows
 
 
+# Digits `dist` may hold without --force.  The bound below stays within it
+# for every k up to n = 513 (and k <= 555 below it), where the largest cell,
+# k = 256, ran in 2.7 s at 312 MB peak RSS (3.8 s, 217 MB as json; cold
+# process, --out, 2-vCPU VM).  n = 3000, k = 1500 ran out of a 1 GB address
+# space growing the triangles.
+DIST_DIGIT_BUDGET = 400_000_000
+
+
+def _dist_digits(n: int, k: int) -> int:
+    """An upper bound on the digits s_uv(n, k) holds (n >= 0), no entry
+    computed: both Stirling triangles to row max(n, k) as _table_digits
+    bounds them, and the (n-k+1)(k+1) terms of the product and n-k+1 of its
+    factor A, each at most the llp count n!*C(n-1,k-1) <= n!*2^n."""
+    terms = max(n - k + 1, 0) * max(k + 2, 0)
+    top = int(lgamma(n + 1) / log(10) + n * log10(2)) + 1
+    return 2 * _table_digits("stirling1", max(n, k)) + terms * top
+
+
 def _cmd_dist(args) -> _Output:
     _check_n(args.n)
+    try:
+        digits = _dist_digits(args.n, args.k)
+    except OverflowError:
+        raise ValueError("--n or --k is too large to compute") from None
+    if digits > DIST_DIGIT_BUDGET and not args.force:
+        raise ValueError(
+            f"dist for n={args.n}, k={args.k} holds up to {partitions._size(digits)} "
+            f"digits, over the budget of {DIST_DIGIT_BUDGET}; pass --force to run it anyway"
+        )
     report = touchard.stat_report(args.n, args.k, force=args.force) if args.oracle else None
     formula = report.formula if args.oracle else touchard.s_uv(args.n, args.k)
     grid = partial(_dist_grid_rows, args.n, args.k, formula)

@@ -9,13 +9,14 @@ are ordered:
     slp  set of lists    counted by (n!/k!)*C(n-1,k-1)
     llp  list of lists   counted by n!*C(n-1,k-1)
 
-Everything here counts by exhaustive scan; it is the ground truth the
-closed forms elsewhere are checked against.  dist_poly tallies block orders
-and block words with _nse_counts, a scan of all words of m distinct entries,
-and pairs them per skeleton by multiplication;
-enumerate_partitions streams every object.  Inside, partitions are plain
-tuples of block tuples; only the public OrderedPartition constructor checks
-input.  No cell over OBJECT_BUDGET objects is enumerated unless forced.
+Everything here counts exhaustively; it is the ground truth the closed
+forms elsewhere are checked against.  dist_poly tallies block orders and
+block words with _nse_counts, an exact count of all words of m distinct
+entries made prefix by suffix (_record_tally), and pairs them per skeleton
+by multiplication; enumerate_partitions streams every object.  Inside,
+partitions are plain tuples of block tuples; only the public
+OrderedPartition constructor checks input.  No cell over OBJECT_BUDGET
+objects is enumerated unless forced.
 """
 
 from __future__ import annotations
@@ -277,18 +278,52 @@ def dist_poly(n: int, k: int, force: bool = False, flavor: str = "llp") -> Multi
     return _tally(n, k, flavor)
 
 
+def _record_tally(m: int, records, best) -> list[int]:
+    """Entry r counts the words of range(m) with r left-to-right records.
+
+    records(word) counts the entries that beat every entry before them, and
+    best (min or max) is the word's last record.  A word is a prefix of
+    m - j entries and an order of the other j.  A suffix entry is a record
+    of the word exactly when it is a record of (b, *suffix) other than b,
+    b the prefix's best entry.  Relabelling b and the remaining entries in
+    order by range(j + 1) keeps every comparison, so over the j! orders
+    that count is distributed as records(w) - 1 over the words w of
+    range(j + 1) that start with c, the rank of b.  Each prefix is scanned
+    once for its records and c, each word of range(j + 1) once, and the two
+    are paired by multiplication: each of the m! words is counted once,
+    with its exact statistic, after m!/j! + (j + 1)! scans, the least over
+    j (1,056 for m = 8, 3,744 for m = 9).
+    """
+    if not m:
+        return [1]  # the empty word, with no records
+    j = min(range(m), key=lambda j: perm(m, m - j) + factorial(j + 1))
+    suffixes = [[0] * (j + 1) for _ in range(j + 1)]  # [c][records past b]
+    for word in permutations(range(j + 1)):
+        suffixes[word[0]][records(word) - 1] += 1
+    prefixes = Counter()  # (records, c) -> prefixes
+    for prefix in permutations(range(m), m - j):
+        b = best(prefix)
+        # c: the entries below b, less the prefix's
+        prefixes[records(prefix), b - sorted(prefix).index(b)] += 1
+    counts = [0] * (m + 1)
+    for (r, c), ways in prefixes.items():
+        for t, orders in enumerate(suffixes[c]):
+            counts[r + t] += ways * orders
+    return counts
+
+
 def _nse_counts(m: int) -> tuple[int, ...]:
     """Entry j counts the words of m distinct entries with m - rl_min_count = j.
 
-    Every m! word is scanned on each call; the tally is the reversed
-    unsigned Stirling-1 row c(m, m-j), (1,) for the empty word.  It is not
-    cached across calls, so what a dist_poly cell or an nse_distribution
-    call costs does not depend on which calls came before it.
+    Reversal maps the words onto themselves and right-to-left minima to
+    left-to-right ones, so this is _record_tally of the left-to-right minima
+    (_rl_min_count of the reversed word): the reversed unsigned Stirling-1
+    row c(m, m-j), (1,) for the empty word.  It is not cached across calls,
+    so what a dist_poly cell or an nse_distribution call costs does not
+    depend on which calls came before it.
     """
-    counts = [0] * max(m, 1)
-    for word in permutations(range(m)):
-        counts[m - _rl_min_count(word)] += 1
-    return tuple(counts)
+    tally = _record_tally(m, lambda word: _rl_min_count(word[::-1]), min)
+    return tuple(tally[m - j] for j in range(max(m, 1)))
 
 
 @cache
@@ -313,7 +348,7 @@ def _tally(n: int, k: int, flavor: str) -> MultiPoly:
     skeleton; a block of length b has b distinct entries, so its word tally
     is _nse_counts(b).  An unordered flavor keeps the skeleton's own block
     order or the increasing word, one choice with the statistic 0, so its
-    tally is (1,).  Each is scanned once per cell, the words once per block
+    tally is (1,).  Each is tallied once per cell, the words once per block
     length; the convolution is formed once per multiset of block lengths,
     and only the pairing is counted by multiplication.
     """

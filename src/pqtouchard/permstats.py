@@ -9,11 +9,11 @@ single-block partition case.
 
 from __future__ import annotations
 
-from itertools import accumulate, permutations
+from itertools import accumulate
 from operator import mul
 
 from . import partitions
-from .partitions import _nse_counts, _rl_min_count
+from .partitions import _nse_counts, _record_tally, _rl_min_count
 
 
 def check_permutation(word) -> tuple[int, ...]:
@@ -78,8 +78,9 @@ def _check_budget(n: int) -> int:
 def nse_distribution(n: int) -> list[int]:
     """Entry j counts permutations in S_n with nse = j, for j = 0..n-1.
 
-    Exhaustive: equals the reversed unsigned Stirling-1 row c(n,n-j).  The
-    scan is the one dist_poly tallies block orders and block words with.
+    Exhaustive over S_n: equals the reversed unsigned Stirling-1 row
+    c(n,n-j).  It is the tally dist_poly reads block orders and block words
+    with, partitions._nse_counts.
     """
     return list(_nse_counts(_check_budget(n)))
 
@@ -87,11 +88,9 @@ def nse_distribution(n: int) -> list[int]:
 def ltr_max_distribution(n: int) -> list[int]:
     """Entry k counts permutations in S_n with k left-to-right maxima.
 
-    Exhaustive; entry 0 is always 0 since every nonempty word has a first
-    maximum.  Mirrors nse_distribution: entry k equals entry n-k there.
+    Exhaustive over S_n, tallied prefix by suffix (see
+    partitions._record_tally) with the _ltr_max_count loop; entry 0 is
+    always 0 since every nonempty word has a first maximum.  Mirrors
+    nse_distribution: entry k equals entry n-k there.
     """
-    n = _check_budget(n)
-    counts = [0] * (n + 1)
-    for word in permutations(range(1, n + 1)):
-        counts[_ltr_max_count(word)] += 1
-    return counts
+    return _record_tally(_check_budget(n), _ltr_max_count, max)

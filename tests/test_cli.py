@@ -347,6 +347,64 @@ class TestDist:
         assert (status, out) == (2, "")
         assert "n must be a nonnegative integer, got -1" in err
 
+    def test_large_cell_is_refused_at_once(self):
+        # a subprocess, as a user runs it: the digit bound refuses before
+        # either Stirling triangle grows (this cell ran out of memory there)
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "pqtouchard.cli", "dist", "--n", "3000", "--k", "1500"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+        assert time.perf_counter() - start < 2
+        assert (result.returncode, result.stdout) == (2, "")
+        assert "dist for n=3000, k=1500 holds up to 104882870330 digits" in result.stderr
+        assert f"budget of {cli.DIST_DIGIT_BUDGET}; pass --force" in result.stderr
+
+    @pytest.mark.parametrize("oracle", [(), ("--oracle",)])
+    def test_budget_edge(self, capsys, monkeypatch, oracle):
+        # rows 0..4 of both triangles hold 2 * 15 numbers of at most 2 digits
+        # (4! = 24); the 12 terms of s_uv(4,2) and A are at most 4!*2^4 = 384
+        monkeypatch.setattr(cli, "DIST_DIGIT_BUDGET", 96)
+        assert run(capsys, "dist", "--n", "4", "--k", "2", *oracle)[0] == 0
+        status, out, err = run(capsys, "dist", "--n", "5", "--k", "2", *oracle)
+        assert (status, out) == (2, "")
+        assert "dist for n=5, k=2 holds up to 190 digits, over the budget of 96" in err
+
+    def test_documented_edges(self):
+        # every k up to n = 513 fits, as the comment at DIST_DIGIT_BUDGET
+        # states, and k up to 555 at any smaller n
+        budget = cli.DIST_DIGIT_BUDGET
+        assert all(cli._dist_digits(513, k) <= budget for k in range(514))
+        assert any(cli._dist_digits(514, k) > budget for k in range(515))
+        assert cli._dist_digits(0, 555) <= budget < cli._dist_digits(0, 556)
+
+    def test_bound_covers_the_held_numbers(self):
+        def digits(values):
+            return sum(len(str(abs(v))) for v in values)
+
+        for n in range(13):
+            for k in range(-1, n + 3):
+                a, _ = touchard._factors(n, k)
+                held = digits(
+                    f(m, i) for f in (stirling1_unsigned, stirling2)
+                    for m in range(max(n, k) + 1) for i in range(m + 1)
+                )
+                held += digits(s_uv(n, k).terms.values()) + digits(a.terms.values())
+                assert held <= cli._dist_digits(n, k), (n, k)
+
+    def test_force_lifts_the_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "DIST_DIGIT_BUDGET", 1)
+        argv = ("dist", "--n", "3", "--k", "2", "--format", "csv")
+        status, out, err = run(capsys, *argv)
+        assert (status, out) == (2, "") and "pass --force" in err
+        assert run(capsys, *argv, "--force")[:2] == (0, "v\\u,0,1\n0,3,3\n1,3,3\n")
+
+    def test_unbounded_n_is_refused(self, capsys):
+        status, out, err = run(capsys, "dist", "--n", str(10**400), "--k", "1")
+        assert (status, out) == (2, "")
+        assert "--n or --k is too large to compute" in err
+
 
 class TestVerify:
     def test_single_identity(self, capsys):
@@ -924,6 +982,22 @@ PINNED = [
         "perm-stats --n 4 --format csv",
         0,
         "j,nse_count,k,ltrmax_count\n0,1,4,1\n1,6,3,6\n2,11,2,11\n3,6,1,6\n",
+    ),
+    # the largest permutation tally the benchmark prints
+    (
+        "perm-stats --n 9",
+        0,
+        "sha256:0328078a034f5cd174f61c04d63a10557959c47f7456134b220d761d2bf279e4",
+    ),
+    (
+        "perm-stats --n 9 --format json",
+        0,
+        "sha256:0b78844d4b44e0cb0affa2e201a7b7c4a32dc095ed186c4b1d443b732451ad66",
+    ),
+    (
+        "perm-stats --n 9 --format csv",
+        0,
+        "sha256:9d7e0f9ca5da0ca22cd2c8d6516affb95091080a75fedbb9565e558ec432b880",
     ),
 ]
 

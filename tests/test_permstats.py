@@ -14,7 +14,7 @@ from pqtouchard import (
     nse_perm,
     stirling1_unsigned,
 )
-from pqtouchard import partitions
+from pqtouchard import partitions, permstats
 from pqtouchard.cli import main
 
 
@@ -101,6 +101,21 @@ class TestDistributions:
         for n in range(1, 8):
             total *= n
             assert sum(nse_distribution(n)) == total
+
+    def test_tallies_equal_the_per_word_definition(self):
+        # every word of S_m through S_9, read one at a time by both loops
+        for m in range(10):
+            by_nse, by_ltr = [0] * max(m, 1), [0] * (m + 1)
+            for word in permutations(range(m)):
+                by_nse[m - partitions._rl_min_count(word)] += 1
+                by_ltr[permstats._ltr_max_count(word)] += 1
+            assert partitions._nse_counts(m) == tuple(by_nse), m
+            assert by_nse == [stirling1_unsigned(m, m - j) for j in range(max(m, 1))]
+            assert by_ltr == [stirling1_unsigned(m, k) for k in range(m + 1)]
+            if m:
+                assert ltr_max_distribution(m) == by_ltr, m
+            else:
+                assert partitions._record_tally(0, permstats._ltr_max_count, max) == [1]
 
     def test_budget(self):
         with pytest.raises(ValueError, match="budget"):
