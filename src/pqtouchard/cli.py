@@ -22,20 +22,17 @@ from functools import partial
 from itertools import chain, islice
 from math import lgamma, log, log10
 
-from . import partitions, permstats, touchard
+from . import partitions, permstats, tables, touchard
 from .partitions import nsb
 from .poly import MultiPoly
 from .tables import _BINOMIAL, _STIRLING1, _check_n, _row, bell, factorial, stirling2_row
 
-# each name's rows, read whole from its triangle; a signed Stirling-1 entry
-# c(n, k) carries the sign (-1)^(n-k)
+# each name's rows, read whole from its triangle or, signed, entry by entry
 _TRIANGLES = {
     "binomial": partial(_row, _BINOMIAL),
     "stirling2": stirling2_row,
     "stirling1": partial(_row, _STIRLING1),
-    "stirling1-signed": lambda n: [
-        -v if (n - k) % 2 else v for k, v in enumerate(_row(_STIRLING1, n))
-    ],
+    "stirling1-signed": lambda n: [tables.stirling1_signed(n, k) for k in range(n + 1)],
 }
 _SEQUENCES = {"bell": bell, "factorial": factorial}
 
@@ -176,8 +173,7 @@ def _table_digits(name: str, nmax: int) -> int:
 
 
 def _cmd_table(args) -> _Output:
-    if args.nmax < 0:
-        raise ValueError("--nmax must be nonnegative")
+    _check_n(args.nmax, "--nmax")
     name, nmax = args.name, args.nmax
     try:
         digits = _table_digits(name, nmax)
@@ -306,32 +302,22 @@ def _cmd_enumerate(args) -> _Output:
     )
 
 
-def _dist_grid_rows(n, k, poly):
-    cols = range(max(k, 1))
-    rows = [["v\\u"] + [str(i) for i in cols]]
-    for j in range(max(n - k, 0) + 1):
-        rows.append(
-            [str(j)] + [str(poly.monomial_coefficient({"u": i, "v": j})) for i in cols]
-        )
-    return rows
-
-
 # Digits `dist` may hold without --force.  The bound below stays within it
-# for every k up to n = 513 (and k <= 555 below it), where the largest cell,
-# k = 256, ran in 2.7 s at 312 MB peak RSS (3.8 s, 217 MB as json; cold
-# process, --out, 2-vCPU VM).  n = 3000, k = 1500 ran out of a 1 GB address
-# space growing the triangles.
+# for every cell up to n = 513, where the largest, k = 256, ran in 2.7 s at
+# 312 MB peak RSS (3.8 s, 217 MB as json; cold process, --out, 2-vCPU VM).
+# n = 3000, k = 1500 ran out of a 1 GB address space growing the triangles.
 DIST_DIGIT_BUDGET = 400_000_000
 
 
 def _dist_digits(n: int, k: int) -> int:
     """An upper bound on the digits s_uv(n, k) holds (n >= 0), no entry
-    computed: both Stirling triangles to row max(n, k) as _table_digits
-    bounds them, and the (n-k+1)(k+1) terms of the product and n-k+1 of its
-    factor A, each at most the llp count n!*C(n-1,k-1) <= n!*2^n."""
-    terms = max(n - k + 1, 0) * max(k + 2, 0)
+    computed: 0 outside 0 <= k <= n, where s_uv reads no table; else both
+    Stirling triangles to row n as _table_digits bounds them, and (n-k+1)(k+2)
+    terms of s_uv and A, each at most llp(n,k) = n!*C(n-1,k-1) <= n!*2^n."""
+    if not 0 <= k <= n:
+        return 0
     top = int(lgamma(n + 1) / log(10) + n * log10(2)) + 1
-    return 2 * _table_digits("stirling1", max(n, k)) + terms * top
+    return 2 * _table_digits("stirling1", n) + (n - k + 1) * (k + 2) * top
 
 
 def _cmd_dist(args) -> _Output:
@@ -346,75 +332,71 @@ def _cmd_dist(args) -> _Output:
             f"digits, over the budget of {DIST_DIGIT_BUDGET}; pass --force to run it anyway"
         )
     report = touchard.stat_report(args.n, args.k, force=args.force) if args.oracle else None
-    formula = report.formula if args.oracle else touchard.s_uv(args.n, args.k)
-    grid = partial(_dist_grid_rows, args.n, args.k, formula)
-    if not args.oracle:
-        return _Output(
-            lambda: {"n": args.n, "k": args.k, "poly": formula.to_json_obj()},
-            grid,
-            lambda: [formula],
-        )
-    failed = ", ".join(name for name, ok in report.checks if not ok)
+    formula = report.formula if report else touchard.s_uv(args.n, args.k)
+    failed = ", ".join(name for name, ok in report.checks if not ok) if report else ""
     if failed:
         print(f"verification failed: {failed}", file=sys.stderr)
-    return _Output(
-        lambda: {
-            "n": args.n,
-            "k": args.k,
-            "poly": formula.to_json_obj(),
-            "enumeration": report.poly.to_json_obj(),
-            "cardinality": str(report.cardinality),
-            "checks": dict(report.checks),
-            "passed": report.passed,
-        },
-        grid,
-        lambda: [
+
+    # the oracle's fields follow the closed form's; csv is its grid alone
+    def payload():
+        fields = {"n": args.n, "k": args.k, "poly": formula.to_json_obj()}
+        if report:
+            fields.update(
+                enumeration=report.poly.to_json_obj(),
+                cardinality=str(report.cardinality),
+                checks=dict(report.checks),
+                passed=report.passed,
+            )
+        return fields
+
+    def rows():
+        cols = range(max(args.k, 1))
+        yield ["v\\u", *cols]
+        for j in range(max(args.n - args.k, 0) + 1):
+            yield [j, *(formula.monomial_coefficient({"u": i, "v": j}) for i in cols)]
+
+    def lines():
+        if not report:
+            return [formula]
+        return [
             f"formula      {formula}",
             f"enumeration  {report.poly}",
             f"cardinality  {report.cardinality}",
-            "EQUAL" if report.passed else f"MISMATCH ({failed})",
-        ],
-        0 if report.passed else 1,
-    )
+            f"MISMATCH ({failed})" if failed else "EQUAL",
+        ]
+
+    return _Output(payload, rows, lines, 1 if failed else 0)
 
 
 def _cmd_verify(args) -> _Output:
     names = touchard.IDENTITY_NAMES if args.identity == "all" else (args.identity,)
     reports = [touchard.verify_identity(name, args.nmax, args.force) for name in names]
+    # the csv columns, which are also the json fields before the counterexample
+    header = ["identity", "nmax", "cells", "failures", "passed"]
+    rows = [[r.identity, r.n_max, len(r.cells), r.failures, r.passed] for r in reports]
     return _Output(
         lambda: {
             "reports": [
-                {
-                    "identity": r.identity,
-                    "nmax": r.n_max,
-                    "cells": len(r.cells),
-                    "failures": r.failures,
-                    "passed": r.passed,
-                    "first_counterexample": r.first_counterexample,
-                }
-                for r in reports
+                {**dict(zip(header, row)), "first_counterexample": r.first_counterexample}
+                for r, row in zip(reports, rows)
             ]
         },
-        lambda: chain(
-            [["identity", "nmax", "cells", "failures", "passed"]],
-            (
-                [r.identity, r.n_max, len(r.cells), r.failures, r.passed]
-                for r in reports
-            ),
-        ),
+        lambda: [header, *rows],
         lambda: [r.summary() for r in reports],
         0 if all(r.passed for r in reports) else 1,
     )
 
 
 def _cmd_avg_nse(args) -> _Output:
+    ks = range(1, args.n + 1)
+    if args.check:
+        # every cell is checked, up to the first refusal, before any work
+        for k in ks:
+            partitions._check_size(args.n, k, "slp", False, hint="use a smaller n")
     value = touchard.avg_nse(args.n)
     check = None
     if args.check:
-        # every cell is checked before the first is enumerated; nsb is 0 on slp
-        ks = range(1, args.n + 1)
-        for k in ks:
-            partitions._check_size(args.n, k, "slp", False, hint="use a smaller n")
+        # nsb is 0 on slp
         tallies = [partitions.dist_poly(args.n, k, flavor="slp") for k in ks]
         moved = sum(j * t.monomial_coefficient({"v": j}) for t in tallies for j in ks)
         objects = sum(t.evaluate({"u": 1, "v": 1}) for t in tallies)

@@ -16,11 +16,12 @@ entries made prefix by suffix (_record_tally), and pairs them per skeleton
 by multiplication; enumerate_partitions streams every object.  Inside,
 partitions are plain tuples of block tuples; only the public
 OrderedPartition constructor checks input.  No cell over OBJECT_BUDGET
-objects is enumerated unless forced.
+objects, or elements per object, is enumerated unless forced.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from functools import cache
 from itertools import accumulate, permutations, product
@@ -201,16 +202,28 @@ def _size(count: int) -> str:
     return f"a {digits + (count >= 10**digits)}-digit number of"
 
 
-def _check_size(n, k, flavor, force, hint="pass force=True (--force) to run it anyway"):
-    """The flavor's name, after rejecting a bad flavor, n or k, and a cell
-    over OBJECT_BUDGET unless forced; hint says how to get past the budget."""
+def _check_cell(n, k, flavor) -> str:
+    """The flavor's name, after rejecting a bad flavor, n or k."""
     name = str(flavor).lower()
     if name not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}: choose from {', '.join(FLAVORS)}")
-    flavor = name
     _check_n(n)
     if not isinstance(k, int) or isinstance(k, bool):
         raise ValueError(f"k must be an integer, got {k!r}")
+    return name
+
+
+def _check_size(n, k, flavor, force, hint="pass force=True (--force) to run it anyway"):
+    """The flavor's name, after _check_cell and the refusal of a nonempty
+    cell over OBJECT_BUDGET objects, or elements per object, unless forced;
+    hint says how to get past the budget.  Forced, the limit is sys.maxsize
+    elements per object, the list length limit."""
+    flavor = _check_cell(n, k, flavor)
+    if force and n > sys.maxsize and 1 <= k <= n:
+        raise ValueError(
+            f"{flavor} enumeration for n={n}, k={k} builds objects of {_size(n)} "
+            f"elements, over the list length limit of {sys.maxsize}"
+        )
     if force or not 1 <= k <= n:
         return flavor
     # k^e <= S(n,k) <= C(n-1,k-1)*k^e with e = n-k: put 1..k in separate
@@ -222,12 +235,16 @@ def _check_size(n, k, flavor, force, hint="pass force=True (--force) to run it a
     # ceiling is consulted.
     power = k ** min(n - k, OBJECT_BUDGET.bit_length())
     factor = factorial(k) if flavor == "lsp" and power <= OBJECT_BUDGET else 1
-    if max(power, factor) > OBJECT_BUDGET:
-        size = f"at least {_size(factor * power)}"
+    if n > OBJECT_BUDGET:
+        # past the budget only ssp(n,1), lsp(n,1), ssp(n,n) and slp(n,n)
+        # have a count within it: one object each, but of n elements
+        size = f"objects of {_size(n)} elements"
+    elif max(power, factor) > OBJECT_BUDGET:
+        size = f"at least {_size(factor * power)} objects"
     elif flavor in ("slp", "llp") and (log_count := _log10_count(n, k, flavor)) > 31:
         # over 10^31, far past any budget: the length is all a refusal
         # states (as _size would), so n! is never computed for it
-        size = f"a {int(log_count) + 1}-digit number of"
+        size = f"a {int(log_count) + 1}-digit number of objects"
     elif flavor in ("slp", "llp") or factor * comb(n - 1, k - 1) * power > OBJECT_BUDGET:
         # slp and llp counts come from math; an lsp cell left open here has
         # k! and k^e within the budget, so n is small, the count is cheap
@@ -235,11 +252,11 @@ def _check_size(n, k, flavor, force, hint="pass force=True (--force) to run it a
         count = count_partitions(n, k, flavor)
         if count <= OBJECT_BUDGET:
             return flavor
-        size = _size(count)
+        size = f"{_size(count)} objects"
     else:
         return flavor
     raise ValueError(
-        f"{flavor} enumeration for n={n}, k={k} visits {size} objects, "
+        f"{flavor} enumeration for n={n}, k={k} visits {size}, "
         f"over the budget of {OBJECT_BUDGET}; {hint}"
     )
 
@@ -374,17 +391,17 @@ def _tally(n: int, k: int, flavor: str) -> MultiPoly:
 
 def count_partitions(n: int, k: int, flavor: str) -> int:
     """Number of flavor objects, by closed form."""
-    flavor = _check_size(n, k, flavor, force=True)  # nothing is enumerated here
+    flavor = _check_cell(n, k, flavor)  # nothing is enumerated here
     if not 1 <= k <= n:
         return 1 if n == k == 0 else 0
     if flavor in ("ssp", "lsp"):
-        if n - k > 2:
+        if k > 1 and n - k > 2:
             s = stirling2(n, k)
         else:
-            # by closed form near the diagonal, so that a refused cell does
-            # not grow the Stirling table to row n: all blocks single, one
-            # pair, or one triple or two pairs with the rest single
-            s = (1, comb(n, 2), comb(n, 3) + 3 * comb(n, 4))[n - k]
+            # by closed form, so that a refused cell does not grow the table
+            # to row n: one block, or near the diagonal all blocks single,
+            # one pair, or one triple or two pairs with the rest single
+            s = 1 if k == 1 else (1, comb(n, 2), comb(n, 3) + 3 * comb(n, 4))[n - k]
         return s if flavor == "ssp" else factorial(k) * s
     if flavor == "slp":
         return perm(n, n - k) * comb(n - 1, k - 1)

@@ -82,12 +82,13 @@ def exp_q(order: int, v) -> EgfSeries:
 
 
 def _factors(n: int, k: int) -> tuple[MultiPoly, MultiPoly]:
-    """The factors of s_uv(n,k) = A_{n,k}(v) * B_k(u), after s_uv's argument
-    check: A_{n,k}(v) = sum_j c(n,n-j) S(n-j,k) v^j, B_k(u) = sum_i c(k,k-i) u^i."""
+    """A_{n,k}(v) = sum_j c(n,n-j) S(n-j,k) v^j and B_k(u) = sum_i c(k,k-i) u^i,
+    the factors of s_uv(n,k), after its argument check; 0 and 0, read from no
+    table, outside 0 <= k <= n, where A has no term."""
     for value, name in ((n, "n"), (k, "k")):
         if not (isinstance(value, int) and value < 0):
             _check_n(value, name)
-    if n < 0 or k < 0:
+    if not 0 <= k <= n:
         return MultiPoly.const(0), MultiPoly.const(0)
     a = {
         (0, 0, 0, 0, j): stirling1_unsigned(n, n - j) * stirling2(n - j, k)
@@ -240,13 +241,11 @@ def touchard_series(order: int, x=X, p=P, q=Q) -> EgfSeries:
     _check_n(order, "order")
     for a, name in zip((x, p, q), "xpq"):
         _exact(a, name, symbolic=True)
-    symbolic = [isinstance(a, MultiPoly) for a in (x, p, q)]
-    if any(symbolic) and not all(symbolic):
-        raise ValueError("x, p and q must be either all symbolic or all rational")
-    if all(symbolic):
+    if any(isinstance(a, MultiPoly) for a in (x, p, q)):
         if (x, p, q) != (X, P, Q):
             raise ValueError(
-                "symbolic x, p and q must be the variables x, p and q themselves"
+                "x, p and q must be all symbolic or all rational, and symbolic "
+                "they must be the variables x, p and q themselves"
             )
         return EgfSeries(_row_terms(*pair) for pair in _symbolic_rows(order))
     a, b = x.as_integer_ratio()
@@ -403,40 +402,41 @@ def _unequal(lhs, rhs) -> str | None:
     return None if lhs == rhs else f"{lhs} != {rhs}"
 
 
+def _cells(n_max: int, low: int = 1):
+    """The cells low <= k <= n <= n_max row by row, generated, never held."""
+    return ((n, k) for n in range(low, n_max + 1) for k in range(low, n + 1))
+
+
 def _verify_stirling12(n_max: int, force: bool):
-    for n in range(1, n_max + 1):
-        for k in range(1, n + 1):
-            lhs = sum(stirling1_unsigned(n, l) * stirling2(l, k) for l in range(n + 1))
-            rhs = factorial(n) // factorial(k) * binomial(n - 1, k - 1)
-            yield f"n={n},k={k}", _unequal(lhs, rhs)
+    for n, k in _cells(n_max):
+        lhs = sum(stirling1_unsigned(n, l) * stirling2(l, k) for l in range(n + 1))
+        rhs = factorial(n) // factorial(k) * binomial(n - 1, k - 1)
+        yield f"n={n},k={k}", _unequal(lhs, rhs)
 
 
 def _verify_orthogonality(n_max: int, force: bool):
-    for n in range(n_max + 1):
-        for k in range(n + 1):
-            lhs = sum(stirling1_signed(n, l) * stirling2(l, k) for l in range(n + 1))
-            rhs = 1 if n == k else 0
-            yield f"n={n},k={k}", _unequal(lhs, rhs)
+    for n, k in _cells(n_max, 0):
+        lhs = sum(stirling1_signed(n, l) * stirling2(l, k) for l in range(n + 1))
+        rhs = 1 if n == k else 0
+        yield f"n={n},k={k}", _unequal(lhs, rhs)
 
 
 def _verify_slp_count(n_max: int, force: bool):
-    for n in range(1, n_max + 1):
-        for k in range(1, n + 1):
-            slice_sum = sum(
-                stirling1_unsigned(n, n - j) * stirling2(n - j, k)
-                for j in range(n - k + 1)
-            )
-            expected = count_partitions(n, k, "slp")
-            yield f"n={n},k={k}", _unequal(slice_sum, expected)
+    for n, k in _cells(n_max):
+        slice_sum = sum(
+            stirling1_unsigned(n, n - j) * stirling2(n - j, k) for j in range(n - k + 1)
+        )
+        expected = count_partitions(n, k, "slp")
+        yield f"n={n},k={k}", _unequal(slice_sum, expected)
 
 
 def _verify_enumeration(flavor: str, zero, n_max: int, force: bool):
     # a flavor's tally is s_uv at zero = 0 (lsp has nse = 0, slp nsb = 0);
-    # every cell is checked against the budget before the first is enumerated
-    cells = [(n, k) for n in range(1, n_max + 1) for k in range(1, n + 1)]
-    for n, k in cells:
+    # every cell is checked against the budget, in order and up to the first
+    # refusal, before the first is enumerated, so a huge n_max costs nothing
+    for n, k in _cells(n_max):
         _check_size(n, k, flavor, force)
-    for n, k in cells:
+    for n, k in _cells(n_max):
         enumerated = dist_poly(n, k, force=force, flavor=flavor)
         closed = s_uv(n, k) if zero is None else s_uv(n, k).substitute(zero, 0)
         yield f"n={n},k={k}", None if enumerated == closed else (

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -24,7 +25,7 @@ from pqtouchard import (
     touchard_eval,
     touchard_poly,
 )
-from pqtouchard import cli, partitions, touchard
+from pqtouchard import cli, partitions, tables, touchard
 from pqtouchard.cli import main
 from pqtouchard.tables import binomial, stirling1_signed, stirling1_unsigned, stirling2
 
@@ -371,13 +372,18 @@ class TestDist:
         assert (status, out) == (2, "")
         assert "dist for n=5, k=2 holds up to 190 digits, over the budget of 96" in err
 
-    def test_documented_edges(self):
-        # every k up to n = 513 fits, as the comment at DIST_DIGIT_BUDGET
-        # states, and k up to 555 at any smaller n
+    def test_documented_edges(self, capsys):
+        # every cell up to n = 513 fits, as the comment at DIST_DIGIT_BUDGET
+        # states; a k past n answers 0 at any n without growing a table
         budget = cli.DIST_DIGIT_BUDGET
         assert all(cli._dist_digits(513, k) <= budget for k in range(514))
         assert any(cli._dist_digits(514, k) > budget for k in range(515))
-        assert cli._dist_digits(0, 555) <= budget < cli._dist_digits(0, 556)
+        rows = [len(t[0]) for t in (tables._STIRLING1, tables._STIRLING2)]
+        for n in (2, 10**6):
+            for k in (n + 1, n + 554, n + 3000):
+                assert cli._dist_digits(n, k) == 0
+                assert run(capsys, "dist", "--n", str(n), "--k", str(k)) == (0, "0\n", "")
+        assert [len(t[0]) for t in (tables._STIRLING1, tables._STIRLING2)] == rows
 
     def test_bound_covers_the_held_numbers(self):
         def digits(values):
@@ -385,10 +391,15 @@ class TestDist:
 
         for n in range(13):
             for k in range(-1, n + 3):
+                grown = len(tables._STIRLING1[0])
                 a, _ = touchard._factors(n, k)
+                # the triangles are held to row n, and only for 0 <= k <= n
+                rows = range(n + 1) if 0 <= k <= n else ()
+                if k > n:
+                    assert len(tables._STIRLING1[0]) == grown, (n, k)
                 held = digits(
                     f(m, i) for f in (stirling1_unsigned, stirling2)
-                    for m in range(max(n, k) + 1) for i in range(m + 1)
+                    for m in rows for i in range(m + 1)
                 )
                 held += digits(s_uv(n, k).terms.values()) + digits(a.terms.values())
                 assert held <= cli._dist_digits(n, k), (n, k)
@@ -404,6 +415,72 @@ class TestDist:
         status, out, err = run(capsys, "dist", "--n", str(10**400), "--k", "1")
         assert (status, out) == (2, "")
         assert "--n or --k is too large to compute" in err
+
+    def test_failed_oracle_is_reported(self, capsys, monkeypatch):
+        # the enumeration of cell (3, 2) gains one object with nse = 1
+        V = MultiPoly.var("v")
+        dist_poly = touchard.dist_poly
+        monkeypatch.setattr(
+            touchard, "dist_poly",
+            lambda n, k, **kw: dist_poly(n, k, **kw) + (V if (n, k) == (3, 2) else 0),
+        )
+        failed = "formula-match, corner-u1v1, corner-u0v1"
+        status, out, err = run(capsys, "dist", "--n", "3", "--k", "2", "--oracle")
+        assert (status, err) == (1, f"verification failed: {failed}\n")
+        assert out.splitlines() == [
+            "formula      3 + 3*u + 3*v + 3*u*v",
+            "enumeration  3 + 3*u + 4*v + 3*u*v",
+            "cardinality  12",
+            f"MISMATCH ({failed})",
+        ]
+        status, out, _ = run(capsys, "dist", "--n", "3", "--k", "2", "--oracle", "--format", "json")
+        payload = json.loads(out)
+        assert status == 1 and payload["passed"] is False
+        assert [name for name, ok in payload["checks"].items() if not ok] == failed.split(", ")
+        # csv is the closed form's grid alone; the status still reports the failure
+        status, out, _ = run(capsys, "dist", "--n", "3", "--k", "2", "--oracle", "--format", "csv")
+        assert (status, out) == (1, "v\\u,0,1\n0,3,3\n1,3,3\n")
+
+
+def run_cold(*args, timeout=30):
+    """python *args in a fresh interpreter, as a user runs the command line,
+    held to 1 GB of address space: (result, wall seconds)."""
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=timeout,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+    )
+    return result, time.perf_counter() - start
+
+
+class TestDecidedBeforeWork:
+    # each cell is answered or refused before any table grows or any object
+    # is built, so each command ends at once, well inside 1 GB
+    CASES = [
+        (("-c", "from pqtouchard import s_uv, tables; "
+                "print(s_uv(2, 3000), len(tables._STIRLING1[0]))"), 0, "0 1\n", ""),
+        (("-m", "pqtouchard.cli", "dist", "--n", "2", "--k", "3000", "--force"), 0, "0\n", ""),
+        (("-m", "pqtouchard.cli", "dist", "--n", "2", "--k", "556"), 0, "0\n", ""),
+        (("-m", "pqtouchard.cli", "verify", "--identity", "llp-grid", "--nmax", str(10**30)),
+         2, "", "llp enumeration for n=9, k=2 visits 2903040 objects"),
+        (("-m", "pqtouchard.cli", "avg-nse", "--n", "1000", "--check"),
+         2, "", "slp enumeration for n=1000, k=1 visits a 2568-digit number of objects"),
+        # a one-object cell of a huge n lists n elements
+        (("-m", "pqtouchard.cli", "enumerate", "--n", str(10**400), "--k", "1", "--flavor", "ssp"),
+         2, "", "k=1 visits objects of a 401-digit number of elements, over the budget of"),
+        (("-m", "pqtouchard.cli", "enumerate", "--n", str(10**9), "--k", "1", "--flavor", "ssp"),
+         2, "", "n=1000000000, k=1 visits objects of 1000000000 elements, over the budget"),
+        (("-m", "pqtouchard.cli", "enumerate", "--n", str(10**400), "--k", "1", "--flavor", "ssp",
+          "--force"), 2, "", f"elements, over the list length limit of {sys.maxsize}"),
+    ]
+
+    @pytest.mark.parametrize("args, status, out, err", CASES, ids=range(len(CASES)))
+    def test_at_once(self, args, status, out, err):
+        result, wall = run_cold(*args)
+        assert (result.returncode, result.stdout) == (status, out), result.stderr
+        assert err in result.stderr and "Traceback" not in result.stderr
+        assert wall < 5
 
 
 class TestVerify:
@@ -650,7 +727,11 @@ class TestSmallCommands:
             streams.append((n, k))
             return skeletons(n, k)
 
+        def never(n):
+            raise AssertionError("avg_nse ran before the cells were checked")
+
         monkeypatch.setattr(partitions, "_skeletons", counting)
+        monkeypatch.setattr(touchard, "avg_nse", never)
         # slp(9,1) = 362,880 fits, slp(9,2) = 1,451,520 does not
         monkeypatch.setattr(partitions, "OBJECT_BUDGET", 400_000)
         partitions._tally.cache_clear()

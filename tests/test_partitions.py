@@ -220,6 +220,37 @@ class TestBudget:
             poly = dist_poly(n, k, force=True, flavor=flavor)
             assert poly.evaluate({"u": 1, "v": 1}) == count
 
+    def test_objects_longer_than_the_budget_are_refused(self, monkeypatch):
+        # past the budget in n, only these cells have a count within it: one
+        # object each, which lists n elements
+        monkeypatch.setattr(partitions, "OBJECT_BUDGET", 50)
+        partitions._tally.cache_clear()
+        for k, flavor in ((1, "ssp"), (1, "lsp"), (51, "ssp"), (51, "slp")):
+            assert count_partitions(51, k, flavor) == 1
+            refusal = (
+                f"{flavor} enumeration for n=51, k={k} visits objects of 51 elements, "
+                "over the budget of 50"
+            )
+            with pytest.raises(ValueError, match=refusal):
+                enumerate_partitions(51, k, flavor)
+            with pytest.raises(ValueError, match=refusal):
+                dist_poly(51, k, flavor=flavor)
+            assert sum(1 for _ in enumerate_partitions(51, k, flavor, force=True)) == 1
+        assert sum(1 for _ in enumerate_partitions(50, 1, "ssp")) == 1
+        # an empty cell lists nothing, at any n
+        assert list(enumerate_partitions(10**400, 10**400 + 1, "llp")) == []
+
+    def test_n_past_the_list_length_limit_is_refused_when_forced(self):
+        n = 10**400
+        # the count needs no list, and no table row
+        assert count_partitions(n, 1, "ssp") == count_partitions(n, 1, "lsp") == 1
+        assert count_partitions(n, n, "ssp") == 1
+        for flavor in partitions.FLAVORS:
+            with pytest.raises(ValueError, match="over the list length limit of"):
+                enumerate_partitions(n, 1, flavor, force=True)
+            with pytest.raises(ValueError, match="over the list length limit of"):
+                dist_poly(n, n, force=True, flavor=flavor)
+
     def test_multi_cell_checks_refuse_before_enumerating(self, monkeypatch):
         streams = []
         skeletons = partitions._skeletons

@@ -54,6 +54,20 @@ class TestCanonicalForm:
         with pytest.raises(TypeError):
             MultiPoly(("x",), {(1,): Fraction(1, 2)})
 
+    def test_duplicate_variable_rejected(self):
+        with pytest.raises(ValueError, match=r"duplicate variable in \('x', 'q', 'x'\)"):
+            MultiPoly(("x", "q", "x"), {(1, 0, 0): 1})
+
+    @pytest.mark.parametrize("key", [(1,), (1, 0, 2)])
+    def test_exponent_vector_of_wrong_length_rejected(self, key):
+        with pytest.raises(ValueError, match="does not match variables"):
+            MultiPoly(("x", "q"), {key: 1})
+
+    @pytest.mark.parametrize("value", [True, False, Fraction(1), 1.0])
+    def test_const_rejects_a_non_int(self, value):
+        with pytest.raises(TypeError, match="coefficients must be int"):
+            MultiPoly.const(value)
+
 
 class TestArithmetic:
     def test_product_of_linear_factors(self):
