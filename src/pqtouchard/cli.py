@@ -19,7 +19,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, dropwhile, islice
 from math import lgamma, log, log10
 
 from . import partitions, permstats, tables, touchard
@@ -37,11 +37,27 @@ _TRIANGLES = {
 _SEQUENCES = {"bell": bell, "factorial": factorial}
 
 
+# Fraction multiplies a decimal exponent out, in time that grows faster than
+# the exponent, so one past this is refused
+EXPONENT_LIMIT = 100_000
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")  # as Fraction reads it
+
+
 def _parse_fraction(text: str) -> Fraction:
+    text = str(text)
+    exponent = _EXPONENT.search(text)
+    # decided by the digit count first, so no long digit string is converted
+    digits = exponent[1].replace("_", "") if exponent else ""
+    digits = "".join(dropwhile(lambda d: int(d) == 0, digits))  # zeros of any script
+    huge = len(digits) > len(str(EXPONENT_LIMIT)) or int(digits or 0) > EXPONENT_LIMIT
     try:
-        return Fraction(str(text))
+        # past the limit, read with exponent 0, so a malformed literal says so
+        value = Fraction(text[: exponent.start(1)] + "0" if huge else text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse {text!r} as an exact rational") from exc
+    if huge:
+        raise ValueError(f"{text!r} has an exponent over {EXPONENT_LIMIT} in magnitude")
+    return value
 
 
 def _parse_assignment(text: str) -> dict[str, Fraction]:
@@ -256,9 +272,7 @@ def _cmd_expand(args) -> _Output:
 
 
 def _cmd_eval(args) -> _Output:
-    x = _parse_fraction(args.x)
-    p = _parse_fraction(args.p)
-    q = _parse_fraction(args.q)
+    x, p, q = map(_parse_fraction, (args.x, args.p, args.q))
     if args.oracle and (p == 1 or q == 1):
         raise ValueError(
             "--oracle needs p != 1 and q != 1 (its series has exponents "

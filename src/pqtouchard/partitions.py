@@ -16,18 +16,18 @@ entries made prefix by suffix (_record_tally), and pairs them per skeleton
 by multiplication; enumerate_partitions streams every object.  Inside,
 partitions are plain tuples of block tuples; only the public
 OrderedPartition constructor checks input.  No cell over OBJECT_BUDGET
-objects, or elements per object, is enumerated unless forced.
+objects, or elements per object, is enumerated unless forced.  No result
+is cached here: dist_poly tallies its cell on every call.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import Counter
-from functools import cache
 from itertools import accumulate, permutations, product
 from math import comb, factorial, lgamma, log, log10, perm
 
-from .poly import MultiPoly
+from .poly import MultiPoly, _wrap
 from .tables import _check_n, stirling2
 
 FLAVORS = ("ssp", "lsp", "slp", "llp")
@@ -103,12 +103,9 @@ class OrderedPartition:
             return cls(())
         blocks = []
         for part in text.split("/"):
-            if "," in text:
-                blocks.append([int(e) for e in part.split(",")])
-            else:
-                if not part.isdigit():
-                    raise ValueError(f"cannot parse block {part!r}")
-                blocks.append([int(ch) for ch in part])
+            if "," not in text and not part.isdigit():
+                raise ValueError(f"cannot parse block {part!r}")
+            blocks.append(list(map(int, part.split(",") if "," in text else part)))
         return cls(blocks)
 
     def to_string(self) -> str:
@@ -282,19 +279,6 @@ def _generate(n, k, flavor):
                 yield arrangement
 
 
-def dist_poly(n: int, k: int, force: bool = False, flavor: str = "llp") -> MultiPoly:
-    """Joint distribution sum of u^nsb * v^nse over all objects of a flavor.
-
-    Tallied skeleton by skeleton (see _tally) and cached once per (n, k,
-    flavor).  The budget still counts the cell's objects, and it is checked
-    on every call before the cache is consulted, so a result computed with
-    force=True does not answer a later call without it.  Evaluating the
-    result at u=v=1 recovers the object count.
-    """
-    flavor = _check_size(n, k, flavor, force)
-    return _tally(n, k, flavor)
-
-
 def _record_tally(m: int, records, best) -> list[int]:
     """Entry r counts the words of range(m) with r left-to-right records.
 
@@ -335,17 +319,15 @@ def _nse_counts(m: int) -> tuple[int, ...]:
     Reversal maps the words onto themselves and right-to-left minima to
     left-to-right ones, so this is _record_tally of the left-to-right minima
     (_rl_min_count of the reversed word): the reversed unsigned Stirling-1
-    row c(m, m-j), (1,) for the empty word.  It is not cached across calls,
-    so what a dist_poly cell or an nse_distribution call costs does not
-    depend on which calls came before it.
+    row c(m, m-j), (1,) for the empty word.
     """
     tally = _record_tally(m, lambda word: _rl_min_count(word[::-1]), min)
     return tuple(tally[m - j] for j in range(max(m, 1)))
 
 
-@cache
-def _tally(n: int, k: int, flavor: str) -> MultiPoly:
-    """The nsb/nse tally of a cell, one set-partition skeleton at a time.
+def dist_poly(n: int, k: int, force: bool = False, flavor: str = "llp") -> MultiPoly:
+    """Joint distribution sum of u^nsb * v^nse over all objects of a flavor,
+    tallied one set-partition skeleton at a time.
 
     Every object of the cell comes from exactly one skeleton (the set
     partition it sorts to) by choosing a block order, any of the k! for
@@ -368,7 +350,12 @@ def _tally(n: int, k: int, flavor: str) -> MultiPoly:
     tally is (1,).  Each is tallied once per cell, the words once per block
     length; the convolution is formed once per multiset of block lengths,
     and only the pairing is counted by multiplication.
+
+    The budget counts the cell's objects, though none is visited.  Nothing
+    is kept between calls: each call tallies its cell again.  Evaluating
+    the result at u=v=1 recovers the object count.
     """
+    flavor = _check_size(n, k, flavor, force)
     shapes = Counter(tuple(sorted(map(len, sk))) for sk in _skeletons(n, k))
     # an empty cell (k > n) has no block order to scan
     orders = _nse_counts(k) if shapes and flavor in ("lsp", "llp") else (1,)
@@ -385,8 +372,9 @@ def _tally(n: int, k: int, flavor: str) -> MultiPoly:
                     step[i + j] += a * b
             tally = step
         by_nse.update(tally)
-    terms = {(i, j): a * b for i, a in enumerate(orders) for j, b in by_nse.items()}
-    return MultiPoly(("u", "v"), terms)
+    return _wrap(
+        {(0, 0, 0, i, j): a * b for i, a in enumerate(orders) for j, b in by_nse.items()}
+    )
 
 
 def count_partitions(n: int, k: int, flavor: str) -> int:
@@ -394,15 +382,21 @@ def count_partitions(n: int, k: int, flavor: str) -> int:
     flavor = _check_cell(n, k, flavor)  # nothing is enumerated here
     if not 1 <= k <= n:
         return 1 if n == k == 0 else 0
-    if flavor in ("ssp", "lsp"):
-        if k > 1 and n - k > 2:
-            s = stirling2(n, k)
-        else:
-            # by closed form, so that a refused cell does not grow the table
-            # to row n: one block, or near the diagonal all blocks single,
-            # one pair, or one triple or two pairs with the rest single
-            s = 1 if k == 1 else (1, comb(n, 2), comb(n, 3) + 3 * comb(n, 4))[n - k]
-        return s if flavor == "ssp" else factorial(k) * s
-    if flavor == "slp":
-        return perm(n, n - k) * comb(n - 1, k - 1)
-    return factorial(n) * comb(n - 1, k - 1)
+    try:
+        if flavor in ("ssp", "lsp"):
+            if k > 1 and n - k > 2:
+                s = stirling2(n, k)
+            else:
+                # by closed form, so that a refused cell does not grow the
+                # table to row n: one block, or near the diagonal all blocks
+                # single, one pair, or one triple or two pairs with the rest single
+                s = 1 if k == 1 else (1, comb(n, 2), comb(n, 3) + 3 * comb(n, 4))[n - k]
+            return s if flavor == "ssp" else factorial(k) * s
+        if flavor == "slp":
+            return perm(n, n - k) * comb(n - 1, k - 1)
+        return factorial(n) * comb(n - 1, k - 1)
+    except OverflowError:  # math multiplies at most sys.maxsize factors
+        raise ValueError(
+            f"{flavor} count for n={n}, k={k} is a product of more than "
+            f"{sys.maxsize} factors, over the limit of the math module"
+        ) from None

@@ -122,8 +122,10 @@ def s_pq(n: int, k: int) -> MultiPoly:
     return a.substitute("v", Q - 1) * b.substitute("u", P - 1)
 
 
-# functools.cache, but keyed by type as well: 2.0 or True must not find the
-# entry of 2 or 1 and skip the argument check
+# the package's one cache, kept because callers repeat keys: eval-vs-poly
+# reads T_0..T_10 at each of its 75 points, and series-vs-explicit reads
+# again the T_n that builds before it made.  Keyed by type as well: 2.0 or
+# True must not find the entry of 2 or 1 and skip the argument check
 @lru_cache(maxsize=None, typed=True)
 def touchard_poly(n: int, route: str = "substitution") -> MultiPoly:
     """T_n(x;p,q) as an exact polynomial; all routes agree.
@@ -384,11 +386,8 @@ class VerificationReport:
         return sum(1 for _, ok in self.cells if not ok)
 
     def summary(self) -> str:
-        verdict = "PASS" if self.passed else "FAIL"
-        text = (
-            f"identity {self.identity}: {len(self.cells)} cells up to "
-            f"n={self.n_max}: {verdict}"
-        )
+        text = f"identity {self.identity}: {len(self.cells)} cells up to n={self.n_max}: "
+        text += "PASS" if self.passed else "FAIL"
         if not self.passed:
             text += f"\nfirst counterexample: {self.first_counterexample}"
         return text
@@ -455,21 +454,22 @@ def _verify_series_vs_explicit(n_max: int, force: bool):
         )
 
 
-ORACLE_GRID = {
-    "x": (Fraction(1, 2), Fraction(1), Fraction(2)),
-    "p": (Fraction(-1), Fraction(1, 2), Fraction(2), Fraction(3)),
-    "q": (Fraction(-1), Fraction(1, 2), Fraction(2), Fraction(3)),
-}
+# oracle-vs-eval's points: x in X_GRID, p and q in ORACLE_GRID; eval-vs-poly
+# reads EVAL_GRID, which adds the classical corners p = 1 and q = 1, where
+# the oracle does not apply
+X_GRID = (Fraction(1, 2), Fraction(1), Fraction(2))
+ORACLE_GRID = (Fraction(-1), Fraction(1, 2), Fraction(2), Fraction(3))
+EVAL_GRID = ORACLE_GRID + (Fraction(1),)
 
 
 def _verify_points(grid, first_mismatch):
-    # one cell per point; first_mismatch(x, p, q) describes the first entry
-    # at which two routes disagree there, or gives None
-    for x, p, q in product(grid["x"], grid["p"], grid["q"]):
+    # one cell per point (x, p, q), p and q in grid; first_mismatch(x, p, q)
+    # describes the first entry at which two routes disagree there, or gives None
+    for x, p, q in product(X_GRID, grid, grid):
         yield f"x={x},p={p},q={q}", first_mismatch(x, p, q)
 
 
-def _verify_oracle_vs_eval(grid, n_max: int, force: bool):
+def _verify_oracle_vs_eval(n_max: int, force: bool):
     # taylor_oracle against both scalar routes, the sum and the composition
     def first_mismatch(x, p, q):
         coeffs = taylor_oracle(x, p, q, n_max)
@@ -483,19 +483,10 @@ def _verify_oracle_vs_eval(grid, n_max: int, force: bool):
                 return f"entry {n}: composition {composed[n]} != sum {by_sum}"
         return None
 
-    yield from _verify_points(grid, first_mismatch)
+    yield from _verify_points(ORACLE_GRID, first_mismatch)
 
 
-# ORACLE_GRID with the classical corners p = 1 and q = 1, where the oracle
-# does not apply
-EVAL_GRID = {
-    **ORACLE_GRID,
-    "p": ORACLE_GRID["p"] + (Fraction(1),),
-    "q": ORACLE_GRID["q"] + (Fraction(1),),
-}
-
-
-def _verify_eval_vs_poly(grid, n_max: int, force: bool):
+def _verify_eval_vs_poly(n_max: int, force: bool):
     def first_mismatch(x, p, q):
         for n in range(n_max + 1):
             by_sum = touchard_eval(n, x, p, q)
@@ -504,7 +495,7 @@ def _verify_eval_vs_poly(grid, n_max: int, force: bool):
                 return f"entry {n}: sum {by_sum} != polynomial {by_poly}"
         return None
 
-    yield from _verify_points(grid, first_mismatch)
+    yield from _verify_points(EVAL_GRID, first_mismatch)
 
 
 # name: (checker, default n_max)
@@ -516,8 +507,8 @@ _IDENTITIES = {
     "lsp-slice": (partial(_verify_enumeration, "lsp", "v"), 8),
     "slp-slice": (partial(_verify_enumeration, "slp", "u"), 8),
     "series-vs-explicit": (_verify_series_vs_explicit, 12),
-    "oracle-vs-eval": (partial(_verify_oracle_vs_eval, ORACLE_GRID), 25),
-    "eval-vs-poly": (partial(_verify_eval_vs_poly, EVAL_GRID), 10),
+    "oracle-vs-eval": (_verify_oracle_vs_eval, 25),
+    "eval-vs-poly": (_verify_eval_vs_poly, 10),
 }
 
 IDENTITY_NAMES = tuple(_IDENTITIES)
@@ -536,8 +527,7 @@ def verify_identity(
             f"unknown identity {name!r}: choose from {', '.join(IDENTITY_NAMES)}"
         )
     checker, default_n = _IDENTITIES[name]
-    if n_max is None:
-        n_max = default_n
+    n_max = default_n if n_max is None else n_max
     _check_n(n_max, "n_max")
     cells, first = [], None
     for label, failure in checker(n_max, force):

@@ -1,6 +1,7 @@
 """The public API, pinned: a change to it must edit this list on purpose."""
 
 import importlib
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -99,6 +100,21 @@ def test_names_the_benchmark_reaches_resolve():
     assert isinstance(series, pqtouchard.EgfSeries)
     assert type(series)(list(series)) == series
     assert callable(pqtouchard.touchard.touchard_poly.cache_info)
+
+
+def test_the_one_cache_is_touchard_poly():
+    # besides the number tables, the package keeps no state but this cache;
+    # a new cache must be added to this list on purpose
+    caches = {}
+    for info in pkgutil.iter_modules(pqtouchard.__path__):
+        module = importlib.import_module(f"pqtouchard.{info.name}")
+        for name, value in vars(module).items():
+            # a class's methods too, bound as a caller reaches them
+            members = vars(value) if isinstance(value, type) else ()
+            for obj in (value, *(getattr(value, m) for m in members)):
+                if hasattr(obj, "cache_info"):
+                    caches.setdefault(obj, f"{info.name}.{name}")
+    assert list(caches) == [pqtouchard.touchard.touchard_poly], caches
 
 
 def test_benchmark_self_test_passes():

@@ -10,6 +10,7 @@ import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -176,6 +177,16 @@ class TestEval:
         assert (status, out) == (2, "")
         assert "--oracle needs p != 1 and q != 1" in err
         assert "without --oracle" in err
+
+    def test_exponent_limit(self):
+        assert cli._parse_fraction("1e100000") == 10**100000
+        assert cli._parse_fraction("-2.5E-0_000_100_000") == Fraction(-25, 10**100001)
+        for text in ("1e100001", "1e-100_001", "1e" + "9" * 5000):
+            with pytest.raises(ValueError, match="has an exponent over 100000"):
+                cli._parse_fraction(text)
+        # a malformed literal is named as such, whatever its exponent
+        with pytest.raises(ValueError, match="cannot parse '1/2e9999999'"):
+            cli._parse_fraction("1/2e9999999")
 
     def test_bad_fraction(self, capsys):
         status, _, err = run(capsys, "eval", "--n", "2", "--x", "abc", "--p", "1", "--q", "1")
@@ -473,6 +484,11 @@ class TestDecidedBeforeWork:
          2, "", "n=1000000000, k=1 visits objects of 1000000000 elements, over the budget"),
         (("-m", "pqtouchard.cli", "enumerate", "--n", str(10**400), "--k", "1", "--flavor", "ssp",
           "--force"), 2, "", f"elements, over the list length limit of {sys.maxsize}"),
+        # a decimal exponent is bounded before Fraction multiplies it out
+        (("-m", "pqtouchard.cli", "eval", "--n", "1", "--x", "1e999999999", "--p", "2",
+          "--q", "2"), 2, "", "'1e999999999' has an exponent over 100000 in magnitude"),
+        (("-m", "pqtouchard.cli", "expand", "--n", "1", "--at", "x=-2.5E-999999999"),
+         2, "", "'-2.5E-999999999' has an exponent over 100000 in magnitude"),
     ]
 
     @pytest.mark.parametrize("args, status, out, err", CASES, ids=range(len(CASES)))
@@ -734,7 +750,6 @@ class TestSmallCommands:
         monkeypatch.setattr(touchard, "avg_nse", never)
         # slp(9,1) = 362,880 fits, slp(9,2) = 1,451,520 does not
         monkeypatch.setattr(partitions, "OBJECT_BUDGET", 400_000)
-        partitions._tally.cache_clear()
         status, out, err = run(capsys, "avg-nse", "--n", "9", "--check")
         assert (status, out) == (2, "")
         assert "slp enumeration for n=9, k=2 visits 1451520 objects" in err

@@ -8,8 +8,9 @@ the identities of `verify` that do not enumerate have no size budget, and
 --force lifts the ones there are, so their sizes, and every size next to
 --force, come from the small range.  `avg-nse --check` checks its cells
 before any work, so it gets huge sizes too.  The small range stops at 6,
-where every admitted request runs in well under a second.  Rationals are
-parsed with no digit bound, so no exponent past 1e3 is drawn.
+where every admitted request runs in well under a second.  Rationals
+include exponent forms far past the parser's exponent limit, which must be
+refused before any work.
 """
 
 import os
@@ -26,7 +27,10 @@ from pqtouchard import cli, touchard
 MALFORMED = ("", " ", "--", "abc", "1.5", "1/2", "-7/5", "0x10", "nan", "1e3")
 SMALL = st.integers(-2, 6).map(str)
 HUGE = st.builds(lambda e, sign: str(sign * 10**e), st.integers(7, 400), st.sampled_from((1, -1)))
-RATIONALS = ("0", "1", "-1", "2", "1/2", "-7/5", "3/4", "1/0", str(10**400), f"1/{10**400}")
+RATIONALS = (
+    "0", "1", "-1", "2", "1/2", "-7/5", "3/4", "1/0", str(10**400), f"1/{10**400}",
+    "1e400", "1e999999999", "-2.5E-999999999",
+)
 ENUMERATING = ("llp-grid", "lsp-slice", "slp-slice")
 
 
@@ -102,6 +106,7 @@ def run_cli(argv, out: bool):
 @example(argv=["dist", "--n", "2", "--k", "556"], out=False)
 @example(argv=["verify", "--identity", "llp-grid", "--nmax", str(10**30)], out=False)
 @example(argv=["avg-nse", "--n", "1000", "--check"], out=False)
+@example(argv=["eval", "--n", "1", "--x", "1e999999999", "--p", "2", "--q", "2"], out=False)
 @example(argv=["enumerate", "--n", str(10**400), "--k", "1", "--flavor", "ssp"], out=True)
 @example(argv=["enumerate", "--n", str(10**400), "--k", "1", "--flavor", "ssp", "--force"],
          out=False)

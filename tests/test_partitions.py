@@ -1,5 +1,6 @@
 """Enumeration of the four partition flavors and the nsb/nse statistics."""
 
+import sys
 from collections import Counter
 from math import comb, perm
 
@@ -173,7 +174,6 @@ class TestBudget:
 
     def test_dist_poly_respects_budget(self, monkeypatch):
         monkeypatch.setattr(partitions, "OBJECT_BUDGET", 50)
-        partitions._tally.cache_clear()
         with pytest.raises(ValueError, match="force"):
             dist_poly(4, 2)
         poly = dist_poly(4, 2, force=True)
@@ -188,22 +188,22 @@ class TestBudget:
             return skeletons(n, k)
 
         monkeypatch.setattr(partitions, "_skeletons", counting)
-        partitions._tally.cache_clear()
         report = stat_report(6, 3)
-        assert dist_poly(6, 3) is report.poly
-        assert dist_poly(6, 3, force=False) is report.poly
         assert streams == [(6, 3)]
-        # the budget is checked before the cache, so a cached cell over a
-        # lowered budget is still refused without force
+        # nothing is kept between calls: each one streams the cell once
+        assert dist_poly(6, 3) == report.poly
+        assert dist_poly(6, 3, force=False) == report.poly
+        assert streams == [(6, 3)] * 3
+        # a lowered budget refuses without force, before any stream
         monkeypatch.setattr(partitions, "OBJECT_BUDGET", 720)
         with pytest.raises(ValueError, match="force"):
             dist_poly(6, 3)
-        assert dist_poly(6, 3, force=True) is report.poly
-
+        assert streams == [(6, 3)] * 3
+        assert dist_poly(6, 3, force=True) == report.poly
+        assert streams == [(6, 3)] * 4
 
     def test_every_flavor_is_budgeted(self, monkeypatch):
         monkeypatch.setattr(partitions, "OBJECT_BUDGET", 50)
-        partitions._tally.cache_clear()
         for n, k, flavor, count in (
             (6, 3, "ssp", 90),
             (5, 3, "lsp", 150),
@@ -224,7 +224,6 @@ class TestBudget:
         # past the budget in n, only these cells have a count within it: one
         # object each, which lists n elements
         monkeypatch.setattr(partitions, "OBJECT_BUDGET", 50)
-        partitions._tally.cache_clear()
         for k, flavor in ((1, "ssp"), (1, "lsp"), (51, "ssp"), (51, "slp")):
             assert count_partitions(51, k, flavor) == 1
             refusal = (
@@ -251,6 +250,20 @@ class TestBudget:
             with pytest.raises(ValueError, match="over the list length limit of"):
                 dist_poly(n, n, force=True, flavor=flavor)
 
+    def test_counts_past_the_factorial_limit_are_refused(self):
+        n = 10**400
+        # slp(n,1) and llp(n,1) are n!: more than sys.maxsize factors
+        for k, flavor in ((1, "slp"), (1, "llp"), (n, "lsp"), (n, "llp")):
+            refusal = (
+                f"{flavor} count for n={n}, k={k} is a product of more than "
+                f"{sys.maxsize} factors"
+            )
+            with pytest.raises(ValueError, match=refusal):
+                count_partitions(n, k, flavor)
+        assert count_partitions(n, 1, "ssp") == count_partitions(n, 1, "lsp") == 1
+        assert count_partitions(n, n, "slp") == 1
+        assert count_partitions(n, n - 1, "slp") == n * (n - 1)
+
     def test_multi_cell_checks_refuse_before_enumerating(self, monkeypatch):
         streams = []
         skeletons = partitions._skeletons
@@ -261,7 +274,6 @@ class TestBudget:
 
         monkeypatch.setattr(partitions, "_skeletons", counting)
         monkeypatch.setattr(partitions, "OBJECT_BUDGET", 100)
-        partitions._tally.cache_clear()
         # lsp(5,3) = 150 is the first cell over; n <= 4 fits
         with pytest.raises(ValueError, match="lsp enumeration for n=5, k=3"):
             verify_identity("lsp-slice", 9)
@@ -390,9 +402,6 @@ class TestDistPoly:
                 poly = dist_poly(n, k)
                 assert all(key[U] <= k - 1 and key[V] <= n - k for key in poly.terms)
 
-    def test_cached(self):
-        assert dist_poly(5, 2) is dist_poly(5, 2)
-
     @pytest.mark.parametrize("flavor", partitions.FLAVORS)
     def test_equals_the_per_object_tally(self, flavor):
         for n in range(7):
@@ -411,7 +420,6 @@ class TestDistPoly:
             raise AssertionError("an object was generated")
 
         monkeypatch.setattr(partitions, "_generate", refuse)
-        partitions._tally.cache_clear()
         # llp(8,4) has 1,411,200 objects
         assert dist_poly(8, 4) == s_uv(8, 4)
 
@@ -436,9 +444,7 @@ class TestSharedScan:
 
         monkeypatch.setattr(partitions, "_rl_min_count", counting)
         monkeypatch.setattr(permstats, "_rl_min_count", counting)
-        partitions._tally.cache_clear()
-        yield calls
-        partitions._tally.cache_clear()
+        return calls
 
     def test_each_word_is_scanned_once_per_cell(self, scans):
         # llp(8,8): the tally of the 8! block orders and one for the eight 1-blocks
@@ -462,6 +468,15 @@ class TestSharedScan:
         nse_distribution(8)
         # far below the 8! = 40,320 words counted
         assert len(scans) == alone == kernel_scans(8) == 1_056
+        # nor is a cell's tally kept: the same cell, asked again, pays again
+        # (ssp orders no block and no element, so it scans no word)
+        for flavor in ("lsp", "slp", "llp"):
+            costs = []
+            for _ in range(2):
+                scans.clear()
+                dist_poly(6, 3, flavor=flavor)
+                costs.append(len(scans))
+            assert costs[0] == costs[1] > 0, flavor
 
     def test_an_empty_cell_scans_nothing(self, scans):
         assert not dist_poly(3, 6)
