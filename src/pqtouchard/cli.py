@@ -19,7 +19,8 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, dropwhile, islice
+from itertools import chain, dropwhile, repeat
+from json.encoder import encode_basestring_ascii
 from math import lgamma, log, log10
 
 from . import partitions, permstats, tables, touchard
@@ -81,8 +82,11 @@ class _Output:
     """A command's exit status and its result in each of the three formats.
 
     Every format is a function that the emitter calls only for the format
-    asked for, so the others are never built; csv rows, plain lines and a
-    json array (given as an iterator of its items) may be lazy.
+    asked for, so the others are never built; csv rows, plain lines and any
+    json array (given as an iterator of its items) may be lazy.  The json
+    payload holds str, int, bool, None, dicts, lists, tuples and iterators;
+    the package's own writer, _json, writes it byte-identical to
+    json.JSONEncoder(indent=2), without the encoder's pure-Python path.
     """
 
     payload: Callable[[], object]
@@ -91,26 +95,85 @@ class _Output:
     status: int = 0
 
 
-def _json_array(items: Iterator, encoder: json.JSONEncoder) -> Iterator[str]:
-    # encoder.iterencode(list(items)) without the list: batches of 1000 items,
-    # enough to amortise each encode call, are written without their brackets
-    sep = "["
-    for batch in iter(lambda: list(islice(items, 1000)), []):
-        yield sep + encoder.encode(batch)[1:-2]
+# the json text of each scalar type, as JSONEncoder writes it
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _scalar(value) -> str:
+    write = _SCALARS.get(type(value))
+    return write(value) if write else json.dumps(value)
+
+
+def _key(key) -> str:
+    # as JSONEncoder writes a key: text as it is, any other scalar as its text
+    return encode_basestring_ascii(key if isinstance(key, str) else _scalar(key))
+
+
+def _text(value, newline: str, nested: bool = True) -> str | None:
+    """The whole json text of a scalar, of a list, tuple or dict of
+    scalars, or (nested) of a dict of those, such as a polynomial term, in
+    one join; None for anything else.  newline starts the line that the
+    value's closing bracket goes on."""
+    if not isinstance(value, (dict, list, tuple)):
+        return None if isinstance(value, Iterator) else _scalar(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = newline + "  "
+    if isinstance(value, dict):
+        parts = []
+        for key, item in value.items():
+            write = _SCALARS.get(type(item))
+            text = write(item) if write else _text(item, inner, False) if nested else None
+            if text is None:
+                return None
+            parts.append(f"{_key(key)}: {text}")
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    kinds = set(map(type, value))
+    if not _SCALARS.keys() >= kinds:
+        return None
+    write = _SCALARS[kinds.pop()] if len(kinds) == 1 else _scalar
+    return "[" + inner + ("," + inner).join(map(write, value)) + newline + "]"
+
+
+def _json(value, newline: str = "\n") -> Iterator[str]:
+    """value's text as JSONEncoder(indent=2) writes it, with an iterator
+    written as an array, chunk by chunk: each item _text writes whole (a
+    row, a record) is one chunk, and nothing larger is ever joined."""
+    text = _text(value, newline)
+    if text is not None:
+        yield text
+        return
+    inner = newline + "  "
+    if isinstance(value, dict):
+        heads = (f"{inner}{_key(key)}: " for key in value)
+        items, brackets = value.values(), "{}"
+    else:
+        heads, items, brackets = repeat(inner), value, "[]"
+    sep = brackets[0]
+    for head, item in zip(heads, items):
+        text = _text(item, inner)
+        if text is None:
+            yield sep + head
+            yield from _json(item, inner)
+        else:
+            yield sep + head + text
         sep = ","
-    yield "[]" if sep == "[" else "\n]"
+    # only an iterator can be empty here: _text writes an empty container
+    yield newline + brackets[1] if sep == "," else brackets
 
 
 def _emit(output: _Output, fmt: str, handle) -> None:
+    """Write output in the format asked for.  json comes from _json, the
+    package's own writer, whose text is byte-identical to
+    json.JSONEncoder(indent=2)'s (which runs in pure Python when it
+    indents); it streams, so no document is held whole."""
     if fmt == "json":
-        # streamed chunk by chunk: json.dumps would join the whole text first;
-        # a lazy payload is an array that is never held whole
-        encoder = json.JSONEncoder(indent=2)
-        payload = output.payload()
-        if isinstance(payload, Iterator):
-            handle.writelines(_json_array(payload, encoder))
-        else:
-            handle.writelines(encoder.iterencode(payload))
+        handle.writelines(_json(output.payload()))
         handle.write("\n")
     elif fmt == "csv":
         # QUOTE_MINIMAL never quotes a str(int), which holds only digits and
@@ -123,8 +186,8 @@ def _emit(output: _Output, fmt: str, handle) -> None:
             else:
                 writer.writerow(row)
     else:
-        for line in output.lines():
-            print(line, file=handle)
+        # the bytes print would write: str of each line, then a newline
+        handle.writelines(f"{line}\n" for line in output.lines())
 
 
 def _emit_to_file(output: _Output, fmt: str, path: str) -> None:
@@ -206,7 +269,7 @@ def _cmd_table(args) -> _Output:
             lambda: {
                 "name": name,
                 "nmax": nmax,
-                "rows": [list(map(str, row)) for row in rows],
+                "rows": (list(map(str, row)) for row in rows),
             },
             lambda: rows,
             lambda: (" ".join(map(str, row)) for row in rows),
@@ -215,7 +278,7 @@ def _cmd_table(args) -> _Output:
         fn = _SEQUENCES[name]
         values = [fn(n) for n in range(nmax + 1)]
         return _Output(
-            lambda: {"name": name, "nmax": nmax, "values": [str(v) for v in values]},
+            lambda: {"name": name, "nmax": nmax, "values": map(str, values)},
             lambda: chain([["n", "value"]], enumerate(values)),
             lambda: values,
         )
@@ -226,7 +289,7 @@ def _cmd_table(args) -> _Output:
             "name": name,
             "var": args.var,
             "nmax": nmax,
-            "polys": [p.to_json_obj() for p in polys],
+            "polys": (p.to_json_obj() for p in polys),
         },
         lambda: chain([["n", "poly"]], enumerate(polys)),
         lambda: polys,
@@ -431,15 +494,78 @@ def _cmd_perm_stats(args) -> _Output:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(flag: str, **options) -> tuple[str, dict]:
+    return flag, options
+
+
+_N = _arg("--n", type=int, required=True)
+_K = _arg("--k", type=int, required=True)
+
+# each command's help, handler, whether it takes --force, and its own
+# arguments, which follow the shared --format, --out and --force
+_COMMANDS = {
+    "table": ("print a number table", _cmd_table, True, (
+        _arg("--name", required=True, choices=(*_TRIANGLES, *_SEQUENCES, "q-product")),
+        _arg("--nmax", type=int, required=True, help="last row to print"),
+        _arg("--var", choices=("p", "q"), default="q",
+             help="variable of the q-product polynomials"),
+    )),
+    "expand": ("print T_n(x;p,q)", _cmd_expand, True, (
+        _N,
+        _arg("--route", choices=touchard.ROUTES, default="substitution",
+             help="computation route (all agree)"),
+        _arg("--at", metavar="ASSIGN",
+             help="evaluate at e.g. x=1/2,p=2,q=3 instead of printing the polynomial"),
+    )),
+    "eval": ("evaluate T_n at a rational point", _cmd_eval, False, (
+        _N,
+        _arg("--x", required=True),
+        _arg("--p", required=True),
+        _arg("--q", required=True),
+        _arg("--oracle", action="store_true",
+             help="cross-check against the series oracle (needs p != 1 and q != 1)"),
+    )),
+    "enumerate": ("list all partitions of one flavor", _cmd_enumerate, True, (
+        _N,
+        _K,
+        _arg("--flavor", required=True, choices=partitions.FLAVORS),
+        _arg("--stats", action="store_true", help="append nsb and nse columns"),
+    )),
+    "dist": ("joint nsb/nse distribution polynomial", _cmd_dist, True, (
+        _N,
+        _K,
+        _arg("--oracle", action="store_true",
+             help="also enumerate and compare against the closed form"),
+    )),
+    "verify": ("check a named identity cell by cell", _cmd_verify, True, (
+        _arg("--identity", required=True, choices=(*touchard.IDENTITY_NAMES, "all")),
+        _arg("--nmax", type=int,
+             help="check cells up to this n (default: per-identity budget)"),
+    )),
+    "avg-nse": ("average nse over all sets-of-lists of [n]", _cmd_avg_nse, False, (
+        _N,
+        _arg("--check", action="store_true", help="cross-check the formula by full enumeration"),
+    )),
+    "perm-stats": (
+        "nse and left-to-right-maxima distributions over S_n", _cmd_perm_stats, False, (_N,)
+    ),
+}
+
+
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Every command is listed, for the top-level
+    usage and help; given argv, only the commands named in it get their
+    arguments and -h, since argparse parses with no other command."""
     parser = argparse.ArgumentParser(
         prog="pqtouchard",
         description="Exact deformed Touchard polynomials and partition statistics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, handler, force=False):
-        p = sub.add_parser(name, help=help_text)
+    for name, (help_text, handler, force, arguments) in _COMMANDS.items():
+        named = argv is None or name in argv
+        p = sub.add_parser(name, help=help_text, add_help=named)
+        if not named:
+            continue
         p.add_argument(
             "--format", choices=("plain", "json", "csv"), default="plain",
             help="output format (default plain)",
@@ -450,84 +576,13 @@ def build_parser() -> argparse.ArgumentParser:
                 "--force", action="store_true",
                 help="lift the size budget: run a refused request anyway",
             )
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
         p.set_defaults(handler=handler)
-        return p
-
-    p = add("table", "print a number table", _cmd_table, force=True)
-    p.add_argument(
-        "--name", required=True,
-        choices=tuple(_TRIANGLES) + tuple(_SEQUENCES) + ("q-product",),
-    )
-    p.add_argument("--nmax", type=int, required=True, help="last row to print")
-    p.add_argument(
-        "--var", choices=("p", "q"), default="q",
-        help="variable of the q-product polynomials",
-    )
-
-    p = add("expand", "print T_n(x;p,q)", _cmd_expand, force=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--route", choices=touchard.ROUTES, default="substitution",
-        help="computation route (all agree)",
-    )
-    p.add_argument(
-        "--at", metavar="ASSIGN",
-        help="evaluate at e.g. x=1/2,p=2,q=3 instead of printing the polynomial",
-    )
-
-    p = add("eval", "evaluate T_n at a rational point", _cmd_eval)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--p", required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument(
-        "--oracle", action="store_true",
-        help="cross-check against the series oracle (needs p != 1 and q != 1)",
-    )
-
-    p = add("enumerate", "list all partitions of one flavor", _cmd_enumerate, force=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--flavor", required=True, choices=partitions.FLAVORS)
-    p.add_argument("--stats", action="store_true", help="append nsb and nse columns")
-
-    p = add("dist", "joint nsb/nse distribution polynomial", _cmd_dist, force=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument(
-        "--oracle", action="store_true",
-        help="also enumerate and compare against the closed form",
-    )
-
-    p = add("verify", "check a named identity cell by cell", _cmd_verify, force=True)
-    p.add_argument(
-        "--identity", required=True,
-        choices=touchard.IDENTITY_NAMES + ("all",),
-    )
-    p.add_argument(
-        "--nmax", type=int,
-        help="check cells up to this n (default: per-identity budget)",
-    )
-
-    p = add("avg-nse", "average nse over all sets-of-lists of [n]", _cmd_avg_nse)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--check", action="store_true",
-        help="cross-check the formula by full enumeration",
-    )
-
-    p = add(
-        "perm-stats",
-        "nse and left-to-right-maxima distributions over S_n",
-        _cmd_perm_stats,
-    )
-    p.add_argument("--n", type=int, required=True)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     # argparse reads a separate value like -7/5 as an option (only -1-like
     # numbers pass), so a dash-led value of --x, --p or --q joins its option
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -535,7 +590,7 @@ def main(argv=None) -> int:
         if argv[i - 1] in ("--x", "--p", "--q") and re.match(r"-\.?\d", argv[i]):
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         # argparse handles --help (0) and usage errors (2) itself
         return int(exc.code or 0)

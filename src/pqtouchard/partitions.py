@@ -377,26 +377,50 @@ def dist_poly(n: int, k: int, force: bool = False, flavor: str = "llp") -> Multi
     )
 
 
+# Digits count_partitions may compute.  A product of factors, each at most
+# n, has at most their count times n's digits, so llp(n,1) = n! is computed
+# up to n = 1,428,571 (22 s, 32 MB, one process on a 2-vCPU VM), and the
+# Stirling-2 triangle that ssp and lsp read off the diagonal grows to row
+# 187 (12 ms).
+COUNT_DIGIT_BUDGET = 10_000_000
+
+
 def count_partitions(n: int, k: int, flavor: str) -> int:
-    """Number of flavor objects, by closed form."""
+    """Number of flavor objects, by closed form.  A count that would
+    compute more than COUNT_DIGIT_BUDGET digits, by a bound decided before
+    any work, is refused with its size stated."""
     flavor = _check_cell(n, k, flavor)  # nothing is enumerated here
     if not 1 <= k <= n:
         return 1 if n == k == 0 else 0
-    try:
-        if flavor in ("ssp", "lsp"):
-            if k > 1 and n - k > 2:
-                s = stirling2(n, k)
-            else:
-                # by closed form, so that a refused cell does not grow the
-                # table to row n: one block, or near the diagonal all blocks
-                # single, one pair, or one triple or two pairs with the rest single
-                s = 1 if k == 1 else (1, comb(n, 2), comb(n, 3) + 3 * comb(n, 4))[n - k]
-            return s if flavor == "ssp" else factorial(k) * s
-        if flavor == "slp":
-            return perm(n, n - k) * comb(n - 1, k - 1)
-        return factorial(n) * comb(n - 1, k - 1)
-    except OverflowError:  # math multiplies at most sys.maxsize factors
+    pick = min(k - 1, n - k)  # C(n-1,k-1) multiplies this many factors
+    # the factors each math call multiplies: k!; n!/k! and C(n-1,k-1); n! and C(n-1,k-1)
+    factors = {"ssp": (), "lsp": (k,), "slp": (n - k, pick), "llp": (n, pick)}[flavor]
+    if max(factors, default=0) > sys.maxsize:
         raise ValueError(
             f"{flavor} count for n={n}, k={k} is a product of more than "
             f"{sys.maxsize} factors, over the limit of the math module"
-        ) from None
+        )
+    # S(n,k) is at most C(n,4) near the diagonal; off it, it is read from
+    # the Stirling-2 triangle, whose rows up to n hold (n+1)(n+2)/2 entries
+    # of at most n! <= n^n
+    table = k > 1 and n - k > 2
+    if flavor in ("ssp", "lsp"):
+        factors += ((n + 1) * (n + 2) // 2 * n if table else 4,)
+    digits = (n.bit_length() * 30103 // 100_000 + 1) * sum(factors)  # log10(2) < 0.30103
+    if digits > COUNT_DIGIT_BUDGET:
+        raise ValueError(
+            f"{flavor} count for n={n}, k={k} computes up to {_size(digits)} digits, "
+            f"over the budget of {COUNT_DIGIT_BUDGET}"
+        )
+    if flavor in ("ssp", "lsp"):
+        if table:
+            s = stirling2(n, k)
+        else:
+            # by closed form, so that a refused cell does not grow the
+            # table to row n: one block, or near the diagonal all blocks
+            # single, one pair, or one triple or two pairs with the rest single
+            s = 1 if k == 1 else (1, comb(n, 2), comb(n, 3) + 3 * comb(n, 4))[n - k]
+        return s if flavor == "ssp" else factorial(k) * s
+    if flavor == "slp":
+        return perm(n, n - k) * comb(n - 1, k - 1)
+    return factorial(n) * comb(n - 1, k - 1)

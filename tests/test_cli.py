@@ -1,5 +1,6 @@
 """End-to-end runs of the command line through main(argv)."""
 
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -12,6 +13,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import GeneratorType
 
 import pytest
 from hypothesis import given, settings
@@ -852,6 +854,12 @@ PINNED = [
         0,
         "sha256:97654bb3556d98187ea5583d982e13f43602939da5a4d479964b7f4d5b7b0ebe",
     ),
+    # the largest json the benchmark prints, 9 MB
+    (
+        "table --name stirling2 --nmax 300 --format json",
+        0,
+        "sha256:2e590ee5661348450de2c10a8133da4f3a67c2033d041ffc12a4250d9a9397ba",
+    ),
     ("table --name stirling1-signed --nmax 3", 0, "1\n0 1\n0 -1 1\n0 2 -3 1\n"),
     (
         "table --name stirling1-signed --nmax 3 --format json",
@@ -1004,6 +1012,12 @@ PINNED = [
         0,
         "sha256:e31700922d90e29d1201d14e6065b6ecb1d0e3d4598187e0e634cb9fcee54864",
     ),
+    # the largest enumeration the benchmark prints as json: 7,200 records
+    (
+        "enumerate --n 6 --k 3 --flavor llp --stats --format json",
+        0,
+        "sha256:9f6a95921f9f8e53adc6ff4d76f9d7dad2e41ac23943822e9179b2a47e33cf93",
+    ),
     ("dist --n 4 --k 2", 0, "7 + 7*u + 18*v + 18*u*v + 11*v^2 + 11*u*v^2\n"),
     (
         "dist --n 4 --k 2 --format json",
@@ -1134,3 +1148,89 @@ def test_csv_rows_equal_the_writer(rows):
     want = io.StringIO()
     csv.writer(want, lineterminator="\n").writerows(rows)
     assert got.getvalue() == want.getvalue()
+
+
+class _Lazy(list):
+    """A json array the writer is given as an iterator."""
+
+
+def _as_given(value, lazy):
+    # the payload with each _Lazy as an iterator (lazy) or as a list
+    if isinstance(value, dict):
+        return {key: _as_given(item, lazy) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        items = [_as_given(item, lazy) for item in value]
+        return iter(items) if lazy and isinstance(value, _Lazy) else type(value)(items)
+    return value
+
+
+# json payloads of every kind the writer takes: nested containers, empty
+# ones, iterators; str, int, bool and None keys; big ints; text that needs
+# escaping (quotes, backslashes, control and non-ASCII characters); floats,
+# which the writer hands to json.dumps
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.floats(),
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\n\x1f\x7f", "é ∑ 😀", 'a"b\\c', ""]),
+)
+_JSON_PAYLOADS = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.lists(children, max_size=5).map(_Lazy),
+        st.dictionaries(
+            st.one_of(st.text(), st.integers(), st.booleans(), st.none()), children, max_size=5
+        ),
+    ),
+    max_leaves=40,
+)
+
+
+@given(_JSON_PAYLOADS)
+@settings(max_examples=400)
+def test_json_text_equals_the_encoder(payload):
+    got = io.StringIO()
+    cli._emit(cli._Output(lambda: _as_given(payload, True), list, list), "json", got)
+    assert got.getvalue() == json.JSONEncoder(indent=2).encode(_as_given(payload, False)) + "\n"
+
+
+# main builds only the named command's arguments, so each of these must
+# still read as the full parser has it
+COMMANDS = ("table", "expand", "eval", "enumerate", "dist", "verify", "avg-nse", "perm-stats")
+PARSER_CASES = [
+    "--help",
+    *(f"{command} --help" for command in COMMANDS),
+    "",
+    "no-such-command",
+    "table --name nope --nmax 3",
+    # the top-level usage, with every command name
+    "dist --n 5 --k 2 --bogus",
+]
+
+
+@pytest.mark.parametrize("command", PARSER_CASES)
+def test_parser_bytes_equal_the_full_tree(capsys, command):
+    argv = command.split()
+    got = run(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert got == (int(exc.value.code or 0), *capsys.readouterr())
+
+
+def test_only_the_named_command_gets_arguments():
+    parser = cli.build_parser(["dist", "--n", "5"])
+    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(commands) == list(COMMANDS)
+    assert [name for name, sub in commands.items() if sub._actions] == ["dist"]
+
+
+def test_no_state_survives_a_call(capsys):
+    # the parser and the json writer are built per call and dropped after it
+    for fmt in ("json", "plain"):
+        assert run(capsys, "table", "--name", "bell", "--nmax", "3", "--format", fmt)[0] == 0
+    kinds = (argparse.ArgumentParser, json.JSONEncoder, GeneratorType, io.IOBase)
+    assert [name for name, value in vars(cli).items() if isinstance(value, kinds)] == []

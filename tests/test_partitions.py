@@ -1,8 +1,13 @@
 """Enumeration of the four partition flavors and the nsb/nse statistics."""
 
+import os
+import resource
+import subprocess
 import sys
+import time
 from collections import Counter
 from math import comb, perm
+from pathlib import Path
 
 import pytest
 
@@ -263,6 +268,41 @@ class TestBudget:
         assert count_partitions(n, 1, "ssp") == count_partitions(n, 1, "lsp") == 1
         assert count_partitions(n, n, "slp") == 1
         assert count_partitions(n, n - 1, "slp") == n * (n - 1)
+
+    def test_huge_counts_are_refused_at_once(self):
+        # unbounded, the first would grow the Stirling-2 triangle toward row
+        # 10**400 and the second compute (2^63 - 1)!; 1 GB of address space
+        # stops the first should the budget fail
+        code = (
+            "from pqtouchard import count_partitions\n"
+            "for n, k, flavor in ((10**400, 2, 'ssp'), (2**63 - 1, 3, 'llp')):\n"
+            "    try:\n"
+            "        count_partitions(n, k, flavor)\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+        )
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": str(Path(partitions.__file__).parents[1])},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+        )
+        wall = time.perf_counter() - start
+        assert result.stdout.splitlines() == [
+            f"ssp count for n={10**400}, k=2 computes up to a 1203-digit number of digits, "
+            "over the budget of 10000000",
+            f"llp count for n={2**63 - 1}, k=3 computes up to 175244068700240740371 digits, "
+            "over the budget of 10000000",
+        ], result.stderr
+        assert wall < 1
+
+    def test_count_digit_budget_edge(self):
+        # the Stirling-2 triangle grows to row 187, and llp(n,1) = n! is
+        # refused past n = 1,428,571 before any factor is multiplied
+        assert count_partitions(187, 93, "ssp") == tables.stirling2(187, 93)
+        for n, k, flavor in ((188, 93, "ssp"), (188, 2, "lsp"), (1_428_572, 1, "llp")):
+            with pytest.raises(ValueError, match=f"{flavor} count for n={n}, k={k} computes"):
+                count_partitions(n, k, flavor)
 
     def test_multi_cell_checks_refuse_before_enumerating(self, monkeypatch):
         streams = []
