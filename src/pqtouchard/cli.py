@@ -224,6 +224,8 @@ def _value_output(n: int, inputs: dict, value, check=None) -> _Output:
     return _Output(lambda: payload, lambda: [header, row], lambda: lines, status)
 
 
+_FORCE = "pass --force to run it anyway"  # the way past each budget below
+
 # Digits `table` may print without --force.  The bound below stays within it
 # up to nmax = 359 for the Stirling triangles and bell, 690 for binomial, 345
 # for q-product and 3,973 for factorial, and at 300 for every name.  At those
@@ -259,10 +261,8 @@ def _cmd_table(args) -> _Output:
     except OverflowError:
         raise ValueError(f"--nmax {nmax} is too large to print") from None
     if digits > TABLE_DIGIT_BUDGET and not args.force:
-        raise ValueError(
-            f"table {name} for nmax={nmax} prints up to {partitions._size(digits)} "
-            f"digits, over the budget of {TABLE_DIGIT_BUDGET}; pass --force to run it anyway"
-        )
+        what = f"table {name} for nmax={nmax} prints up to"
+        raise partitions._over_budget(what, digits, "digits", TABLE_DIGIT_BUDGET, _FORCE)
     if name in _TRIANGLES:
         rows = list(map(_TRIANGLES[name], range(nmax + 1)))
         return _Output(
@@ -306,10 +306,8 @@ def _cmd_expand(args) -> _Output:
     _check_n(args.n)
     terms = args.n * (args.n + 1) * (args.n + 2) // 6
     if terms > EXPAND_TERM_BUDGET and not args.force:
-        raise ValueError(
-            f"expand for n={args.n} builds up to {partitions._size(terms)} terms, "
-            f"over the budget of {EXPAND_TERM_BUDGET}; pass --force to run it anyway"
-        )
+        what = f"expand for n={args.n} builds up to"
+        raise partitions._over_budget(what, terms, "terms", EXPAND_TERM_BUDGET, _FORCE)
     poly = touchard.touchard_poly(args.n, args.route)
     if args.at is not None:
         point = _parse_assignment(args.at)
@@ -404,10 +402,8 @@ def _cmd_dist(args) -> _Output:
     except OverflowError:
         raise ValueError("--n or --k is too large to compute") from None
     if digits > DIST_DIGIT_BUDGET and not args.force:
-        raise ValueError(
-            f"dist for n={args.n}, k={args.k} holds up to {partitions._size(digits)} "
-            f"digits, over the budget of {DIST_DIGIT_BUDGET}; pass --force to run it anyway"
-        )
+        what = f"dist for n={args.n}, k={args.k} holds up to"
+        raise partitions._over_budget(what, digits, "digits", DIST_DIGIT_BUDGET, _FORCE)
     report = touchard.stat_report(args.n, args.k, force=args.force) if args.oracle else None
     formula = report.formula if report else touchard.s_uv(args.n, args.k)
     failed = ", ".join(name for name, ok in report.checks if not ok) if report else ""

@@ -16,8 +16,9 @@ entries made prefix by suffix (_record_tally), and pairs them per skeleton
 by multiplication; enumerate_partitions streams every object.  Inside,
 partitions are plain tuples of block tuples; only the public
 OrderedPartition constructor checks input.  No cell over OBJECT_BUDGET
-objects, or elements per object, is enumerated unless forced.  No result
-is cached here: dist_poly tallies its cell on every call.
+objects, or elements per object, is enumerated unless forced (permstats
+scans S_n as the llp cell (n, 1)); _over_budget words every refusal over
+a budget.  No result is cached: each dist_poly call tallies its cell.
 """
 
 from __future__ import annotations
@@ -191,12 +192,23 @@ def enumerate_partitions(n: int, k: int, flavor: str, force: bool = False):
     return map(OrderedPartition._wrap, _generate(n, k, flavor))
 
 
-def _size(count: int) -> str:
-    # str() refuses an int past 4300 digits, and its digits would say no more
+def _size(count) -> str:
+    # str() refuses an int past 4300 digits, and its digits would say no more;
+    # a float is the log10 of a count too long to compute
+    if isinstance(count, float):
+        return f"a {int(count) + 1}-digit number of"
     if count < 10**30:
         return str(count)
     digits = int((count.bit_length() - 1) * log10(2)) + 1
     return f"a {digits + (count >= 10**digits)}-digit number of"
+
+
+def _over_budget(what: str, size, unit: str, budget: int, hint: str = "") -> ValueError:
+    """The refusal of a request whose size passes its budget, worded here
+    alone: what, size and unit, the budget, then hint when there is a way
+    past it."""
+    text = f"{what} {_size(size)} {unit}, over the budget of {budget}"
+    return ValueError(f"{text}; {hint}" if hint else text)
 
 
 def _check_cell(n, k, flavor) -> str:
@@ -210,52 +222,50 @@ def _check_cell(n, k, flavor) -> str:
     return name
 
 
-def _check_size(n, k, flavor, force, hint="pass force=True (--force) to run it anyway"):
+def _check_size(n, k, flavor, force, hint="pass force=True (--force) to run it anyway", what=""):
     """The flavor's name, after _check_cell and the refusal of a nonempty
     cell over OBJECT_BUDGET objects, or elements per object, unless forced;
-    hint says how to get past the budget.  Forced, the limit is sys.maxsize
+    hint says how to get past the budget, and what names the request
+    (by default the cell's enumeration).  Forced, the limit is sys.maxsize
     elements per object, the list length limit."""
     flavor = _check_cell(n, k, flavor)
+    what = what or f"{flavor} enumeration for n={n}, k={k}"
     if force and n > sys.maxsize and 1 <= k <= n:
         raise ValueError(
-            f"{flavor} enumeration for n={n}, k={k} builds objects of {_size(n)} "
-            f"elements, over the list length limit of {sys.maxsize}"
+            f"{what} builds objects of {_size(n)} elements, "
+            f"over the list length limit of {sys.maxsize}"
         )
     if force or not 1 <= k <= n:
         return flavor
+    what += " visits"
+    if n > OBJECT_BUDGET:
+        # past the budget only ssp(n,1), lsp(n,1), ssp(n,n) and slp(n,n)
+        # have a count within it: one object each, but of n elements
+        raise _over_budget(f"{what} objects of", n, "elements", OBJECT_BUDGET, hint)
     # k^e <= S(n,k) <= C(n-1,k-1)*k^e with e = n-k: put 1..k in separate
     # blocks, or pick the k block minima (1 among them), then place the
     # other e elements.  Every flavor has at least S(n,k) objects and lsp
     # has k!*S(n,k), so these bounds decide most cells without growing the
-    # Stirling table to row n.  e is capped: a cap that changes k^e needs
-    # k >= 2, and then k^e is over the budget and refuses before a capped
-    # ceiling is consulted.
-    power = k ** min(n - k, OBJECT_BUDGET.bit_length())
-    factor = factorial(k) if flavor == "lsp" and power <= OBJECT_BUDGET else 1
-    if n > OBJECT_BUDGET:
-        # past the budget only ssp(n,1), lsp(n,1), ssp(n,n) and slp(n,n)
-        # have a count within it: one object each, but of n elements
-        size = f"objects of {_size(n)} elements"
-    elif max(power, factor) > OBJECT_BUDGET:
-        size = f"at least {_size(factor * power)} objects"
-    elif flavor in ("slp", "llp") and (log_count := _log10_count(n, k, flavor)) > 31:
+    # Stirling table to row n.  e and k are capped: a cap that changes k^e
+    # needs k >= 2, one that changes k! a k past the budget's bit length,
+    # and either capped value is still over the budget, so it refuses, as
+    # a lower bound, before a capped ceiling is consulted.
+    bits = OBJECT_BUDGET.bit_length()
+    power = k ** min(n - k, bits)
+    factor = factorial(min(k, bits)) if flavor == "lsp" and power <= OBJECT_BUDGET else 1
+    if max(power, factor) > OBJECT_BUDGET:
+        raise _over_budget(f"{what} at least", factor * power, "objects", OBJECT_BUDGET, hint)
+    if flavor in ("slp", "llp") and (log_count := _log10_count(n, k, flavor)) > 31:
         # over 10^31, far past any budget: the length is all a refusal
-        # states (as _size would), so n! is never computed for it
-        size = f"a {int(log_count) + 1}-digit number of objects"
-    elif flavor in ("slp", "llp") or factor * comb(n - 1, k - 1) * power > OBJECT_BUDGET:
+        # states, so n! is never computed for it
+        raise _over_budget(what, log_count, "objects", OBJECT_BUDGET, hint)
+    if flavor in ("slp", "llp") or factor * comb(n - 1, k - 1) * power > OBJECT_BUDGET:
         # slp and llp counts come from math; an lsp cell left open here has
         # k! and k^e within the budget, so n is small, the count is cheap
         # and a refusal states it exactly
-        count = count_partitions(n, k, flavor)
-        if count <= OBJECT_BUDGET:
-            return flavor
-        size = f"{_size(count)} objects"
-    else:
-        return flavor
-    raise ValueError(
-        f"{flavor} enumeration for n={n}, k={k} visits {size}, "
-        f"over the budget of {OBJECT_BUDGET}; {hint}"
-    )
+        if (count := count_partitions(n, k, flavor)) > OBJECT_BUDGET:
+            raise _over_budget(what, count, "objects", OBJECT_BUDGET, hint)
+    return flavor
 
 
 def _log10_count(n: int, k: int, flavor: str) -> float:
@@ -408,10 +418,8 @@ def count_partitions(n: int, k: int, flavor: str) -> int:
         factors += ((n + 1) * (n + 2) // 2 * n if table else 4,)
     digits = (n.bit_length() * 30103 // 100_000 + 1) * sum(factors)  # log10(2) < 0.30103
     if digits > COUNT_DIGIT_BUDGET:
-        raise ValueError(
-            f"{flavor} count for n={n}, k={k} computes up to {_size(digits)} digits, "
-            f"over the budget of {COUNT_DIGIT_BUDGET}"
-        )
+        what = f"{flavor} count for n={n}, k={k} computes up to"
+        raise _over_budget(what, digits, "digits", COUNT_DIGIT_BUDGET)
     if flavor in ("ssp", "lsp"):
         if table:
             s = stirling2(n, k)

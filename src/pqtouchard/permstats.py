@@ -9,11 +9,7 @@ single-block partition case.
 
 from __future__ import annotations
 
-from itertools import accumulate
-from operator import mul
-
-from . import partitions
-from .partitions import _nse_counts, _record_tally, _rl_min_count
+from .partitions import _check_size, _nse_counts, _record_tally, _rl_min_count
 
 
 def check_permutation(word) -> tuple[int, ...]:
@@ -63,15 +59,8 @@ def ltr_max_count(word) -> int:
 def _check_budget(n: int) -> int:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    # read at call time, so a changed partitions.OBJECT_BUDGET holds here too;
-    # the products stop at the first past it, so a huge n costs nothing
-    budget = partitions.OBJECT_BUDGET
-    words = next((w for w in accumulate(range(1, n + 1), mul) if w > budget), 0)
-    if words:
-        raise ValueError(
-            f"exhaustive scan over {n}! permutations (at least {words}) "
-            f"exceeds the budget of {budget} objects"
-        )
+    # the n! words of S_n are the objects of the llp cell (n, 1)
+    _check_size(n, 1, "llp", False, hint="", what=f"permutation scan for n={n}")
     return n
 
 

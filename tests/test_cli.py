@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -491,6 +492,11 @@ class TestDecidedBeforeWork:
           "--q", "2"), 2, "", "'1e999999999' has an exponent over 100000 in magnitude"),
         (("-m", "pqtouchard.cli", "expand", "--n", "1", "--at", "x=-2.5E-999999999"),
          2, "", "'-2.5E-999999999' has an exponent over 100000 in magnitude"),
+        # on lsp's diagonal, k! is bounded by the budget's bit length and n is decided first
+        (("-m", "pqtouchard.cli", "enumerate", "--n", "2000000", "--k", "2000000",
+          "--flavor", "lsp"), 2, "", "visits at least 51090942171709440000 objects, over the"),
+        (("-m", "pqtouchard.cli", "enumerate", "--n", str(10**400), "--k", str(10**400),
+          "--flavor", "lsp"), 2, "", "visits objects of a 401-digit number of elements, over the"),
     ]
 
     @pytest.mark.parametrize("args, status, out, err", CASES, ids=range(len(CASES)))
@@ -499,6 +505,39 @@ class TestDecidedBeforeWork:
         assert (result.returncode, result.stdout) == (status, out), result.stderr
         assert err in result.stderr and "Traceback" not in result.stderr
         assert wall < 5
+
+
+# every over-budget refusal: what was asked, its size and unit, the budget,
+# then how to get past it where there is a way
+REFUSAL = re.compile(
+    r"(?P<what>.+) (?P<size>\d+|a \d+-digit number of) (?P<unit>\w+), "
+    r"over the budget of (?P<budget>\d+)(; (?P<hint>.+))?"
+)
+
+
+@pytest.mark.parametrize("argv, budget", [
+    (("table", "--name", "stirling2", "--nmax", "2000"), cli.TABLE_DIGIT_BUDGET),
+    (("expand", "--n", "96"), cli.EXPAND_TERM_BUDGET),
+    (("dist", "--n", "3000", "--k", "1500"), cli.DIST_DIGIT_BUDGET),
+    (("enumerate", "--n", "9", "--k", "2", "--flavor", "llp"), partitions.OBJECT_BUDGET),
+    (("verify", "--identity", "llp-grid", "--nmax", "9"), partitions.OBJECT_BUDGET),
+    (("avg-nse", "--n", "1000", "--check"), partitions.OBJECT_BUDGET),
+    (("perm-stats", "--n", "10"), partitions.OBJECT_BUDGET),
+    (None, partitions.COUNT_DIGIT_BUDGET),
+], ids=["table", "expand", "dist", "enumerate", "verify", "avg-nse", "perm-stats",
+        "count_partitions"])
+def test_every_budget_refuses_in_one_shape(capsys, argv, budget):
+    if argv is None:
+        with pytest.raises(ValueError) as refused:
+            partitions.count_partitions(188, 93, "ssp")
+        message = str(refused.value)
+    else:
+        status, out, err = run(capsys, *argv)
+        assert (status, out, err[:7], err[-1:]) == (2, "", "error: ", "\n"), err
+        message = err[7:-1]
+    shape = REFUSAL.fullmatch(message)
+    assert shape and int(shape["budget"]) == budget, message
+    assert not shape["size"].isdigit() or int(shape["size"]) > budget, message
 
 
 class TestVerify:

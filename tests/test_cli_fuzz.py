@@ -8,7 +8,8 @@ the identities of `verify` that do not enumerate have no size budget, and
 --force lifts the ones there are, so their sizes, and every size next to
 --force, come from the small range.  `avg-nse --check` checks its cells
 before any work, so it gets huge sizes too.  The small range stops at 6,
-where every admitted request runs in well under a second.  Rationals
+where every admitted request runs in well under a second.  `--k` at times
+repeats `--n`, so huge cells on the diagonal are drawn too.  Rationals
 include exponent forms far past the parser's exponent limit, which must be
 refused before any work.
 """
@@ -67,6 +68,8 @@ def argvs(draw):
         or (command == "avg-nse" and "--check" in chosen)
     )
     size = sizes(budgeted)
+    n = draw(size)
+    k = draw(st.one_of(st.just(n), size))  # the diagonal, where k is as huge as n
     options = {
         "table": [("--name", choice(*cli._TRIANGLES, *cli._SEQUENCES, "q-product")),
                   ("--nmax", size), ("--var", choice("p", "q"))],
@@ -74,8 +77,9 @@ def argvs(draw):
                    ("--at", st.sampled_from(("x=1/2,p=2,q=3", "x=1", "x=1,x=2", "t=1", "x=")))],
         "eval": [("--n", size), ("--x", choice(*RATIONALS)), ("--p", choice(*RATIONALS)),
                  ("--q", choice(*RATIONALS))],
-        "enumerate": [("--n", size), ("--k", size), ("--flavor", choice("ssp", "lsp", "slp", "llp"))],
-        "dist": [("--n", size), ("--k", size)],
+        "enumerate": [("--n", st.just(n)), ("--k", st.just(k)),
+                      ("--flavor", choice("ssp", "lsp", "slp", "llp"))],
+        "dist": [("--n", st.just(n)), ("--k", st.just(k))],
         "verify": [("--identity", st.just(identity)), ("--nmax", size)],
         "avg-nse": [("--n", size)],
         "perm-stats": [("--n", size)],
@@ -109,6 +113,9 @@ def run_cli(argv, out: bool):
 @example(argv=["eval", "--n", "1", "--x", "1e999999999", "--p", "2", "--q", "2"], out=False)
 @example(argv=["enumerate", "--n", str(10**400), "--k", "1", "--flavor", "ssp"], out=True)
 @example(argv=["enumerate", "--n", str(10**400), "--k", "1", "--flavor", "ssp", "--force"],
+         out=False)
+@example(argv=["enumerate", "--n", "2000000", "--k", "2000000", "--flavor", "lsp"], out=False)
+@example(argv=["enumerate", "--n", str(10**400), "--k", str(10**400), "--flavor", "lsp"],
          out=False)
 def test_every_run_ends_with_a_status(argv, out):
     result = run_cli(argv, out)

@@ -381,6 +381,23 @@ class TestBudget:
         # slp(n, n-1) = n*(n-1) is small and stated exactly
         with pytest.raises(ValueError, match="visits 39999800000 objects"):
             partitions._check_size(200000, 199999, "slp", False)
+        # lsp(n, n) = n!: n past the budget is decided first, and k! is
+        # built no further than the budget's bit length, past which every
+        # k! is over the budget
+        built = []
+        real = partitions.factorial
+        monkeypatch.setattr(partitions, "factorial", lambda m: built.append(m) or real(m))
+        for n, size in (
+            (2_000_000, "at least 51090942171709440000 objects"),
+            (2_000_001, "objects of 2000001 elements"),
+            (2**63, f"objects of {2**63} elements"),
+            (10**400, "objects of a 401-digit number of elements"),
+        ):
+            refusal = f"lsp enumeration for n={n}, k={n} visits {size}, over the budget of 2000000"
+            for check in (partitions._check_size, dist_poly):
+                with pytest.raises(ValueError, match=refusal):
+                    check(n, n, flavor="lsp", force=False)
+        assert built == [partitions.OBJECT_BUDGET.bit_length()] * 2
 
     def test_non_integer_k_is_rejected(self):
         with pytest.raises(ValueError, match="k must be an integer"):

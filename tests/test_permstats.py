@@ -125,11 +125,12 @@ class TestDistributions:
 
     def test_budget_is_read_at_call_time(self, monkeypatch, capsys):
         # 5! = 120 words: over a budget of 100 set after import
+        # the scan is decided as the llp cell (5, 1), and refused in the shared shape
         monkeypatch.setattr(partitions, "OBJECT_BUDGET", 100)
+        refusal = "permutation scan for n=5 visits 120 objects, over the budget of 100"
         for scan in (nse_distribution, ltr_max_distribution):
-            with pytest.raises(ValueError, match="budget of 100 objects"):
+            with pytest.raises(ValueError, match=f"^{refusal}$"):
                 scan(5)
         assert main(["perm-stats", "--n", "5"]) == 2
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "budget of 100 objects" in captured.err
+        assert (captured.out, captured.err) == ("", f"error: {refusal}\n")
