@@ -217,8 +217,7 @@ def _check_cell(n, k, flavor) -> str:
     if name not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}: choose from {', '.join(FLAVORS)}")
     _check_n(n)
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"k must be an integer, got {k!r}")
+    _check_n(k, "k", None)
     return name
 
 
@@ -242,14 +241,12 @@ def _check_size(n, k, flavor, force, hint="pass force=True (--force) to run it a
         # past the budget only ssp(n,1), lsp(n,1), ssp(n,n) and slp(n,n)
         # have a count within it: one object each, but of n elements
         raise _over_budget(f"{what} objects of", n, "elements", OBJECT_BUDGET, hint)
-    # k^e <= S(n,k) <= C(n-1,k-1)*k^e with e = n-k: put 1..k in separate
-    # blocks, or pick the k block minima (1 among them), then place the
-    # other e elements.  Every flavor has at least S(n,k) objects and lsp
-    # has k!*S(n,k), so these bounds decide most cells without growing the
-    # Stirling table to row n.  e and k are capped: a cap that changes k^e
-    # needs k >= 2, one that changes k! a k past the budget's bit length,
-    # and either capped value is still over the budget, so it refuses, as
-    # a lower bound, before a capped ceiling is consulted.
+    # S(n,k) >= k^e with e = n-k (put 1..k in separate blocks, then place
+    # the other e elements), every flavor has at least S(n,k) objects and
+    # lsp has k!*S(n,k), so these lower bounds refuse most cells without
+    # growing the Stirling table to row n.  e and k are capped: a cap that
+    # changes k^e needs k >= 2, one that changes k! a k past the budget's
+    # bit length, and either capped value is still over the budget.
     bits = OBJECT_BUDGET.bit_length()
     power = k ** min(n - k, bits)
     factor = factorial(min(k, bits)) if flavor == "lsp" and power <= OBJECT_BUDGET else 1
@@ -259,12 +256,12 @@ def _check_size(n, k, flavor, force, hint="pass force=True (--force) to run it a
         # over 10^31, far past any budget: the length is all a refusal
         # states, so n! is never computed for it
         raise _over_budget(what, log_count, "objects", OBJECT_BUDGET, hint)
-    if flavor in ("slp", "llp") or factor * comb(n - 1, k - 1) * power > OBJECT_BUDGET:
-        # slp and llp counts come from math; an lsp cell left open here has
-        # k! and k^e within the budget, so n is small, the count is cheap
-        # and a refusal states it exactly
-        if (count := count_partitions(n, k, flavor)) > OBJECT_BUDGET:
-            raise _over_budget(what, count, "objects", OBJECT_BUDGET, hint)
+    # the count decides the cells left open: slp and llp counts come from
+    # math, and an ssp or lsp cell left open has k^e within the budget, so
+    # it is near the diagonal (a closed form) or n is small (at most 128 at
+    # the default budget)
+    if (count := count_partitions(n, k, flavor)) > OBJECT_BUDGET:
+        raise _over_budget(what, count, "objects", OBJECT_BUDGET, hint)
     return flavor
 
 
@@ -391,7 +388,7 @@ def dist_poly(n: int, k: int, force: bool = False, flavor: str = "llp") -> Multi
 # n, has at most their count times n's digits, so llp(n,1) = n! is computed
 # up to n = 1,428,571 (22 s, 32 MB, one process on a 2-vCPU VM), and the
 # Stirling-2 triangle that ssp and lsp read off the diagonal grows to row
-# 187 (12 ms).
+# 217 (8 ms).
 COUNT_DIGIT_BUDGET = 10_000_000
 
 
@@ -412,11 +409,17 @@ def count_partitions(n: int, k: int, flavor: str) -> int:
         )
     # S(n,k) is at most C(n,4) near the diagonal; off it, it is read from
     # the Stirling-2 triangle, whose rows up to n hold (n+1)(n+2)/2 entries
-    # of at most n! <= n^n
+    # of at most n!, priced as `table` prices them: floor(log10 n!) + 1
+    # digits by lgamma, or, past sys.maxsize, n times n's digits (n! <= n^n)
+    # so that lgamma never meets an n too large for a float
     table = k > 1 and n - k > 2
-    if flavor in ("ssp", "lsp"):
-        factors += ((n + 1) * (n + 2) // 2 * n if table else 4,)
-    digits = (n.bit_length() * 30103 // 100_000 + 1) * sum(factors)  # log10(2) < 0.30103
+    if flavor in ("ssp", "lsp") and not table:
+        factors += (4,)
+    size = n.bit_length() * 30103 // 100_000 + 1  # n's digits: log10(2) < 0.30103
+    digits = size * sum(factors)
+    if flavor in ("ssp", "lsp") and table:
+        top = n * size if n > sys.maxsize else int(lgamma(n + 1) / log(10)) + 1
+        digits += (n + 1) * (n + 2) // 2 * top
     if digits > COUNT_DIGIT_BUDGET:
         what = f"{flavor} count for n={n}, k={k} computes up to"
         raise _over_budget(what, digits, "digits", COUNT_DIGIT_BUDGET)

@@ -10,6 +10,7 @@ single-block partition case.
 from __future__ import annotations
 
 from .partitions import _check_size, _nse_counts, _record_tally, _rl_min_count
+from .tables import _check_n
 
 
 def check_permutation(word) -> tuple[int, ...]:
@@ -57,8 +58,7 @@ def ltr_max_count(word) -> int:
 
 
 def _check_budget(n: int) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _check_n(n, low=1)
     # the n! words of S_n are the objects of the llp cell (n, 1)
     _check_size(n, 1, "llp", False, hint="", what=f"permutation scan for n={n}")
     return n

@@ -7,15 +7,16 @@ one slot per name in VAR_ORDER = (x, p, q, u, v), and zero coefficients are
 never stored, so structural equality coincides with mathematical equality.
 `variables` is derived: the names that some term actually uses.
 
-Only the public constructor checks its input and embeds it into the five
-slots.  Arithmetic and substitution combine keys that are already canonical
-and wrap their results without re-checking.
+Every polynomial is built one way: _wrap takes a term map whose keys are
+already canonical and checks nothing.  From outside the package,
+polynomials come from the public builders MultiPoly.const and
+MultiPoly.var and arithmetic on them; MultiPoly() itself is refused.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 VAR_ORDER = ("x", "p", "q", "u", "v")
 _SLOT = {name: slot for slot, name in enumerate(VAR_ORDER)}
@@ -73,34 +74,8 @@ class MultiPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(
-        self,
-        variables: Iterable[str] = (),
-        terms: Mapping[tuple[int, ...], int] | None = None,
-    ):
-        names = tuple(variables)
-        for name in names:
-            _slot(name)
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate variable in {names}")
-        where = [names.index(n) if n in names else None for n in VAR_ORDER]
-
-        merged: dict[tuple[int, ...], int] = {}
-        for exps, coeff in (terms or {}).items():
-            key = tuple(exps)
-            if len(key) != len(names):
-                raise ValueError(
-                    f"exponent vector {key} does not match variables {names}"
-                )
-            if any(not isinstance(e, int) or e < 0 for e in key):
-                raise ValueError(f"exponents must be nonnegative integers: {key}")
-            if not isinstance(coeff, int) or isinstance(coeff, bool):
-                raise TypeError(
-                    f"coefficients must be int, got {type(coeff).__name__}"
-                )
-            full = tuple(0 if i is None else key[i] for i in where)
-            merged[full] = merged.get(full, 0) + coeff
-        self.terms = {key: c for key, c in merged.items() if c}
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a MultiPoly with MultiPoly.const, MultiPoly.var and arithmetic")
 
     @classmethod
     def const(cls, value: int) -> "MultiPoly":

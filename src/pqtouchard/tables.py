@@ -16,9 +16,11 @@ from itertools import count, repeat
 _lock = threading.RLock()
 
 
-def _check_n(n: int, name: str = "n"):
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
+def _check_n(n: int, name: str = "n", low: int | None = 0):
+    """Refuse n unless an int, not a bool, of at least low (0, 1 or None)."""
+    if not isinstance(n, int) or isinstance(n, bool) or low is not None and n < low:
+        kind = {0: "a nonnegative", 1: "a positive", None: "an"}[low]
+        raise ValueError(f"{name} must be {kind} integer, got {n!r}")
 
 
 def _grow(rows: list, step, n: int):

@@ -328,8 +328,7 @@ def taylor_oracle(x, p, q, order: int) -> list[Fraction]:
 
 def avg_nse(n: int) -> Fraction:
     """Average nse over all sets-of-lists partitions of {1..n}, any k."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _check_n(n, low=1)
     moved = sum(j * stirling1_unsigned(n, n - j) * bell(n - j) for j in range(n))
     objects = sum(stirling1_unsigned(n, k) * bell(k) for k in range(1, n + 1))
     return Fraction(moved, objects)
@@ -406,27 +405,12 @@ def _cells(n_max: int, low: int = 1):
     return ((n, k) for n in range(low, n_max + 1) for k in range(low, n + 1))
 
 
-def _verify_stirling12(n_max: int, force: bool):
-    for n, k in _cells(n_max):
-        lhs = sum(stirling1_unsigned(n, l) * stirling2(l, k) for l in range(n + 1))
-        rhs = factorial(n) // factorial(k) * binomial(n - 1, k - 1)
-        yield f"n={n},k={k}", _unequal(lhs, rhs)
-
-
-def _verify_orthogonality(n_max: int, force: bool):
-    for n, k in _cells(n_max, 0):
-        lhs = sum(stirling1_signed(n, l) * stirling2(l, k) for l in range(n + 1))
-        rhs = 1 if n == k else 0
-        yield f"n={n},k={k}", _unequal(lhs, rhs)
-
-
-def _verify_slp_count(n_max: int, force: bool):
-    for n, k in _cells(n_max):
-        slice_sum = sum(
-            stirling1_unsigned(n, n - j) * stirling2(n - j, k) for j in range(n - k + 1)
-        )
-        expected = count_partitions(n, k, "slp")
-        yield f"n={n},k={k}", _unequal(slice_sum, expected)
+def _verify_stirling_sum(first, low: int, closed, n_max: int, force: bool):
+    # sum_l first(n,l) * S(l,k), first a Stirling-1 table, against
+    # closed(n,k) over the cells low <= k <= n <= n_max
+    for n, k in _cells(n_max, low):
+        lhs = sum(first(n, l) * stirling2(l, k) for l in range(n + 1))
+        yield f"n={n},k={k}", _unequal(lhs, closed(n, k))
 
 
 def _verify_enumeration(flavor: str, zero, n_max: int, force: bool):
@@ -498,11 +482,16 @@ def _verify_eval_vs_poly(n_max: int, force: bool):
     yield from _verify_points(EVAL_GRID, first_mismatch)
 
 
-# name: (checker, default n_max)
+# name: (checker, default n_max).  stirling12 and slp-count check the one
+# Lah sum, c(n,l) S(l,k) over l, against two independent closed forms: the
+# tables' n!/k! C(n-1,k-1) and count_partitions' slp count
 _IDENTITIES = {
-    "stirling12": (_verify_stirling12, 30),
-    "orthogonality": (_verify_orthogonality, 30),
-    "slp-count": (_verify_slp_count, 10),
+    "stirling12": (partial(_verify_stirling_sum, stirling1_unsigned, 1, lambda n, k: (
+        factorial(n) // factorial(k) * binomial(n - 1, k - 1))), 30),
+    "orthogonality": (partial(_verify_stirling_sum, stirling1_signed, 0, lambda n, k: (
+        int(n == k))), 30),
+    "slp-count": (partial(_verify_stirling_sum, stirling1_unsigned, 1, lambda n, k: (
+        count_partitions(n, k, "slp"))), 10),
     "llp-grid": (partial(_verify_enumeration, "llp", None), 8),
     "lsp-slice": (partial(_verify_enumeration, "lsp", "v"), 8),
     "slp-slice": (partial(_verify_enumeration, "slp", "u"), 8),

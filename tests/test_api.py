@@ -1,5 +1,6 @@
 """The public API, pinned: a change to it must edit this list on purpose."""
 
+import ast
 import importlib
 import pkgutil
 import subprocess
@@ -115,6 +116,27 @@ def test_the_one_cache_is_touchard_poly():
                 if hasattr(obj, "cache_info"):
                     caches.setdefault(obj, f"{info.name}.{name}")
     assert list(caches) == [pqtouchard.touchard.touchard_poly], caches
+
+
+def test_every_private_helper_is_used():
+    # a private module-level name that nothing in src/ reads is dead: a
+    # checker or guard a consolidation left behind
+    sources = Path(pqtouchard.__file__).parent.glob("*.py")
+    defined, used = set(), set()
+    for tree in map(ast.parse, map(Path.read_text, sources)):
+        for node in tree.body:
+            # an assignment's targets, an annotated one's target, or a def
+            targets = getattr(node, "targets", [getattr(node, "target", node)])
+            for target in targets:
+                name = getattr(target, "name", getattr(target, "id", ""))
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.add(name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(defined - used) == []
 
 
 def test_benchmark_self_test_passes():

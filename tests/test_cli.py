@@ -529,7 +529,7 @@ REFUSAL = re.compile(
 def test_every_budget_refuses_in_one_shape(capsys, argv, budget):
     if argv is None:
         with pytest.raises(ValueError) as refused:
-            partitions.count_partitions(188, 93, "ssp")
+            partitions.count_partitions(218, 108, "ssp")
         message = str(refused.value)
     else:
         status, out, err = run(capsys, *argv)

@@ -297,10 +297,12 @@ class TestBudget:
         assert wall < 1
 
     def test_count_digit_budget_edge(self):
-        # the Stirling-2 triangle grows to row 187, and llp(n,1) = n! is
-        # refused past n = 1,428,571 before any factor is multiplied
-        assert count_partitions(187, 93, "ssp") == tables.stirling2(187, 93)
-        for n, k, flavor in ((188, 93, "ssp"), (188, 2, "lsp"), (1_428_572, 1, "llp")):
+        # the Stirling-2 triangle, each row priced as `table` prices it,
+        # grows to row 217, and llp(n,1) = n! is refused past n = 1,428,571
+        # before any factor is multiplied
+        assert count_partitions(217, 108, "ssp") == tables.stirling2(217, 108)
+        assert count_partitions(217, 2, "lsp") == 2 * tables.stirling2(217, 2)
+        for n, k, flavor in ((218, 108, "ssp"), (218, 2, "lsp"), (1_428_572, 1, "llp")):
             with pytest.raises(ValueError, match=f"{flavor} count for n={n}, k={k} computes"):
                 count_partitions(n, k, flavor)
 
@@ -323,7 +325,7 @@ class TestBudget:
     @pytest.mark.parametrize("budget", [50, 720, 2_000_000])
     def test_bounds_decide_as_the_count_does(self, monkeypatch, budget):
         monkeypatch.setattr(partitions, "OBJECT_BUDGET", budget)
-        for n in range(13):
+        for n in range(41):
             for k in range(-1, n + 2):
                 for flavor in partitions.FLAVORS:
                     over = count_partitions(n, k, flavor) > budget
@@ -466,7 +468,11 @@ class TestDistPoly:
                 objects = enumerate_partitions(n, k, flavor, force=True)
                 counts = Counter((nsb(pi), nse(pi)) for pi in objects)
                 poly = dist_poly(n, k, force=True, flavor=flavor)
-                assert poly == MultiPoly(("u", "v"), counts), (n, k)
+                tally = sum(
+                    c * MultiPoly.var("u", i) * MultiPoly.var("v", j)
+                    for (i, j), c in counts.items()
+                )
+                assert poly == tally, (n, k)
                 if flavor == "lsp":
                     assert all(key[V] == 0 for key in poly.terms)
                 if flavor == "slp":

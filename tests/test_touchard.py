@@ -281,7 +281,11 @@ def five_fold_explicit_poly(n):
                             value = -value
                         key = (k, m, l)
                         terms[key] = terms.get(key, 0) + value
-    return MultiPoly(("x", "p", "q"), terms)
+    return sum(
+        (c * MultiPoly.var("x", k) * MultiPoly.var("p", m) * MultiPoly.var("q", l)
+         for (k, m, l), c in terms.items()),
+        MultiPoly.const(0),
+    )
 
 
 class TestExplicitRoute:
