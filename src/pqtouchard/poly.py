@@ -191,17 +191,23 @@ class MultiPoly:
         return Fraction(total, denominator)
 
     def substitute(self, name: str, replacement) -> "MultiPoly":
-        """Replace every occurrence of `name` by a polynomial (or integer)."""
-        replacement = _coerce(replacement)
+        """Replace every occurrence of `name` by a polynomial (or integer).
+
+        By Horner's rule in `name`: with C_e the polynomial in the other
+        variables that multiplies name^e, the result is
+        (...(C_d * r + C_(d-1)) * r + ...) * r + C_0 for the replacement r,
+        one product by r per degree and no power of r built.
+        """
+        replacement = _coerce(replacement).terms
         slot = _slot(name)
-        powers = [MultiPoly.const(1)]
-        out: dict[tuple[int, ...], int] = {}
+        rows: dict[int, dict[tuple[int, ...], int]] = {}
         for key, coeff in self.terms.items():
-            e = key[slot]
-            while len(powers) <= e:
-                powers.append(powers[-1] * replacement)
-            rest = key[:slot] + (0,) + key[slot + 1 :]
-            _add_products(out, {rest: coeff}, powers[e].terms)
+            rows.setdefault(key[slot], {})[key[:slot] + (0,) + key[slot + 1 :]] = coeff
+        out: dict[tuple[int, ...], int] = {}
+        for e in range(max(rows, default=0), -1, -1):
+            step = rows.get(e, {})
+            _add_products(step, replacement, out)
+            out = step
         return _wrap(out)
 
     # -- canonical presentation ----------------------------------------------

@@ -123,9 +123,10 @@ def s_pq(n: int, k: int) -> MultiPoly:
 
 
 # the package's one cache, kept because callers repeat keys: eval-vs-poly
-# reads T_0..T_10 at each of its 75 points, and series-vs-explicit reads
-# again the T_n that builds before it made.  Keyed by type as well: 2.0 or
-# True must not find the entry of 2 or 1 and skip the argument check
+# reads T_0..T_10 at each of its 75 points.  It keys on the arguments as
+# written, so touchard_poly(5) and touchard_poly(5, "substitution") are two
+# entries, and code in the package passes the route.  Keyed by type as
+# well: 2.0 or True must not find the entry of 2 or 1 and skip the check
 @lru_cache(maxsize=None, typed=True)
 def touchard_poly(n: int, route: str = "substitution") -> MultiPoly:
     """T_n(x;p,q) as an exact polynomial; all routes agree.
@@ -432,7 +433,7 @@ def _verify_series_vs_explicit(n_max: int, force: bool):
     for n in range(n_max + 1):
         by_series = series[n]
         by_sum = _explicit_poly(n) if n else MultiPoly.const(1)
-        by_subst = touchard_poly(n)
+        by_subst = touchard_poly(n, "substitution")
         yield f"n={n}", None if by_series == by_sum == by_subst else (
             f"series {by_series} / explicit {by_sum} / substitution {by_subst}"
         )
@@ -474,7 +475,7 @@ def _verify_eval_vs_poly(n_max: int, force: bool):
     def first_mismatch(x, p, q):
         for n in range(n_max + 1):
             by_sum = touchard_eval(n, x, p, q)
-            by_poly = touchard_poly(n).evaluate({"x": x, "p": p, "q": q})
+            by_poly = touchard_poly(n, "substitution").evaluate({"x": x, "p": p, "q": q})
             if by_sum != by_poly:
                 return f"entry {n}: sum {by_sum} != polynomial {by_poly}"
         return None

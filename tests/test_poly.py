@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pqtouchard import MultiPoly, VAR_ORDER
@@ -299,12 +299,17 @@ class TestAlgebraicLaws:
             assert all(e > 0 for e in item["exponents"].values())
             assert int(item["coeff"]) == a.monomial_coefficient(item["exponents"])
 
-    @given(polys())
+    @given(polys(), st.one_of(polys(), st.integers(-3, 3)), rational_points)
+    @example(3 * v("x", 2) * v("q") - v("p") * v("u") * v("v") + 5, v("q") + 1,
+             {name: Fraction(2) for name in VAR_ORDER})
+    @example(v("v", 3) * v("u") - 2 * v("v") + v("u", 2), 0,
+             {name: Fraction(1, 3) for name in VAR_ORDER})
     @settings(max_examples=100)
-    def test_substitution_matches_evaluation(self, a):
-        point = {name: 2 for name in VAR_ORDER}
+    def test_substitution_matches_evaluation(self, a, replacement, point):
+        # every variable in turn, so a polynomial replacement often holds
+        # the variable it replaces
+        value = replacement if isinstance(replacement, int) else replacement.evaluate(point)
         for name in VAR_ORDER:
-            replaced = a.substitute(name, v("q") + 1)
-            shifted = dict(point)
-            shifted[name] = point["q"] + 1
-            assert replaced.evaluate(point) == a.evaluate(shifted), name
+            replaced = a.substitute(name, replacement)
+            assert all(replaced.terms.values()), name
+            assert replaced.evaluate(point) == a.evaluate({**point, name: value}), name

@@ -525,6 +525,17 @@ class TestVerifyIdentity:
         assert "PASS" in report.summary()
         assert name in report.summary()
 
+    def test_route_checks_read_the_cached_polynomials(self):
+        # the entries `expand` and the benchmark build are the ones these
+        # two checks read: T_0..T_12 by substitution add no cache miss
+        touchard_poly.cache_clear()
+        for n in range(13):
+            touchard_poly(n, "substitution")
+        misses = touchard_poly.cache_info().misses
+        assert verify_identity("series-vs-explicit").passed
+        assert verify_identity("eval-vs-poly").passed
+        assert touchard_poly.cache_info().misses == misses
+
     def test_series_vs_explicit_at_larger_n(self):
         # twice the default n_max of 12, which stays small because the
         # expand-cold benchmark workload ends with that default run
@@ -570,7 +581,10 @@ class TestVerifyIdentity:
         lambda f: lambda n, k, **kw: f(n, k, **kw) + (V if (n, k) == (3, 2) else 0),
     )
     EXPLICIT = ("_explicit_poly", lambda f: lambda n: f(n) + (X if n == 3 else 0))
-    POLY = ("touchard_poly", lambda f: lambda n: f(n) + (X if n == 2 else 0))
+    POLY = (
+        "touchard_poly",
+        lambda f: lambda n, *route: f(n, *route) + (X if n == 2 else 0),
+    )
     # (fault, identity, n_max, cells, failures, first counterexample)
     FAULTS = [
         (TABLE, "stirling12", 5, 15, 3, "n=3,k=2: 7 != 6"),
