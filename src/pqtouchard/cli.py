@@ -136,6 +136,13 @@ def _text(value, newline: str, nested: bool = True) -> str | None:
     kinds = set(map(type, value))
     if not _SCALARS.keys() >= kinds:
         return None
+    if kinds == {str}:
+        # text with no character to escape, such as a row of digit strings,
+        # is quoted with one join; the raw items are checked, not the join
+        raw = "".join(value)
+        if raw.isascii() and raw.isprintable() and '"' not in raw and "\\" not in raw:
+            sep = '",' + inner + '"'
+            return "[" + inner + '"' + sep.join(value) + '"' + newline + "]"
     write = _SCALARS[kinds.pop()] if len(kinds) == 1 else _scalar
     return "[" + inner + ("," + inner).join(map(write, value)) + newline + "]"
 
@@ -339,7 +346,7 @@ def _cmd_eval(args) -> _Output:
             "--oracle needs p != 1 and q != 1 (its series has exponents "
             "1/(1-p) and 1/(1-q)); run eval without --oracle at this point"
         )
-    value = touchard.touchard_eval(args.n, x, p, q)
+    value = touchard._composed_value(args.n, x, p, q)
     check = None
     if args.oracle:
         coeffs = touchard.taylor_oracle(x, p, q, args.n)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import threading
-from itertools import count, repeat
+from itertools import accumulate, count, repeat
 
 _lock = threading.RLock()
 
@@ -31,6 +31,13 @@ def _grow(rows: list, step, n: int):
                 m = len(rows)
                 rows.append(step(m, rows[m - 1]))
     return rows[n]
+
+
+def _stream(triangle, n: int):
+    """Rows 0..n of a triangle, each stepped from the one before and kept
+    nowhere: a reader that drops each row holds O(n) entries."""
+    rows, step = triangle
+    return accumulate(range(1, n + 1), lambda prev, m: step(m, prev), initial=rows[0])
 
 
 def _pascal(weights):

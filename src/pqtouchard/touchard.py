@@ -22,10 +22,12 @@ Two scalar routes give T_n at one rational point without building a
 polynomial:
 
   scalar sum          touchard_eval: the explicit sum at the point, over one
-                      common denominator, in O(n^2) integer operations
+                      common denominator, in O(n^2) integer operations on
+                      whole Stirling rows, each triangle grown once
   scalar composition  touchard_series(order, x, p, q): the composition route
                       itself, its rows run at the point on integers, giving
-                      T_0..T_N with one Fraction per entry
+                      T_0..T_N with one Fraction per entry; the eval command
+                      reads row n alone (_composed_value), in O(n) memory
 
 plus a numeric-only oracle (taylor_oracle) that expands the same closed
 form as an ordinary power series with rational binomial exponents, by
@@ -35,25 +37,28 @@ verify_identity cross-checks all of them and the enumeration oracle.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, count, islice, product, repeat
-from math import comb
+from math import comb, gcd
 from operator import mul
 
 from .partitions import _check_size, count_partitions, dist_poly
 from .poly import MultiPoly, _add_products, _exact, _wrap
 from .series import EgfSeries, _miller, _unscale
 from .tables import (
+    _STIRLING1,
+    _STIRLING2,
     _check_n,
-    bell,
+    _grow,
+    _stream,
     binomial,
     factorial,
     stirling1_signed,
     stirling1_unsigned,
     stirling2,
-    stirling2_row,
 )
 
 ROUTES = ("substitution", "explicit", "composition")
@@ -236,10 +241,8 @@ def touchard_series(order: int, x=X, p=P, q=Q) -> EgfSeries:
     Composition by powers: with S(n,k) = [t^n/n!] (exp_q(t) - 1)^k / k!,
     T_n = sum_k exp_p[k] x^k S(n,k), over the power rows (_power_rows) on
     integers.  Symbolic: the coefficient of x^k p^m q^l is
-    alpha_{k,m} * U(n,k)_l (_row_terms).  At x = a/b, p - 1 = c/d and
-    q - 1 = e/f, exp_p[k] (x*f)^k = N_k / (b*d)^k with N_0 = 1 and
-    N_k = (a*f)^k * d * prod_{0<m<k} (d + m*c), so entry n is
-    sum_k N_k (b*d)^(n-k) U(n,k) over (b*d)^n f^n: one Fraction per entry.
+    alpha_{k,m} * U(n,k)_l (_row_terms).  At a point, each row's value is
+    one Horner sum and one Fraction (_point_rows).
     """
     _check_n(order, "order")
     for a, name in zip((x, p, q), "xpq"):
@@ -251,6 +254,17 @@ def touchard_series(order: int, x=X, p=P, q=Q) -> EgfSeries:
                 "they must be the variables x, p and q themselves"
             )
         return EgfSeries(_row_terms(*pair) for pair in _symbolic_rows(order))
+    rows, value = _point_rows(order, x, p, q)
+    return EgfSeries(value(n, row) for n, row in enumerate(rows))
+
+
+def _point_rows(order: int, x, p, q):
+    """The power rows n = 0..order at a rational point, generated, and
+    value(n, row), T_n from row n.  At x = a/b, p - 1 = c/d, q - 1 = e/f,
+    exp_p[k] (x*f)^k = N_k / (b*d)^k with N_0 = 1 and
+    N_k = (a*f)^k * d * prod_{0<m<k} (d + m*c), so T_n is
+    sum_k N_k (b*d)^(n-k) U(n,k) over (b*d)^n f^n: one Horner sum in b*d
+    and one Fraction."""
     a, b = x.as_integer_ratio()
     c, d = (p - 1).as_integer_ratio()
     e, f = (q - 1).as_integer_ratio()
@@ -258,13 +272,22 @@ def touchard_series(order: int, x=X, p=P, q=Q) -> EgfSeries:
     weights = list(
         accumulate((a * f * (d + m * c) for m in range(order)), mul, initial=1)
     )
-    series = []
-    for n, row in enumerate(_power_rows(order, e, 0, f)):
-        total = 0  # sum_k N_k (b*d)^(n-k) U(n,k), by Horner's rule in b*d
+
+    def value(n: int, row) -> Fraction:
+        total = 0
         for w, (u,) in zip(weights, row):
             total = total * bd + w * u
-        series.append(Fraction(total, (bd * f) ** n))
-    return EgfSeries(series)
+        return Fraction(total, (bd * f) ** n)
+
+    return _power_rows(order, e, 0, f), value
+
+
+def _composed_value(n: int, x, p, q) -> Fraction:
+    """T_n at a rational point from row n of the scalar composition alone:
+    each row is dropped once the next is built, and one Horner sum runs."""
+    _check_n(n)
+    rows, value = _point_rows(n, _exact(x, "x"), _exact(p, "p"), _exact(q, "q"))
+    return value(n, next(islice(rows, n, None)))
 
 
 def touchard_eval(n: int, x, p, q) -> Fraction:
@@ -273,7 +296,8 @@ def touchard_eval(n: int, x, p, q) -> Fraction:
     Sums T_n = sum_j c(n,n-j) v^j sum_k S(n-j,k) x^k prod_{m<k} (1 + m*u)
     at u = p-1, v = q-1 (the closed form behind s_uv) in integers over the
     one denominator (b*d*f)^n, where x = a/b, u = c/d and v = e/f in lowest
-    terms: O(n^2) big-integer operations on the Stirling tables.
+    terms: O(n^2) big-integer operations on the Stirling tables, each grown
+    to row n once and then read row by row.
     """
     _check_n(n)
     # an int has a numerator and a denominator too: no Fraction is needed
@@ -283,18 +307,18 @@ def touchard_eval(n: int, x, p, q) -> Fraction:
     e, f = v.numerator, v.denominator
     # weights[k] = a^k * prod_{m<k} (d + m*c) * (b*d)^(n-k), which is
     # x^k * prod_{m<k} (1 + m*u) over the denominator (b*d)^n
-    weights = []
-    rising = 1
-    for k in range(n + 1):
-        weights.append(rising * (b * d) ** (n - k))
-        rising *= a * (d + k * c)
-    total = 0
-    # v = 0 leaves only the j = 0 term
-    for j in range(n + 1 if e else 1):
-        outer = stirling1_unsigned(n, n - j)
-        if outer:
-            inner = sum(map(mul, stirling2_row(n - j), weights))
-            total += outer * e**j * f ** (n - j) * inner
+    rising = accumulate((a * (d + k * c) for k in range(n)), mul, initial=1)
+    powers = list(accumulate(repeat(b * d, n), mul, initial=1))
+    weights = list(map(mul, rising, reversed(powers)))
+    cycles = _grow(*_STIRLING1, n)  # c(n, m), m = 0..n
+    _grow(*_STIRLING2, n)
+    rows = _STIRLING2[0]  # S(m, .) for every m <= n
+    # the sum over m = n - j by Horner's rule in e, carrying f^m; v = 0
+    # (e = 0, f = 1) leaves only the m = n term
+    total, fm = 0, 1
+    for m in range(0 if e else n, n + 1):
+        total = total * e + cycles[m] * fm * sum(map(mul, rows[m], weights))
+        fm *= f
     return Fraction(total, (b * d * f) ** n)
 
 
@@ -307,32 +331,38 @@ def taylor_oracle(x, p, q, order: int) -> list[Fraction]:
     1 - q = c/d, the inner series is w = (c/d)t: W_1 = c over D = d, and
     its scaled coefficients G_k give g_k = G_k / (k! (|c|d)^k).  With
     (1-p)x = P/Q, the outer w_k = (P/Q) g_k for k >= 1 is W_k / (k! D^k)
-    with W_k = P Q^(k-1) G_k and D = |c|dQ.  Needs p != 1 and q != 1; the
-    classical limits live on the series route instead.
+    with W_k = P Q^(k-1) G_k and D = |c|dQ.  With p = pn/pd, 1 - p and its
+    inverse (pd - pn)/pd and pd/(pd - pn) are in lowest terms, as are those
+    of q, so only P/Q takes a gcd.  Needs p != 1 and q != 1; the classical
+    limits live on the series route instead.
     """
     _check_n(order, "order")
-    x, p, q = Fraction(_exact(x, "x")), Fraction(_exact(p, "p")), Fraction(_exact(q, "q"))
+    x, p, q = _exact(x, "x"), _exact(p, "p"), _exact(q, "q")
     if p == 1 or q == 1:
         raise ValueError(
             "taylor_oracle needs p != 1 and q != 1 (rational exponents "
             "1/(1-p), 1/(1-q)); use touchard_series or touchard_eval for "
             "the classical limits"
         )
-    c, d = (1 - q).as_integer_ratio()
-    inner = _miller([0, c], 1 / (1 - q), order)
-    P, Q = ((1 - p) * x).as_integer_ratio()
+    c, d = q.denominator - q.numerator, q.denominator  # 1 - q = c/d
+    r, pd = p.denominator - p.numerator, p.denominator  # 1 - p = r/pd
+    inner = _miller([0, c], Fraction(d, c), order)
+    g = gcd(r * x.numerator, pd * x.denominator)
+    P, Q = r * x.numerator // g, pd * x.denominator // g
     powers = accumulate(repeat(Q, order), mul, initial=P)  # P * Q^(k-1)
-    outer = _miller([0, *map(mul, powers, inner[1:])], 1 / (1 - p), order)
-    # T_n / n! = G_n / (n! * (b * D)^n) with b the denominator of 1/(1-p)
-    return _unscale(outer, (1 / (1 - p)).denominator * abs(c) * d * Q)
+    outer = _miller([0, *map(mul, powers, inner[1:])], Fraction(pd, r), order)
+    # T_n / n! = G_n / (n! * (|r| * D)^n), |r| the denominator of 1/(1-p)
+    return _unscale(outer, abs(r * c) * d * Q)
 
 
 def avg_nse(n: int) -> Fraction:
-    """Average nse over all sets-of-lists partitions of {1..n}, any k."""
+    """Average nse over all sets-of-lists partitions of {1..n}, any k:
+    sum_k (n-k) c(n,k) B(k) over sum_k c(n,k) B(k), with c(n,.) and the
+    Stirling-2 rows that sum to B(k) streamed, so no table grows."""
     _check_n(n, low=1)
-    moved = sum(j * stirling1_unsigned(n, n - j) * bell(n - j) for j in range(n))
-    objects = sum(stirling1_unsigned(n, k) * bell(k) for k in range(1, n + 1))
-    return Fraction(moved, objects)
+    cycles = deque(_stream(_STIRLING1, n), maxlen=1).pop()
+    terms = [c * sum(row) for c, row in zip(cycles, _stream(_STIRLING2, n))]
+    return Fraction(sum(map(mul, range(n, -1, -1), terms)), sum(terms))
 
 
 @dataclass(frozen=True)

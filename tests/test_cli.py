@@ -750,6 +750,21 @@ class TestDigitLimit:
 
 
 class TestSmallCommands:
+    def test_eval_and_avg_nse_grow_no_table(self):
+        # both stream their rows, each dropped once the next is built
+        script = (
+            "from pqtouchard import cli, tables\n"
+            "def sizes():\n"
+            "    return len(tables._STIRLING1[0]), len(tables._STIRLING2[0])\n"
+            "before = sizes()\n"
+            "cli.main(['eval', '--n', '300', '--x', '4/7', '--p', '-7/5', '--q', '5/7'])\n"
+            "cli.main(['avg-nse', '--n', '300'])\n"
+            "print(before, sizes())\n"
+        )
+        result, _ = run_cold("-c", script)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "(1, 1) (1, 1)"
+
     def test_avg_nse_check(self, capsys):
         status, out, _ = run(capsys, "avg-nse", "--n", "2", "--check")
         assert status == 0

@@ -1,6 +1,8 @@
 """Deformed Touchard polynomials: closed forms, routes, and the oracle."""
 
 from fractions import Fraction
+from functools import cache
+from math import comb
 from math import factorial as math_factorial
 
 import pytest
@@ -464,6 +466,87 @@ class TestTaylorOracle:
             taylor_oracle(1, 1, 2, 4)
         with pytest.raises(ValueError, match="q != 1"):
             taylor_oracle(1, 2, 1, 4)
+
+    @pytest.mark.parametrize(
+        "x, p, q",
+        [
+            (3, -2, 5),
+            (Fraction(-5, 3), Fraction(9, 4), Fraction(-1, 6)),
+            (0, Fraction(7, 2), -3),
+            (Fraction(0), 5, Fraction(2, 3)),
+            (2, 0, Fraction(-4, 9)),
+            (Fraction(3, 8), Fraction(-11, 3), 0),
+            (-1, 0, 0),
+            (Fraction(6), Fraction(13, 4), 4),
+            (Fraction(-2, 7), -1, Fraction(-9, 2)),
+        ],
+    )
+    def test_edge_inputs_match_eval(self, x, p, q):
+        # int and Fraction inputs, x = 0, p or q at 0 or negative, 1 - p < 0
+        coeffs = taylor_oracle(x, p, q, 15)
+        for n in range(16):
+            assert coeffs[n] * math_factorial(n) == touchard_eval(n, x, p, q), n
+
+    @pytest.mark.parametrize("p, q", [(1, 2), (2, 1), (Fraction(1), Fraction(1, 2)), (1, 1)])
+    def test_classical_limit_message(self, p, q):
+        message = (
+            "taylor_oracle needs p != 1 and q != 1 (rational exponents "
+            "1/(1-p), 1/(1-q)); use touchard_series or touchard_eval for "
+            "the classical limits"
+        )
+        with pytest.raises(ValueError) as exc:
+            taylor_oracle(Fraction(1, 2), p, q, 4)
+        assert str(exc.value) == message
+
+
+@cache
+def q_product(k, p):
+    """Q_{k-1}(p) = prod_{0<m<k} (1 + m*(p-1)), the empty product 1 for k <= 1."""
+    return q_product(k - 1, p) * (1 + (k - 1) * (p - 1)) if k > 1 else 1
+
+
+def lah(n, k):
+    return math_factorial(n) // math_factorial(k) * comb(n - 1, k - 1)
+
+
+# closed forms of exp_p(x(exp_q(t) - 1)) on four slices, from factorials,
+# binomials and Q_{k-1} alone: exp_0(t) = 1 + t, exp_2(t) - 1 = t/(1 - t)
+SLICES = {
+    "q=0": (lambda x, p: (x, p, 0), lambda n, x, p: x**n * q_product(n, p)),
+    "p=0": (lambda x, q: (x, 0, q), lambda n, x, q: x * q_product(n, q) if n else 1),
+    "q=2": (
+        lambda x, p: (x, p, 2),
+        lambda n, x, p: sum(lah(n, k) * q_product(k, p) * x**k for k in range(1, n + 1))
+        if n else 1,
+    ),
+    "p=q=2": (
+        lambda x, _: (x, 2, 2),
+        lambda n, x, _: math_factorial(n) * x * (1 + x) ** (n - 1) if n else 1,
+    ),
+}
+
+
+# x, and the free parameter of each slice but p = q = 2, which has none
+SLICE_CASES = [
+    (name, x, other)
+    for name in SLICES
+    for x in (Fraction(4, 7), -2, Fraction(-3, 2))
+    for other in ((Fraction(-7, 5), 1, 3, Fraction(5, 7)) if name != "p=q=2" else (None,))
+]
+
+
+class TestClosedFormSlices:
+    @pytest.mark.parametrize("name, x, other", SLICE_CASES)
+    def test_scalar_routes_and_oracle_match(self, name, x, other):
+        point, closed = SLICES[name]
+        x, p, q = point(x, other)
+        coeffs = taylor_oracle(x, p, q, 60) if p != 1 and q != 1 else None
+        for n in range(61):
+            expected = closed(n, x, other)
+            assert touchard_eval(n, x, p, q) == expected, n
+            assert touchard._composed_value(n, x, p, q) == expected, n
+            if coeffs is not None:
+                assert coeffs[n] * math_factorial(n) == expected, n
 
 
 class TestAvgNse:
