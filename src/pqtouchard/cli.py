@@ -19,12 +19,11 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, dropwhile, repeat
+from itertools import chain, dropwhile, repeat, starmap
 from json.encoder import encode_basestring_ascii
 from math import lgamma, log, log10
 
 from . import partitions, permstats, tables, touchard
-from .partitions import nsb
 from .poly import MultiPoly
 from .tables import _BINOMIAL, _STIRLING1, _check_n, _row, bell, factorial, stirling2_row
 
@@ -102,6 +101,9 @@ _SCALARS = {
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
 }
+# the characters encode_basestring_ascii writes as they are: space to tilde,
+# less the quote and the backslash
+_UNESCAPED = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
 
 
 def _scalar(value) -> str:
@@ -140,7 +142,7 @@ def _text(value, newline: str, nested: bool = True) -> str | None:
         # text with no character to escape, such as a row of digit strings,
         # is quoted with one join; the raw items are checked, not the join
         raw = "".join(value)
-        if raw.isascii() and raw.isprintable() and '"' not in raw and "\\" not in raw:
+        if raw.isascii() and not raw.encode().translate(None, _UNESCAPED):
             sep = '",' + inner + '"'
             return "[" + inner + '"' + sep.join(value) + '"' + newline + "]"
     write = _SCALARS[kinds.pop()] if len(kinds) == 1 else _scalar
@@ -355,32 +357,19 @@ def _cmd_eval(args) -> _Output:
 
 
 def _cmd_enumerate(args) -> _Output:
-    stream = partitions.enumerate_partitions(args.n, args.k, args.flavor, force=args.force)
+    flavor = partitions._check_size(args.n, args.k, args.flavor, args.force)
     header = ["partition", "nsb", "nse"] if args.stats else ["partition"]
-    # each distinct block is rendered once, to its text and its nse term:
-    # the 7,200 objects of llp(6,3) hold 21,600 blocks but only 516 distinct
-    words = {}
-
+    # records come one block order at a time, and no object is built: the
+    # 7,200 objects of llp(6,3) take 540 nsb scans, one per block order, and
+    # their 21,600 block words are read from 516, the words of their 56
+    # distinct blocks, each rendered once
     # the three formats share the one stream; the emitter drains only one
-    def records():
-        for pi in stream:
-            texts, moved = [], 0
-            for block in pi.blocks:
-                word = words.get(block)
-                if word is None:
-                    word = words[block] = (
-                        partitions._block_text(block, args.n),
-                        partitions._block_nse(block),
-                    )
-                texts.append(word[0])
-                moved += word[1]
-            text = "/".join(texts)
-            yield [text, nsb(pi), moved] if args.stats else [text]
-
+    records = partial(partitions._records, args.n, args.k, flavor, args.stats)
     return _Output(
-        lambda: (dict(zip(header, record)) for record in records()),
+        lambda: map(dict, map(zip, repeat(header), records())),
         lambda: chain([header], records()),
-        lambda: (" ".join(map(str, record)) for record in records()),
+        # one format call writes a line's fields, each as its str()
+        lambda: starmap(" ".join(["{}"] * len(header)).format, records()),
     )
 
 

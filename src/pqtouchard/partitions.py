@@ -13,7 +13,10 @@ Everything here counts exhaustively; it is the ground truth the closed
 forms elsewhere are checked against.  dist_poly tallies block orders and
 block words with _nse_counts, an exact count of all words of m distinct
 entries made prefix by suffix (_record_tally), and pairs them per skeleton
-by multiplication; enumerate_partitions streams every object.  Inside,
+by multiplication.  One generator of block orders, _arrangements, feeds
+both _generate, whose objects enumerate_partitions streams, and _records,
+the CLI's text, nsb and nse of each object, made per block order and per
+distinct block without building the object.  Inside,
 partitions are plain tuples of block tuples; only the public
 OrderedPartition constructor checks input.  No cell over OBJECT_BUDGET
 objects, or elements per object, is enumerated unless forced (permstats
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from itertools import accumulate, permutations, product
+from itertools import accumulate, permutations, product, repeat
 from math import comb, factorial, lgamma, log, log10, perm
 
 from .poly import MultiPoly, _wrap
@@ -274,16 +277,58 @@ def _log10_count(n: int, k: int, flavor: str) -> float:
     return logs / log(10)
 
 
-def _generate(n, k, flavor):
-    """Every object of the cell as a tuple of block tuples, in a fixed order."""
-    order_blocks = flavor in ("lsp", "llp")
-    order_elements = flavor in ("slp", "llp")
+def _arrangements(n, k, flavor):
+    """Each skeleton of the cell in every block order the flavor keeps: all
+    k! for lsp and llp, the skeleton's own for ssp and slp."""
+    ordered = flavor in ("lsp", "llp")
     for sk in _skeletons(n, k):
-        for arrangement in permutations(sk) if order_blocks else (sk,):
-            if order_elements:
-                yield from product(*(permutations(b) for b in arrangement))
-            else:
-                yield arrangement
+        yield from permutations(sk) if ordered else (sk,)
+
+
+def _generate(n, k, flavor):
+    """Every object of the cell as a tuple of block tuples, in a fixed order:
+    each block order, then for slp and llp each choice of block words."""
+    if flavor in ("ssp", "lsp"):
+        yield from _arrangements(n, k, flavor)
+        return
+    for order in _arrangements(n, k, flavor):
+        yield from product(*map(permutations, order))
+
+
+def _records(n, k, flavor, stats):
+    """The (text,), or with stats (text, nsb, nse), of each object of the
+    cell in _generate's order, with no object built.  nsb reads only the
+    block minima (b[0], as skeleton blocks increase): one scan per block
+    order.  nse sums per-block terms: each distinct block lists its words'
+    texts and terms once, and an order's records are their products,
+    joined and summed with no loop per object.  ssp and lsp have one word
+    per block and one record per order."""
+    one_word = flavor in ("ssp", "lsp")
+    # block -> its text, or the tuples of its words' texts and nse terms,
+    # which product reads without a copy
+    words = {}
+    for order in _arrangements(n, k, flavor):
+        moved = k - _rl_min_count([b[0] for b in order]) if stats else 0
+        found = []
+        for block in order:
+            word = words.get(block)
+            if word is None:
+                word = words[block] = (
+                    _block_text(block, n)
+                    if one_word
+                    else (tuple(_block_text(w, n) for w in permutations(block)),
+                          tuple(map(_block_nse, permutations(block))))
+                )
+            found.append(word)
+        if one_word:
+            text = "/".join(found)
+            yield (text, moved, 0) if stats else (text,)
+            continue
+        texts = map("/".join, product(*[word[0] for word in found]))
+        if stats:
+            yield from zip(texts, repeat(moved), map(sum, product(*[word[1] for word in found])))
+        else:
+            yield from zip(texts)
 
 
 def _record_tally(m: int, records, best) -> list[int]:

@@ -13,6 +13,8 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import islice
+from math import prod
 from pathlib import Path
 from types import GeneratorType
 
@@ -46,6 +48,20 @@ def run(capsys, *argv):
     status = main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+def fail_at_order(monkeypatch, count):
+    """Make enumeration raise at the count-th block order, once the records
+    of the orders before it are out."""
+    arrangements = partitions._arrangements
+
+    def failing(*cell):
+        for seen, order in enumerate(arrangements(*cell), 1):
+            if seen == count:
+                raise ValueError("late failure")
+            yield order
+
+    monkeypatch.setattr(partitions, "_arrangements", failing)
 
 
 class TestExpand:
@@ -304,6 +320,29 @@ class TestEnumerate:
         assert status == 0
         assert list(csv.reader(io.StringIO(out)))[1:] == expected
 
+    @pytest.mark.parametrize("flavor", partitions.FLAVORS)
+    def test_stats_lines_equal_the_public_statistics(self, capsys, flavor):
+        # nsb is taken once per block order and nse from per-block word
+        # lists; every line must still be the object's own, in its order.
+        # One cell past n = 9, in comma notation, runs too; no llp cell there
+        # is within the budget (llp(10,k) >= 10!), so for llp the first
+        # records of a forced cell are read from the record stream
+        wide = {"ssp": [(11, 9)], "lsp": [(10, 2)], "slp": [(10, 9)], "llp": []}
+        cells = [(n, k) for n in range(8) for k in range(n + 2)] + wide[flavor]
+        for n, k in cells:
+            argv = ("--n", str(n), "--k", str(k), "--flavor", flavor, "--stats")
+            status, out, _ = run(capsys, "enumerate", *argv)
+            expected = "".join(
+                f"{pi} {partitions.nsb(pi)} {partitions.nse(pi)}\n"
+                for pi in partitions.enumerate_partitions(n, k, flavor)
+            )
+            assert (status, out) == (0, expected), (n, k)
+        if flavor == "llp":
+            records = partitions._records(10, 6, "llp", True)
+            objects = partitions.enumerate_partitions(10, 6, "llp", force=True)
+            for record, pi in islice(zip(records, objects), 5000):
+                assert record == (str(pi), partitions.nsb(pi), partitions.nse(pi))
+
     def test_near_diagonal_refusal_is_stated_at_once(self, capsys):
         # S(n, n-1) = C(n, 2) is stated without growing the Stirling table
         start = time.perf_counter()
@@ -315,23 +354,19 @@ class TestEnumerate:
         assert "ssp enumeration for n=100000, k=99999 visits 4999950000 objects" in err
 
     def test_json_is_written_while_enumerating(self, capsys, monkeypatch):
-        calls = []
-
-        def nsb_failing_late(pi):
-            calls.append(pi)
-            if len(calls) == 2500:
-                raise ValueError("late failure")
-            return partitions.nsb(pi)
-
-        monkeypatch.setattr(cli, "nsb", nsb_failing_late)
+        # records come one block order at a time: a failure at the 200th of
+        # llp(6,3)'s 540 orders finds the objects of the first 199 written
+        before = list(partitions._arrangements(6, 3, "llp"))[:199]
+        fail_at_order(monkeypatch, 200)
         status, out, err = run(
-            capsys, "enumerate", "--n", "7", "--k", "1", "--flavor", "llp", "--stats",
+            capsys, "enumerate", "--n", "6", "--k", "3", "--flavor", "llp", "--stats",
             "--format", "json",
         )
         assert status == 2 and "late failure" in err
         # objects before the failure are already out, in the array's bytes
-        assert out.startswith('[\n  {\n    "partition": "1234567",')
-        assert 1000 <= out.count('"partition"') < 2500
+        assert out.startswith('[\n  {\n    "partition": "1234/5/6",\n    "nsb": 0,')
+        written = sum(prod(map(factorial, map(len, order))) for order in before)
+        assert out.count('"partition"') == written > 2500
 
 
 class TestDist:
@@ -845,17 +880,10 @@ class TestHarness:
                 status, out, err = run(capsys, *argv, "--out", str(target))
                 assert (status, out) == (2, "")
                 assert err.startswith("error:")
-        # an error raised while the output is being written
-        calls = []
-
-        def nsb_failing_late(pi):
-            calls.append(pi)
-            if len(calls) == 3:
-                raise ValueError("late failure")
-            return partitions.nsb(pi)
-
-        monkeypatch.setattr(cli, "nsb", nsb_failing_late)
-        argv = ("enumerate", "--n", "3", "--k", "1", "--flavor", "llp", "--stats")
+        # an error raised while the output is being written: llp(3,2) has
+        # six block orders, and the third one fails
+        fail_at_order(monkeypatch, 3)
+        argv = ("enumerate", "--n", "3", "--k", "2", "--flavor", "llp", "--stats")
         status, _, err = run(capsys, *argv, "--out", str(kept))
         assert status == 2 and "late failure" in err
         assert kept.read_text(encoding="utf-8") == "earlier output\n"
@@ -1250,6 +1278,16 @@ def test_json_text_equals_the_encoder(payload):
     got = io.StringIO()
     cli._emit(cli._Output(lambda: _as_given(payload, True), list, list), "json", got)
     assert got.getvalue() == json.JSONEncoder(indent=2).encode(_as_given(payload, False)) + "\n"
+
+
+@pytest.mark.parametrize("text", ["\x1f", "\x7f", '"', "\\", " ", "~", "é", "\ud800", "\t"])
+def test_json_list_of_text_at_the_escape_edges(text):
+    # a list of strings takes one quoting join when nothing in it needs an
+    # escape; each edge of that test, alone and among digit strings
+    for value in ([text], ["12", text, "3"], [text, text]):
+        got = io.StringIO()
+        cli._emit(cli._Output(lambda: value, list, list), "json", got)
+        assert got.getvalue() == json.JSONEncoder(indent=2).encode(value) + "\n"
 
 
 # main builds only the named command's arguments, so each of these must

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from itertools import permutations, product
 from math import comb, perm
 from pathlib import Path
 
@@ -149,6 +150,29 @@ class TestEnumeration:
                 for flavor in partitions.FLAVORS:
                     run = sum(1 for _ in enumerate_partitions(n, k, flavor))
                     assert run == count_partitions(n, k, flavor)
+
+    def test_objects_come_by_skeleton_then_block_order_then_words(self):
+        # the stream's order stated directly: for each skeleton, each kept
+        # block order, then each choice of block words
+        ordered = {
+            "ssp": (False, False),
+            "lsp": (True, False),
+            "slp": (False, True),
+            "llp": (True, True),
+        }
+        for n in range(7):
+            for k in range(n + 2):
+                for flavor, (blocks, words) in ordered.items():
+                    expected = [
+                        words_of_order
+                        for sk in partitions._skeletons(n, k)
+                        for order in (permutations(sk) if blocks else [sk])
+                        for words_of_order in (
+                            product(*map(permutations, order)) if words else [order]
+                        )
+                    ]
+                    got = [pi.blocks for pi in enumerate_partitions(n, k, flavor)]
+                    assert got == expected, (n, k, flavor)
 
     def test_enumerated_objects_equal_validated_ones(self):
         for n in range(7):
