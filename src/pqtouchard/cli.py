@@ -25,14 +25,16 @@ from math import lgamma, log, log10
 
 from . import partitions, permstats, tables, touchard
 from .poly import MultiPoly
-from .tables import _BINOMIAL, _STIRLING1, _check_n, _row, bell, factorial, stirling2_row
+from .tables import _BINOMIAL, _STIRLING1, _STIRLING2, _check_n, _rows, bell, factorial
 
-# each name's rows, read whole from its triangle or, signed, entry by entry
+# each name's rows 0..nmax, read whole from its triangle or, signed, entry by entry
 _TRIANGLES = {
-    "binomial": partial(_row, _BINOMIAL),
-    "stirling2": stirling2_row,
-    "stirling1": partial(_row, _STIRLING1),
-    "stirling1-signed": lambda n: [tables.stirling1_signed(n, k) for k in range(n + 1)],
+    "binomial": partial(_rows, _BINOMIAL),
+    "stirling2": partial(_rows, _STIRLING2),
+    "stirling1": partial(_rows, _STIRLING1),
+    "stirling1-signed": lambda nmax: [
+        [tables.stirling1_signed(n, k) for k in range(n + 1)] for n in range(nmax + 1)
+    ],
 }
 _SEQUENCES = {"bell": bell, "factorial": factorial}
 
@@ -273,7 +275,7 @@ def _cmd_table(args) -> _Output:
         what = f"table {name} for nmax={nmax} prints up to"
         raise partitions._over_budget(what, digits, "digits", TABLE_DIGIT_BUDGET, _FORCE)
     if name in _TRIANGLES:
-        rows = list(map(_TRIANGLES[name], range(nmax + 1)))
+        rows = _TRIANGLES[name](nmax)
         return _Output(
             lambda: {
                 "name": name,

@@ -9,7 +9,7 @@ single-block partition case.
 
 from __future__ import annotations
 
-from .partitions import _check_size, _nse_counts, _record_tally, _rl_min_count
+from .partitions import _block_nse, _check_size, _nse_counts, _record_tally
 from .tables import _check_n
 
 
@@ -38,8 +38,7 @@ def decompose(word):
 
 def nse_perm(word) -> int:
     """Number of entries that are not right-to-left minima."""
-    word = check_permutation(word)
-    return len(word) - _rl_min_count(word)
+    return _block_nse(check_permutation(word))
 
 
 def _ltr_max_count(word) -> int:

@@ -16,6 +16,7 @@ MultiPoly.var and arithmetic on them; MultiPoly() itself is refused.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Mapping
 
 VAR_ORDER = ("x", "p", "q", "u", "v")
@@ -94,14 +95,26 @@ class MultiPoly:
         key[slot] = power
         return _wrap({tuple(key): 1})
 
+    def _tops(self) -> list[int]:
+        """Each slot's top exponent, 0 where no term uses it: one scan, unrolled."""
+        t0 = t1 = t2 = t3 = t4 = 0
+        for e0, e1, e2, e3, e4 in self.terms:
+            if e0 > t0:
+                t0 = e0
+            if e1 > t1:
+                t1 = e1
+            if e2 > t2:
+                t2 = e2
+            if e3 > t3:
+                t3 = e3
+            if e4 > t4:
+                t4 = e4
+        return [t0, t1, t2, t3, t4]
+
     @property
     def variables(self) -> tuple[str, ...]:
         """The variables that some term uses, in VAR_ORDER."""
-        return tuple(
-            name
-            for slot, name in enumerate(VAR_ORDER)
-            if any(key[slot] for key in self.terms)
-        )
+        return tuple(name for name, d in zip(VAR_ORDER, self._tops()) if d)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -145,9 +158,9 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, int) and not isinstance(other, bool):
-            other = MultiPoly.const(other)
-        if not isinstance(other, MultiPoly):
+        try:
+            other = _coerce(other)
+        except TypeError:
             return NotImplemented
         return self.terms == other.terms
 
@@ -167,15 +180,14 @@ class MultiPoly:
 
     def evaluate(self, assignment: Mapping[str, Fraction | int]) -> Fraction:
         """Exact value at a point of ints and Fractions, one for each variable present."""
-        used = self.variables
-        for name in used:
-            if name not in assignment:
+        top = self._tops()
+        point = []
+        for name, d in zip(VAR_ORDER, top):
+            if d and name not in assignment:
                 raise ValueError(f"no value given for variable {name!r}")
-            _exact(assignment[name], name)
-        point = [Fraction(assignment[n]) if n in used else Fraction(1) for n in VAR_ORDER]
-        # integers over one common denominator: with value a/b and top degree
-        # d in a slot, exponent e there contributes a^e * b^(d-e) over b^d
-        top = [max(exps) for exps in zip(*self.terms)]
+            point.append(_exact(assignment[name], name) if d else 1)
+        # integers over one common denominator (an int is a/1): with value a/b
+        # and top degree d in a slot, exponent e contributes a^e * b^(d-e) over b^d
         scaled = [
             [value.numerator**e * value.denominator ** (d - e) for e in range(d + 1)]
             for value, d in zip(point, top)
@@ -185,10 +197,7 @@ class MultiPoly:
             for powers, e in zip(scaled, key):
                 coeff *= powers[e]
             total += coeff
-        denominator = 1
-        for value, d in zip(point, top):
-            denominator *= value.denominator**d
-        return Fraction(total, denominator)
+        return Fraction(total, prod(value.denominator**d for value, d in zip(point, top)))
 
     def substitute(self, name: str, replacement) -> "MultiPoly":
         """Replace every occurrence of `name` by a polynomial (or integer).

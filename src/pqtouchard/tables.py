@@ -23,16 +23,6 @@ def _check_n(n: int, name: str = "n", low: int | None = 0):
         raise ValueError(f"{name} must be {kind} integer, got {n!r}")
 
 
-def _grow(rows: list, step, n: int):
-    """rows[n], after appending step(m, rows[m-1]) for every missing row m."""
-    if n >= len(rows):
-        with _lock:
-            while len(rows) <= n:
-                m = len(rows)
-                rows.append(step(m, rows[m - 1]))
-    return rows[n]
-
-
 def _stream(triangle, n: int):
     """Rows 0..n of a triangle, each stepped from the one before and kept
     nowhere: a reader that drops each row holds O(n) entries."""
@@ -53,18 +43,24 @@ _STIRLING2 = ([(1,)], _pascal(lambda m: count()))
 _STIRLING1 = ([(1,)], _pascal(lambda m: repeat(m - 1)))
 
 
-def _row(triangle, n: int) -> tuple[int, ...]:
-    """Row n of a triangle as one tuple, grown on demand."""
-    _check_n(n)
-    return _grow(*triangle, n)
+def _rows(triangle, n: int) -> list[tuple[int, ...]]:
+    """Rows 0..n of an n its caller checked, after appending step(m, rows[m-1])
+    for each missing row m: the one place a triangle grows or is read whole."""
+    rows, step = triangle
+    if n >= len(rows):
+        with _lock:
+            while len(rows) <= n:
+                m = len(rows)
+                rows.append(step(m, rows[m - 1]))
+    return rows[: n + 1]
 
 
 def _entry(triangle, n: int, k: int) -> int:
     _check_n(n)
     if k < 0 or k > n:
         return 0
-    rows, step = triangle
-    return (rows[n] if n < len(rows) else _grow(rows, step, n))[k]
+    rows = triangle[0]
+    return (rows[n] if n < len(rows) else _rows(triangle, n)[n])[k]
 
 
 def binomial(n: int, k: int) -> int:
@@ -75,11 +71,6 @@ def binomial(n: int, k: int) -> int:
 def stirling2(n: int, k: int) -> int:
     """Partitions of an n-set into k nonempty blocks; 0 outside range."""
     return _entry(_STIRLING2, n, k)
-
-
-def stirling2_row(n: int) -> tuple[int, ...]:
-    """S(n, 0), ..., S(n, n) as one tuple."""
-    return _row(_STIRLING2, n)
 
 
 def stirling1_unsigned(n: int, k: int) -> int:
@@ -94,7 +85,8 @@ def stirling1_signed(n: int, k: int) -> int:
 
 def bell(n: int) -> int:
     """Row sum of the stirling2 triangle."""
-    return sum(stirling2_row(n))
+    _check_n(n)
+    return sum(_rows(_STIRLING2, n)[n])
 
 
 def factorial(n: int) -> int:

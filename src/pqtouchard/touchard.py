@@ -52,7 +52,7 @@ from .tables import (
     _STIRLING1,
     _STIRLING2,
     _check_n,
-    _grow,
+    _rows,
     _stream,
     binomial,
     factorial,
@@ -310,9 +310,8 @@ def touchard_eval(n: int, x, p, q) -> Fraction:
     rising = accumulate((a * (d + k * c) for k in range(n)), mul, initial=1)
     powers = list(accumulate(repeat(b * d, n), mul, initial=1))
     weights = list(map(mul, rising, reversed(powers)))
-    cycles = _grow(*_STIRLING1, n)  # c(n, m), m = 0..n
-    _grow(*_STIRLING2, n)
-    rows = _STIRLING2[0]  # S(m, .) for every m <= n
+    cycles = _rows(_STIRLING1, n)[n]  # c(n, m), m = 0..n
+    rows = _rows(_STIRLING2, n)  # S(m, .) for every m <= n
     # the sum over m = n - j by Horner's rule in e, carrying f^m; v = 0
     # (e = 0, f = 1) leaves only the m = n term
     total, fm = 0, 1
@@ -459,10 +458,8 @@ def _verify_enumeration(flavor: str, zero, n_max: int, force: bool):
 
 
 def _verify_series_vs_explicit(n_max: int, force: bool):
-    series = touchard_series(n_max)
-    for n in range(n_max + 1):
-        by_series = series[n]
-        by_sum = _explicit_poly(n) if n else MultiPoly.const(1)
+    for n, by_series in enumerate(touchard_series(n_max)):
+        by_sum = touchard_poly(n, "explicit")
         by_subst = touchard_poly(n, "substitution")
         yield f"n={n}", None if by_series == by_sum == by_subst else (
             f"series {by_series} / explicit {by_sum} / substitution {by_subst}"

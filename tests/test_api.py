@@ -1,6 +1,7 @@
 """The public API, pinned: a change to it must edit this list on purpose."""
 
 import ast
+import doctest
 import importlib
 import pkgutil
 import subprocess
@@ -137,6 +138,14 @@ def test_every_private_helper_is_used():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(defined - used) == []
+
+
+def test_readme_examples_run():
+    # README's `>>>` lines are the library's first examples: each must
+    # still print what README says it prints
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    results = doctest.testfile(str(readme), module_relative=False, encoding="utf-8")
+    assert results.failed == 0 and results.attempted >= 8, results
 
 
 def test_benchmark_self_test_passes():

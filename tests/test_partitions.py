@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 import pqtouchard.partitions as partitions
-import pqtouchard.permstats as permstats
 from pqtouchard import (
     VAR_ORDER,
     MultiPoly,
@@ -173,6 +172,25 @@ class TestEnumeration:
                     ]
                     got = [pi.blocks for pi in enumerate_partitions(n, k, flavor)]
                     assert got == expected, (n, k, flavor)
+
+    def test_skeletons_come_in_growth_string_order(self):
+        # the skeleton order sets every flavor's order, and so the CLI's
+        # bytes.  Stated on its own: the set partitions of {1..n} listed by
+        # their restricted growth strings a (element i + 1 in block a[i],
+        # a[i] <= 1 + max(a[:i])) in lexicographic order
+        strings = [()]
+        for n in range(9):
+            by_k = {}
+            for a in strings:
+                k = max(a, default=-1) + 1
+                blocks = tuple(
+                    tuple(i + 1 for i, b in enumerate(a) if b == j) for j in range(k)
+                )
+                by_k.setdefault(k, []).append(blocks)
+            for k in range(-1, n + 2):
+                assert list(partitions._skeletons(n, k)) == by_k.get(k, []), (n, k)
+            # each string extended by every block it may open or join, in order
+            strings = [a + (b,) for a in strings for b in range(max(a, default=-1) + 2)]
 
     def test_enumerated_objects_equal_validated_ones(self):
         for n in range(7):
@@ -529,8 +547,8 @@ class TestSharedScan:
             calls.append(1)
             return rl_min_count(seq)
 
+        # permstats reads the scan through partitions, so one patch covers both
         monkeypatch.setattr(partitions, "_rl_min_count", counting)
-        monkeypatch.setattr(permstats, "_rl_min_count", counting)
         return calls
 
     def test_each_word_is_scanned_once_per_cell(self, scans):

@@ -276,9 +276,19 @@ class TestAlgebraicLaws:
         assert (a * b).evaluate(point) == a.evaluate(point) * b.evaluate(point)
 
     @given(polys(), rational_points)
+    @example(MultiPoly.const(0), {name: Fraction(2) for name in VAR_ORDER})
+    @example(v("x") - v("x"), {name: Fraction(0) for name in VAR_ORDER})
+    @example(MultiPoly.const(-7), {name: Fraction(1, 3) for name in VAR_ORDER})
+    @example(v("u", 3) * v("q") - 4, {name: Fraction(-2, 5) for name in VAR_ORDER})
     @settings(max_examples=100)
     def test_evaluation_matches_term_by_term_sum(self, a, point):
-        # the reference sums each term's value in Fractions
+        # the reference sums each term's value in Fractions; the variables
+        # are the names some term raises to a nonzero power, and a value
+        # needs those names alone
+        used = tuple(
+            name for slot, name in enumerate(VAR_ORDER) if any(key[slot] for key in a.terms)
+        )
+        assert a.variables == used
         expected = Fraction(0)
         for key, coeff in a.terms.items():
             value = Fraction(coeff)
@@ -286,6 +296,8 @@ class TestAlgebraicLaws:
                 value *= point[name] ** e
             expected += value
         assert a.evaluate(point) == expected
+        restricted = a.evaluate({name: point[name] for name in used})
+        assert (type(restricted), restricted) == (Fraction, expected)
 
     @given(polys())
     @settings(max_examples=100)

@@ -17,7 +17,7 @@ from pqtouchard import (
     touchard_series,
 )
 from pqtouchard.series import _miller, _unscale
-from pqtouchard.tables import stirling2_row
+from pqtouchard.tables import _STIRLING2, _rows
 from pqtouchard.touchard import _power_rows
 
 X, P, Q = (MultiPoly.var(name) for name in "xpq")
@@ -172,9 +172,10 @@ class TestCompositionByPowers:
         # rows at q = 1 (the sum of their coefficients) are the same rows
         point = _power_rows(30, 0, 0, 1)
         symbolic = _power_rows(30, -1, 1, 1)
-        for n, (at_one, row) in enumerate(zip(point, symbolic)):
-            assert at_one == [[s] for s in stirling2_row(n)]
-            assert tuple(map(sum, row)) == stirling2_row(n)
+        table = _rows(_STIRLING2, 30)
+        for at_one, row, stirling in zip(point, symbolic, table, strict=True):
+            assert at_one == [[s] for s in stirling]
+            assert tuple(map(sum, row)) == stirling
 
     @given(st.integers(0, 12), RATIONALS)
     @settings(max_examples=40, deadline=None)

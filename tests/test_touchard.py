@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from math import comb
 from math import factorial as math_factorial
 
@@ -610,14 +611,18 @@ class TestVerifyIdentity:
 
     def test_route_checks_read_the_cached_polynomials(self):
         # the entries `expand` and the benchmark build are the ones these
-        # two checks read: T_0..T_12 by substitution add no cache miss
+        # two checks read: T_0..T_12 by substitution and by the explicit
+        # route add no cache miss
         touchard_poly.cache_clear()
-        for n in range(13):
-            touchard_poly(n, "substitution")
-        misses = touchard_poly.cache_info().misses
+        for n, route in product(range(13), ("substitution", "explicit")):
+            touchard_poly(n, route)
+        before = touchard_poly.cache_info()
         assert verify_identity("series-vs-explicit").passed
+        after = touchard_poly.cache_info()
+        # each T_n is read once on each of the two routes
+        assert (after.hits - before.hits, after.misses) == (26, before.misses)
         assert verify_identity("eval-vs-poly").passed
-        assert touchard_poly.cache_info().misses == misses
+        assert touchard_poly.cache_info().misses == before.misses
 
     def test_series_vs_explicit_at_larger_n(self):
         # twice the default n_max of 12, which stays small because the
@@ -694,8 +699,12 @@ class TestVerifyIdentity:
         self, monkeypatch, fault, name, n_max, cells, failures, first
     ):
         attr, wrap = fault
+        # series-vs-explicit reads T_n through the cache: no entry built
+        # before the patch may hide it, and none built with it may outlive it
+        touchard_poly.cache_clear()
         monkeypatch.setattr(touchard, attr, wrap(getattr(touchard, attr)))
         report = verify_identity(name, n_max)
+        touchard_poly.cache_clear()
         assert (len(report.cells), report.failures) == (cells, failures)
         assert report.first_counterexample == first
 
