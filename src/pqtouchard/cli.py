@@ -23,17 +23,18 @@ from itertools import chain, dropwhile, repeat, starmap
 from json.encoder import encode_basestring_ascii
 from math import lgamma, log, log10
 
-from . import partitions, permstats, tables, touchard
+from . import partitions, permstats, touchard
 from .poly import MultiPoly
 from .tables import _BINOMIAL, _STIRLING1, _STIRLING2, _check_n, _rows, bell, factorial
 
-# each name's rows 0..nmax, read whole from its triangle or, signed, entry by entry
+# each name's rows 0..nmax, read whole from its triangle, s(n,k) = (-1)^(n-k) c(n,k)
 _TRIANGLES = {
     "binomial": partial(_rows, _BINOMIAL),
     "stirling2": partial(_rows, _STIRLING2),
     "stirling1": partial(_rows, _STIRLING1),
     "stirling1-signed": lambda nmax: [
-        [tables.stirling1_signed(n, k) for k in range(n + 1)] for n in range(nmax + 1)
+        [-c if (n - k) % 2 else c for k, c in enumerate(row)]
+        for n, row in enumerate(_rows(_STIRLING1, nmax))
     ],
 }
 _SEQUENCES = {"bell": bell, "factorial": factorial}

@@ -7,8 +7,8 @@ one slot per name in VAR_ORDER = (x, p, q, u, v), and zero coefficients are
 never stored, so structural equality coincides with mathematical equality.
 `variables` is derived: the names that some term actually uses.
 
-Every polynomial is built one way: _wrap takes a term map whose keys are
-already canonical and checks nothing.  From outside the package,
+Every polynomial is built one way: _wrap adopts a fresh term map whose
+keys are already canonical and checks nothing.  From outside the package,
 polynomials come from the public builders MultiPoly.const and
 MultiPoly.var and arithmetic on them; MultiPoly() itself is refused.
 """
@@ -53,11 +53,17 @@ def _exact(value, name: str, symbolic: bool = False):
     return value
 
 
-def _wrap(terms: Mapping[tuple[int, ...], int]) -> "MultiPoly":
+def _wrap(terms: dict[tuple[int, ...], int]) -> "MultiPoly":
     """The polynomial of a term map with 5-slot keys, without zero
-    coefficients; nothing else is checked."""
+    coefficients; nothing else is checked.
+
+    The map is adopted, not copied, when no coefficient is 0 (one scan
+    decides), so every caller passes a fresh dict and never touches it
+    afterwards."""
+    if 0 in terms.values():
+        terms = {key: c for key, c in terms.items() if c}
     poly = object.__new__(MultiPoly)
-    poly.terms = {key: c for key, c in terms.items() if c}
+    poly.terms = terms
     return poly
 
 

@@ -5,7 +5,9 @@ Three independent routes compute the same polynomials:
   substitution   sum of x^k * s_pq(n,k), with s_pq the product of the two
                  one-variable factors of the distribution polynomial
                  s_uv(n,k) = A_{n,k}(v) * B_k(u), each shifted by
-                 MultiPoly.substitute (u -> p-1, v -> q-1)
+                 MultiPoly.substitute (u -> p-1, v -> q-1); x^k is folded
+                 into the shifted B, and the products of the shifted
+                 factors go straight into T_n's term map
   explicit       the closed five-fold sum over signed Stirling numbers and
                  binomials, split into an (i, m) sum alpha_{k,m} and a
                  (j, l) sum beta_{n,k,l} whose products are the coefficients:
@@ -95,13 +97,11 @@ def _factors(n: int, k: int) -> tuple[MultiPoly, MultiPoly]:
             _check_n(value, name)
     if not 0 <= k <= n:
         return MultiPoly.const(0), MultiPoly.const(0)
-    a = {
-        (0, 0, 0, 0, j): stirling1_unsigned(n, n - j) * stirling2(n - j, k)
-        for j in range(n - k + 1)
-    }
+    cycles, rows = _rows(_STIRLING1, n), _rows(_STIRLING2, n)
+    a = {(0, 0, 0, 0, j): cycles[n][n - j] * rows[n - j][k] for j in range(n - k + 1)}
     # i = k contributes only when k = 0, where c(0,0) = 1 picks up the
-    # empty partition; for k >= 1 that extra term is c(k,0) = 0
-    b = {(0, 0, 0, i, 0): stirling1_unsigned(k, k - i) for i in range(k + 1)}
+    # empty partition; for k >= 1 that term is c(k,0) = 0 and is skipped
+    b = {(0, 0, 0, i, 0): c for i, c in enumerate(reversed(cycles[k])) if c}
     return _wrap(a), _wrap(b)
 
 
@@ -117,14 +117,24 @@ def s_uv(n: int, k: int) -> MultiPoly:
     return a * b
 
 
+# the shifts u -> p-1 and v -> q-1, built once
+_P1, _Q1 = P - 1, Q - 1
+
+
+def _shifted_factors(n: int, k: int) -> tuple[MultiPoly, MultiPoly]:
+    """A_{n,k}(q-1) and B_k(p-1), the factors of s_pq(n,k)."""
+    a, b = _factors(n, k)
+    return a.substitute("v", _Q1), b.substitute("u", _P1)
+
+
 def s_pq(n: int, k: int) -> MultiPoly:
     """Connection coefficients of T_n: s_uv at u = p-1, v = q-1.
 
     Each one-variable factor of s_uv is shifted on its own, so substitute
     never runs on the two-variable product.
     """
-    a, b = _factors(n, k)
-    return a.substitute("v", Q - 1) * b.substitute("u", P - 1)
+    a, b = _shifted_factors(n, k)
+    return a * b
 
 
 # the package's one cache, kept because callers repeat keys: eval-vs-poly
@@ -144,10 +154,13 @@ def touchard_poly(n: int, route: str = "substitution") -> MultiPoly:
     if n == 0:
         return MultiPoly.const(1)
     if route == "substitution":
-        # every product goes into one term map, with no partial sum copied
+        # x^k is folded into the terms of the shifted B, so every product
+        # A' * x^k B' goes straight into T_n's one term map
         terms = {}
         for k in range(1, n + 1):
-            _add_products(terms, s_pq(n, k).terms, MultiPoly.var("x", k).terms)
+            a, b = _shifted_factors(n, k)
+            xb = {(k,) + key[1:]: c for key, c in b.terms.items()}
+            _add_products(terms, a.terms, xb)
         return _wrap(terms)
     if route == "composition":
         # row n alone: each row before it is dropped once the next is built
@@ -169,16 +182,19 @@ def _explicit_poly(n: int) -> MultiPoly:
     #   beta_{n,k,l}  = (-1)^l sum_{j<=n-k} s(n,n-j) S(n-j,k) C(j,l)
     # times each other.  The (i, m) sum depends on k only, so each half is
     # O(n^2) per k and the whole is O(n^3) integer products, not O(n^5);
-    # the terms go straight into one map with no polynomial arithmetic
+    # the terms go straight into one map with no polynomial arithmetic and
+    # no zero coefficient multiplied, read from whole table rows with
+    # s(m,m-i) = (-1)^i c(m,m-i)
+    cycles, rows = _rows(_STIRLING1, n), _rows(_STIRLING2, n)
+    signed = [-c if j % 2 else c for j, c in enumerate(reversed(cycles[n]))]
     terms = {}
     for k in range(1, n + 1):
-        alpha = _shifted([stirling1_signed(k, k - i) for i in range(k)])
-        beta = _shifted(
-            [stirling1_signed(n, n - j) * stirling2(n - j, k) for j in range(n - k + 1)]
-        )
+        alpha = _shifted([-c if i % 2 else c for i, c in enumerate(cycles[k][:0:-1])])
+        beta = _shifted([signed[j] * rows[n - j][k] for j in range(n - k + 1)])
+        beta = [(l, b) for l, b in enumerate(beta) if b]
         for m, a in enumerate(alpha):
             if a:
-                for l, b in enumerate(beta):
+                for l, b in beta:
                     terms[(k, m, l, 0, 0)] = a * b
     return _wrap(terms)
 
@@ -221,13 +237,13 @@ def _symbolic_rows(order: int):
 
 def _row_terms(alpha, row) -> MultiPoly:
     """T_n from row n: the coefficient of x^k p^m q^l is alpha_{k,m} * U(n,k)_l,
-    written straight into one term map."""
+    written straight into one term map, with no zero factor multiplied."""
     return _wrap(
         {
             (k, m, l, 0, 0): a * u
             for k, (coeffs, us) in enumerate(zip(alpha, row))
-            for m, a in enumerate(coeffs)
-            for l, u in enumerate(us)
+            for m, a in enumerate(coeffs) if a
+            for l, u in enumerate(us) if u
         }
     )
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pqtouchard import MultiPoly, VAR_ORDER
+from pqtouchard import MultiPoly, ROUTES, VAR_ORDER, touchard_poly
 
 
 def v(name, power=1):
@@ -325,3 +325,59 @@ class TestAlgebraicLaws:
             replaced = a.substitute(name, replacement)
             assert all(replaced.terms.values()), name
             assert replaced.evaluate(point) == a.evaluate({**point, name: value}), name
+
+
+def results(a, b, name, r):
+    """The results of every operation on a, b and the replacement r."""
+    return [
+        a + b, b + a, a + 0, 0 + a, a - b, a - 0, 0 - a, -a,
+        a * b, a * 1, 1 * a, a.substitute(name, r), a.substitute(name, v(name)),
+        a.substitute("v", r),
+    ]
+
+
+class TestFreshTermMaps:
+    # a polynomial adopts the term map it is built from, so every result
+    # must own a fresh one: no operand, replacement or cached T_n shares it
+
+    @given(polys(), polys(), st.sampled_from(VAR_ORDER), polys())
+    @example(v("x"), v("x"), "x", v("x"))
+    @example(v("q") - 1, v("q") + 1, "q", MultiPoly.const(1))
+    @settings(max_examples=100)
+    def test_no_result_shares_an_operands_term_map(self, a, b, name, r):
+        before = [dict(poly.terms) for poly in (a, b, r)]
+        for result in results(a, b, name, r):
+            assert all(result.terms is not poly.terms for poly in (a, b, r))
+            assert 0 not in result.terms.values()
+            result.terms.clear()
+        assert [poly.terms for poly in (a, b, r)] == before
+
+    def test_builders_give_fresh_term_maps(self):
+        assert MultiPoly.const(3).terms is not MultiPoly.const(3).terms
+        assert v("x", 2).terms is not v("x", 2).terms
+        assert MultiPoly.const(0).terms == {}
+
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            v("x") - v("x"),
+            (v("q") - 1) * (v("q") + 1) - v("q", 2) + 1,
+            (v("p") + v("q")) * (v("p") - v("q")) - v("p", 2) + v("q", 2),
+            (v("u") - 1).substitute("u", 1),
+            0 * v("v"),
+        ],
+    )
+    def test_cancellations_give_the_empty_map(self, poly):
+        assert poly.terms == {}
+        assert poly == 0
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_no_result_shares_a_cached_polynomial(self, route):
+        cached = touchard_poly(4, route)
+        before = dict(cached.terms)
+        for result in results(cached, v("p"), "q", v("u") + 2):
+            assert result.terms is not cached.terms
+            result.terms.clear()
+        others = [touchard_poly(4, other) for other in ROUTES if other != route]
+        assert all(other.terms is not cached.terms for other in others)
+        assert touchard_poly(4, route).terms == before

@@ -199,10 +199,21 @@ class TestTouchardPoly:
             assert not poly.substitute("x", 0)
 
     def test_routes_agree(self):
-        for n in range(7):
-            sub = touchard_poly(n)
-            for route in ROUTES[1:]:
-                assert touchard_poly(n, route) == sub
+        # the three routes, the connection-coefficient sum sum_k x^k s_pq(n,k)
+        # and the symbolic series, each built from nothing, give one T_n
+        # through n = 30, and no term map holds a zero coefficient
+        touchard_poly.cache_clear()
+        series = touchard_series(30)
+        for n in range(31):
+            by_sum = sum(
+                (MultiPoly.var("x", k) * s_pq(n, k) for k in range(n + 1)),
+                MultiPoly.const(0),
+            )
+            builds = [touchard_poly(n, route) for route in ROUTES] + [by_sum, series[n]]
+            for build in builds:
+                assert build == builds[0], n
+                assert 0 not in build.terms.values(), n
+        touchard_poly.cache_clear()
 
     def test_composition_sums_one_row(self, monkeypatch):
         # the composition route reads row n of the power rows alone; it
