@@ -360,7 +360,7 @@ def _cmd_eval(args) -> _Output:
 
 
 def _cmd_enumerate(args) -> _Output:
-    flavor = partitions._check_size(args.n, args.k, args.flavor, args.force)
+    flavor = partitions._check_enumeration(args.n, args.k, args.flavor, args.force)
     header = ["partition", "nsb", "nse"] if args.stats else ["partition"]
     # records come one block order at a time, and no object is built: the
     # 7,200 objects of llp(6,3) take 540 nsb scans, one per block order, and
@@ -548,15 +548,22 @@ _COMMANDS = {
 
 
 def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
-    """The command-line parser.  Every command is listed, for the top-level
-    usage and help; given argv, only the commands named in it get their
-    arguments and -h, since argparse parses with no other command."""
+    """The command-line parser.  argv led by a command name gets that
+    command's parser alone, with its arguments and -h, since argparse
+    parses with no other.  Any other argv gets every command, for the
+    top-level usage, help and errors, and only the commands named in argv
+    get their arguments and -h."""
     parser = argparse.ArgumentParser(
         prog="pqtouchard",
         description="Exact deformed Touchard polynomials and partition statistics.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, handler, force, arguments) in _COMMANDS.items():
+    # the metavar writes the usage's {table,...} as the full tree's choices
+    # do; on the full tree it would reword an invalid choice error
+    alone = argv[0] if argv and argv[0] in _COMMANDS else None
+    metavar = "{" + ",".join(_COMMANDS) + "}" if alone else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    commands = {alone: _COMMANDS[alone]} if alone else _COMMANDS
+    for name, (help_text, handler, force, arguments) in commands.items():
         named = argv is None or name in argv
         p = sub.add_parser(name, help=help_text, add_help=named)
         if not named:

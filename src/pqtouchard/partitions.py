@@ -12,16 +12,19 @@ are ordered:
 Everything here counts exhaustively; it is the ground truth the closed
 forms elsewhere are checked against.  dist_poly tallies block orders and
 block words with _nse_counts, an exact count of all words of m distinct
-entries made prefix by suffix (_record_tally), and pairs them per skeleton
-by multiplication.  One generator of block orders, _arrangements, feeds
+entries made prefix by suffix (_record_tally), and pairs them per block
+shape, counted by _block_shapes with no set partition listed, by
+multiplication.  One generator of block orders, _arrangements, feeds
 both _generate, whose objects enumerate_partitions streams, and _records,
 the CLI's text, nsb and nse of each object, made per block order and per
 distinct block without building the object.  Inside,
 partitions are plain tuples of block tuples; only the public
 OrderedPartition constructor checks input.  No cell over OBJECT_BUDGET
-objects, or elements per object, is enumerated unless forced (permstats
-scans S_n as the llp cell (n, 1)); _over_budget words every refusal over
-a budget.  No result is cached: each dist_poly call tallies its cell.
+objects, or elements per object, is tallied or enumerated unless forced
+(permstats scans S_n as the llp cell (n, 1)), and an enumeration is also
+priced by the elements it lists (ELEMENT_BUDGET, LENGTH_BUDGET);
+_over_budget words every refusal over a budget.  No result is cached:
+each dist_poly call tallies its cell.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from itertools import accumulate, permutations, product, repeat
-from math import comb, factorial, lgamma, log, log10, perm
+from math import comb, factorial, lgamma, log, log10, perm, prod
 
 from .poly import MultiPoly, _wrap
 from .tables import _check_n, stirling2
@@ -40,6 +43,19 @@ FLAVORS = ("ssp", "lsp", "slp", "llp")
 # (the largest is 8!*C(7,3) = 1,411,200) and all 9! permutations fit;
 # llp(9,2) = 2,903,040 and 10! do not
 OBJECT_BUDGET = 2_000_000
+
+# Elements an enumeration lists without force, objects times n.  llp(8,4)
+# and llp(8,5) list 11,289,600, the most of any cell an identity checks, in
+# 1.7-2.0 s (--stats; 5.4-6.9 s as json) at 18 MB peak RSS.  The slowest
+# cells within it, near each flavor's top, took at most 8.3 s (ssp(288,287),
+# --stats as json) and 137 MB (lsp(19,2)); ssp(1200,1199) lists 863,280,000
+# and ran past 60 s (cold processes, --out, 2-vCPU VM)
+ELEMENT_BUDGET = 12_000_000
+# Elements of one object, held at once while it is listed, with their
+# texts and words: slp(n,n), n singleton blocks, peaks at 148 MB in 1.6 s
+# at n = 250,000 (cold, --out), and at n = 2,000,000 it ran out of a 1 GB
+# address space
+LENGTH_BUDGET = 250_000
 
 
 class OrderedPartition:
@@ -188,10 +204,12 @@ def enumerate_partitions(n: int, k: int, flavor: str, force: bool = False):
     """Stream every partition of {1..n} into k blocks of the given flavor.
 
     Each object appears exactly once, in a deterministic order.  Out-of-range
-    k gives an empty stream.  A cell of more than OBJECT_BUDGET objects is
-    refused, with its size stated, unless force is true.
+    k gives an empty stream.  A cell of more than OBJECT_BUDGET objects, of
+    objects longer than LENGTH_BUDGET elements, or of more than
+    ELEMENT_BUDGET elements in all is refused, with its size stated, unless
+    force is true.
     """
-    flavor = _check_size(n, k, flavor, force)
+    flavor = _check_enumeration(n, k, flavor, force)
     return map(OrderedPartition._wrap, _generate(n, k, flavor))
 
 
@@ -224,7 +242,10 @@ def _check_cell(n, k, flavor) -> str:
     return name
 
 
-def _check_size(n, k, flavor, force, hint="pass force=True (--force) to run it anyway", what=""):
+_FORCE_HINT = "pass force=True (--force) to run it anyway"
+
+
+def _check_size(n, k, flavor, force, hint=_FORCE_HINT, what=""):
     """The flavor's name, after _check_cell and the refusal of a nonempty
     cell over OBJECT_BUDGET objects, or elements per object, unless forced;
     hint says how to get past the budget, and what names the request
@@ -265,6 +286,23 @@ def _check_size(n, k, flavor, force, hint="pass force=True (--force) to run it a
     # the default budget)
     if (count := count_partitions(n, k, flavor)) > OBJECT_BUDGET:
         raise _over_budget(what, count, "objects", OBJECT_BUDGET, hint)
+    return flavor
+
+
+def _check_enumeration(n, k, flavor, force) -> str:
+    """The flavor's name, after _check_size and, unless forced, the refusal
+    of a nonempty cell whose objects are longer than LENGTH_BUDGET elements
+    or which lists more than ELEMENT_BUDGET elements, objects times n, in
+    all.  These price what listing the objects costs; dist_poly, which
+    visits none, is not priced so."""
+    flavor = _check_size(n, k, flavor, force)
+    if force or not 1 <= k <= n:
+        return flavor
+    what = f"{flavor} enumeration for n={n}, k={k} lists"
+    if n > LENGTH_BUDGET:
+        raise _over_budget(f"{what} objects of", n, "elements", LENGTH_BUDGET, _FORCE_HINT)
+    if (elements := count_partitions(n, k, flavor) * n) > ELEMENT_BUDGET:
+        raise _over_budget(what, elements, "elements", ELEMENT_BUDGET, _FORCE_HINT)
     return flavor
 
 
@@ -377,9 +415,51 @@ def _nse_counts(m: int) -> tuple[int, ...]:
     return tuple(tally[m - j] for j in range(max(m, 1)))
 
 
+def _block_shapes(n: int, k: int):
+    """Each block shape of the cell, the sorted block lengths of its set
+    partitions (a partition of n into k parts), with its number of set
+    partitions, n!/(prod b! * prod m!) over the blocks b and the
+    multiplicities m of the lengths (Comtet, Advanced Combinatorics, 1974).
+    The shapes come without recursion by TAOCP 7.2.1.4 Algorithm H, parts
+    largest first, and each count is a product of binomials, with no n!:
+    the m blocks of length s take C(r, s*m) of the r elements left by longer
+    blocks, and split them in prod over 2 <= i <= m of C(s*i - 1, s - 1)
+    ways (the least element left picks its s - 1 partners); single blocks,
+    last, take the rest in one way.
+    """
+    if not 1 <= k <= n:
+        if n == k == 0:
+            yield (), 1
+        return
+    a = [n - k + 1] + [1] * (k - 1)  # the parts, largest first
+    while True:
+        # the parts past 1, a prefix of a, each size with its multiplicity
+        ways, left = 1, n
+        for size, m in Counter(a[: a.index(1)] if a[-1] == 1 else a).items():
+            ways *= comb(left, size * m)
+            ways *= prod(comb(size * i - 1, size - 1) for i in range(2, m + 1))
+            left -= size * m
+        yield tuple(reversed(a)), ways
+        if a[0] - a[-1] <= 1:
+            return  # the most balanced partition comes last
+        if a[1] < a[0] - 1:
+            a[0] -= 1
+            a[1] += 1
+            continue
+        # the first part below a[0] - 1 grows by one; the parts before it
+        # take its new value, and a[0] the rest of their sum
+        j, total = 2, a[0] + a[1] - 1
+        while a[j] >= a[0] - 1:
+            total += a[j]
+            j += 1
+        a[j] += 1
+        a[1:j] = [a[j]] * (j - 1)
+        a[0] = total - a[j] * (j - 1)
+
+
 def dist_poly(n: int, k: int, force: bool = False, flavor: str = "llp") -> MultiPoly:
     """Joint distribution sum of u^nsb * v^nse over all objects of a flavor,
-    tallied one set-partition skeleton at a time.
+    tallied one block shape at a time.
 
     Every object of the cell comes from exactly one skeleton (the set
     partition it sorts to) by choosing a block order, any of the k! for
@@ -399,24 +479,32 @@ def dist_poly(n: int, k: int, force: bool = False, flavor: str = "llp") -> Multi
     skeleton; a block of length b has b distinct entries, so its word tally
     is _nse_counts(b).  An unordered flavor keeps the skeleton's own block
     order or the increasing word, one choice with the statistic 0, so its
-    tally is (1,).  Each is tallied once per cell, the words once per block
-    length; the convolution is formed once per multiset of block lengths,
-    and only the pairing is counted by multiplication.
+    tally is (1,), as is a block of one entry; the convolution skips them.
+    A skeleton's tally thus depends only on its block shape, the multiset
+    of its block lengths, and _block_shapes gives each shape with its
+    number of skeletons, counted, not listed.  Each tally is formed once
+    per cell, the words once per block length, the convolution once per
+    shape, and only the pairing is counted by multiplication.
 
     The budget counts the cell's objects, though none is visited.  Nothing
     is kept between calls: each call tallies its cell again.  Evaluating
     the result at u=v=1 recovers the object count.
     """
     flavor = _check_size(n, k, flavor, force)
-    shapes = Counter(tuple(sorted(map(len, sk))) for sk in _skeletons(n, k))
+    shapes = dict(_block_shapes(n, k))
     # an empty cell (k > n) has no block order to scan
     orders = _nse_counts(k) if shapes and flavor in ("lsp", "llp") else (1,)
-    lengths = {length for shape in shapes for length in shape}
-    words = {b: _nse_counts(b) if flavor in ("slp", "llp") else (1,) for b in lengths}
+    # the word tallies of slp and llp blocks of b > 1 entries; any other
+    # block has one word, of nse 0, and the convolution skips it
+    words = (
+        {b: _nse_counts(b) for b in set().union(*shapes) if b > 1}
+        if flavor in ("slp", "llp")
+        else {}
+    )
     by_nse = Counter()  # nse -> word tuples, over every skeleton
     for shape, skeletons in shapes.items():
         tally = Counter({0: skeletons})
-        for length in shape:
+        for length in filter(words.__contains__, shape):
             # convolve with the word tally of one more block
             step = Counter()
             for i, a in tally.items():

@@ -532,6 +532,12 @@ class TestDecidedBeforeWork:
           "--flavor", "lsp"), 2, "", "visits at least 51090942171709440000 objects, over the"),
         (("-m", "pqtouchard.cli", "enumerate", "--n", str(10**400), "--k", str(10**400),
           "--flavor", "lsp"), 2, "", "visits objects of a 401-digit number of elements, over the"),
+        # within the object budget, but the elements are priced: one ran past
+        # 60 s, the other out of memory
+        (("-m", "pqtouchard.cli", "enumerate", "--n", "1200", "--k", "1199", "--flavor", "ssp",
+          "--stats"), 2, "", "k=1199 lists 863280000 elements, over the budget of 12000000"),
+        (("-m", "pqtouchard.cli", "enumerate", "--n", "2000000", "--k", "2000000",
+          "--flavor", "slp"), 2, "", "lists objects of 2000000 elements, over the budget of 250000"),
     ]
 
     @pytest.mark.parametrize("args, status, out, err", CASES, ids=range(len(CASES)))
@@ -555,12 +561,14 @@ REFUSAL = re.compile(
     (("expand", "--n", "96"), cli.EXPAND_TERM_BUDGET),
     (("dist", "--n", "3000", "--k", "1500"), cli.DIST_DIGIT_BUDGET),
     (("enumerate", "--n", "9", "--k", "2", "--flavor", "llp"), partitions.OBJECT_BUDGET),
+    (("enumerate", "--n", "300", "--k", "299", "--flavor", "ssp"), partitions.ELEMENT_BUDGET),
+    (("enumerate", "--n", "250001", "--k", "1", "--flavor", "ssp"), partitions.LENGTH_BUDGET),
     (("verify", "--identity", "llp-grid", "--nmax", "9"), partitions.OBJECT_BUDGET),
     (("avg-nse", "--n", "1000", "--check"), partitions.OBJECT_BUDGET),
     (("perm-stats", "--n", "10"), partitions.OBJECT_BUDGET),
     (None, partitions.COUNT_DIGIT_BUDGET),
-], ids=["table", "expand", "dist", "enumerate", "verify", "avg-nse", "perm-stats",
-        "count_partitions"])
+], ids=["table", "expand", "dist", "enumerate", "enumerate-elements", "enumerate-length",
+        "verify", "avg-nse", "perm-stats", "count_partitions"])
 def test_every_budget_refuses_in_one_shape(capsys, argv, budget):
     if argv is None:
         with pytest.raises(ValueError) as refused:
@@ -827,17 +835,17 @@ class TestSmallCommands:
         assert "budget" in err
 
     def test_avg_nse_check_refuses_before_enumerating(self, capsys, monkeypatch):
-        streams = []
-        skeletons = partitions._skeletons
+        tallies = []
+        shapes = partitions._block_shapes
 
         def counting(n, k):
-            streams.append((n, k))
-            return skeletons(n, k)
+            tallies.append((n, k))
+            return shapes(n, k)
 
         def never(n):
             raise AssertionError("avg_nse ran before the cells were checked")
 
-        monkeypatch.setattr(partitions, "_skeletons", counting)
+        monkeypatch.setattr(partitions, "_block_shapes", counting)
         monkeypatch.setattr(touchard, "avg_nse", never)
         # slp(9,1) = 362,880 fits, slp(9,2) = 1,451,520 does not
         monkeypatch.setattr(partitions, "OBJECT_BUDGET", 400_000)
@@ -847,7 +855,7 @@ class TestSmallCommands:
         assert "budget of 400000" in err
         # avg-nse has no --force to suggest
         assert "force" not in err
-        assert streams == []
+        assert tallies == []
 
 
 class TestHarness:
@@ -1290,8 +1298,10 @@ def test_json_list_of_text_at_the_escape_edges(text):
         assert got.getvalue() == json.JSONEncoder(indent=2).encode(value) + "\n"
 
 
-# main builds only the named command's arguments, so each of these must
-# still read as the full parser has it
+# main builds only the named command's parser, or, for an argv not led by
+# a command name, only the named commands' arguments, so each of these must
+# still read as the full parser has it, at a narrow and a wide terminal,
+# since argparse wraps the usage to the width
 COMMANDS = ("table", "expand", "eval", "enumerate", "dist", "verify", "avg-nse", "perm-stats")
 PARSER_CASES = [
     "--help",
@@ -1301,23 +1311,50 @@ PARSER_CASES = [
     "table --name nope --nmax 3",
     # the top-level usage, with every command name
     "dist --n 5 --k 2 --bogus",
+    "-h dist",
+    "--bogus dist --n 1",
+    "dist --n 1 --k 1 table",
+    "perm-stats --n 2 perm-stats",
 ]
 
 
 @pytest.mark.parametrize("command", PARSER_CASES)
-def test_parser_bytes_equal_the_full_tree(capsys, command):
+def test_parser_bytes_equal_the_full_tree(capsys, monkeypatch, command):
     argv = command.split()
-    got = run(capsys, *argv)
-    with pytest.raises(SystemExit) as exc:
-        cli.build_parser().parse_args(argv)
-    assert got == (int(exc.value.code or 0), *capsys.readouterr())
+    for columns in ("60", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        got = run(capsys, *argv)
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        assert got == (int(exc.value.code or 0), *capsys.readouterr()), columns
+
+
+def subparsers(parser):
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
 
 
 def test_only_the_named_command_gets_arguments():
-    parser = cli.build_parser(["dist", "--n", "5"])
-    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    # led by a command name, argv gets that command's parser alone
+    commands = subparsers(cli.build_parser(["dist", "--n", "5"]))
+    assert list(commands) == ["dist"] and commands["dist"]._actions
+    # otherwise every command is listed, and only the named one has arguments
+    commands = subparsers(cli.build_parser(["--bogus", "dist"]))
     assert list(commands) == list(COMMANDS)
     assert [name for name, sub in commands.items() if sub._actions] == ["dist"]
+
+
+def test_a_named_command_builds_two_parsers(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run(capsys, "perm-stats", "--n", "2")[0] == 0
+    assert built == ["pqtouchard", "pqtouchard perm-stats"]
 
 
 def test_no_state_survives_a_call(capsys):

@@ -192,6 +192,18 @@ class TestEnumeration:
             # each string extended by every block it may open or join, in order
             strings = [a + (b,) for a in strings for b in range(max(a, default=-1) + 2)]
 
+    def test_block_shapes_count_the_skeletons(self):
+        # each shape once, as the sorted block lengths of the skeletons it
+        # counts, and the counts sum to S(n,k)
+        for n in range(11):
+            for k in range(-1, n + 2):
+                listed = list(partitions._block_shapes(n, k))
+                stream = Counter(
+                    tuple(sorted(map(len, sk))) for sk in partitions._skeletons(n, k)
+                )
+                assert dict(listed) == stream and len(listed) == len(stream), (n, k)
+                assert sum(dict(listed).values()) == tables.stirling2(n, k), (n, k)
+
     def test_enumerated_objects_equal_validated_ones(self):
         for n in range(7):
             for k in range(n + 2):
@@ -227,27 +239,65 @@ class TestBudget:
         assert poly.evaluate({"u": 1, "v": 1}) == 72
 
     def test_dist_poly_enumerates_each_cell_once(self, monkeypatch):
-        streams = []
-        skeletons = partitions._skeletons
+        calls = []
+        shapes = partitions._block_shapes
 
         def counting(n, k):
-            streams.append((n, k))
-            return skeletons(n, k)
+            calls.append((n, k))
+            return shapes(n, k)
 
-        monkeypatch.setattr(partitions, "_skeletons", counting)
+        monkeypatch.setattr(partitions, "_block_shapes", counting)
         report = stat_report(6, 3)
-        assert streams == [(6, 3)]
-        # nothing is kept between calls: each one streams the cell once
+        assert calls == [(6, 3)]
+        # nothing is kept between calls: each one lists the cell's shapes once
         assert dist_poly(6, 3) == report.poly
         assert dist_poly(6, 3, force=False) == report.poly
-        assert streams == [(6, 3)] * 3
-        # a lowered budget refuses without force, before any stream
+        assert calls == [(6, 3)] * 3
+        # a lowered budget refuses without force, before any shape is listed
         monkeypatch.setattr(partitions, "OBJECT_BUDGET", 720)
         with pytest.raises(ValueError, match="force"):
             dist_poly(6, 3)
-        assert streams == [(6, 3)] * 3
+        assert calls == [(6, 3)] * 3
         assert dist_poly(6, 3, force=True) == report.poly
-        assert streams == [(6, 3)] * 4
+        assert calls == [(6, 3)] * 4
+
+    def test_dist_poly_lists_no_skeleton(self, monkeypatch):
+        # the edge cells the object budget admits are tallied by shape:
+        # ssp(2000,1999) has C(2000,2) set partitions, each of one pair, and
+        # ssp(n,1) and ssp(n,n) have one, of 2,000,000 elements
+        def never(n, k):
+            raise AssertionError("dist_poly streamed skeletons")
+
+        monkeypatch.setattr(partitions, "_skeletons", never)
+        n = 2_000_000
+        for cell, count in (((2000, 1999), comb(2000, 2)), ((n, 1), 1), ((n, n), 1)):
+            start = time.perf_counter()
+            assert dist_poly(*cell, flavor="ssp") == MultiPoly.const(count), cell
+            assert time.perf_counter() - start < 10, cell
+
+    def test_enumeration_prices_the_elements_it_lists(self):
+        # the identities' largest cells and the benchmark's fit; the first
+        # ssp cell past the element budget, the first object past the length
+        # budget, and the two cells that ran for minutes or out of memory do not
+        for n, k, flavor in ((8, 4, "llp"), (8, 5, "llp"), (288, 287, "ssp"),
+                             (partitions.LENGTH_BUDGET, 1, "ssp"),
+                             *((6, 3, flavor) for flavor in partitions.FLAVORS)):
+            assert partitions._check_enumeration(n, k, flavor, False) == flavor
+        refused = (
+            (289, 288, "ssp", "lists 12027024 elements, over the budget of 12000000"),
+            (1200, 1199, "ssp", "lists 863280000 elements, over the budget of 12000000"),
+            (partitions.LENGTH_BUDGET + 1, 1, "lsp",
+             "lists objects of 250001 elements, over the budget of 250000"),
+            (2_000_000, 2_000_000, "slp",
+             "lists objects of 2000000 elements, over the budget of 250000"),
+        )
+        for n, k, flavor, text in refused:
+            with pytest.raises(ValueError, match=f"{flavor} enumeration for n={n}, k={k} {text}"):
+                enumerate_partitions(n, k, flavor)
+            assert partitions._check_enumeration(n, k, flavor, True) == flavor
+        # dist_poly visits no object, so the same cells are not priced so
+        assert dist_poly(289, 288, flavor="ssp") == MultiPoly.const(comb(289, 2))
+        assert dist_poly(2_000_000, 2_000_000, flavor="slp") == MultiPoly.const(1)
 
     def test_every_flavor_is_budgeted(self, monkeypatch):
         monkeypatch.setattr(partitions, "OBJECT_BUDGET", 50)
@@ -349,20 +399,21 @@ class TestBudget:
                 count_partitions(n, k, flavor)
 
     def test_multi_cell_checks_refuse_before_enumerating(self, monkeypatch):
-        streams = []
-        skeletons = partitions._skeletons
+        calls = []
+        shapes = partitions._block_shapes
 
         def counting(n, k):
-            streams.append((n, k))
-            return skeletons(n, k)
+            calls.append((n, k))
+            return shapes(n, k)
 
-        monkeypatch.setattr(partitions, "_skeletons", counting)
+        monkeypatch.setattr(partitions, "_block_shapes", counting)
         monkeypatch.setattr(partitions, "OBJECT_BUDGET", 100)
         # lsp(5,3) = 150 is the first cell over; n <= 4 fits
         with pytest.raises(ValueError, match="lsp enumeration for n=5, k=3"):
             verify_identity("lsp-slice", 9)
-        assert streams == []
+        assert calls == []
         assert verify_identity("lsp-slice", 5, force=True).passed
+        assert (5, 3) in calls
 
     @pytest.mark.parametrize("budget", [50, 720, 2_000_000])
     def test_bounds_decide_as_the_count_does(self, monkeypatch, budget):
@@ -552,14 +603,15 @@ class TestSharedScan:
         return calls
 
     def test_each_word_is_scanned_once_per_cell(self, scans):
-        # llp(8,8): the tally of the 8! block orders and one for the eight 1-blocks
+        # llp(8,8): the tally of the 8! block orders alone, since a block of
+        # one entry has the one word, with nse 0, and is not scanned
         dist_poly(8, 8)
-        assert len(scans) == kernel_scans(8) + kernel_scans(1)
-        # llp(8,2): the 2! block orders and one tally per block length 1..7;
+        assert len(scans) == kernel_scans(8)
+        # llp(8,2): the 2! block orders and one tally per block length 2..7;
         # the shape (4, 4) tallies length 4 once
         scans.clear()
         dist_poly(8, 2)
-        assert len(scans) == kernel_scans(2) + sum(kernel_scans(b) for b in range(1, 8))
+        assert len(scans) == kernel_scans(2) + sum(kernel_scans(b) for b in range(2, 8))
 
     def test_cost_does_not_depend_on_earlier_calls(self, scans):
         # no tally is shared across calls, so each call pays the same
