@@ -310,7 +310,8 @@ def _cmd_table(args) -> _Output:
 
 # T_n has at most n(n+1)(n+2)/6 terms, one per x^k p^m q^l with m < k and
 # l <= n - k.  The largest n within this budget, 95, is built and written in
-# 0.85-1.25 s and 112-114 MB on each route (cold process, --out, 2-vCPU VM).
+# 0.65-1.2 s and 110-112 MB as plain text, 0.85-1.55 s and 76 MB as csv and
+# 1.3-2.3 s and 140 MB as json, on each route (cold process, --out, 2-vCPU VM).
 EXPAND_TERM_BUDGET = 150_000
 
 

@@ -4,10 +4,10 @@ Three independent routes compute the same polynomials:
 
   substitution   sum of x^k * s_pq(n,k), with s_pq the product of the two
                  one-variable factors of the distribution polynomial
-                 s_uv(n,k) = A_{n,k}(v) * B_k(u), each shifted by
-                 MultiPoly.substitute (u -> p-1, v -> q-1); x^k is folded
-                 into the shifted B, and the products of the shifted
-                 factors go straight into T_n's term map
+                 s_uv(n,k) = A_{n,k}(v) * B_k(u), each an integer list
+                 shifted by Horner's rule (u -> p-1, v -> q-1); it shares only
+                 the product writer _row_terms with the composition route, and
+                 the explicit route shifts by binomial sums in its own loop
   explicit       the closed five-fold sum over signed Stirling numbers and
                  binomials, split into an (i, m) sum alpha_{k,m} and a
                  (j, l) sum beta_{n,k,l} whose products are the coefficients:
@@ -48,7 +48,7 @@ from math import comb, gcd
 from operator import mul
 
 from .partitions import _check_size, count_partitions, dist_poly
-from .poly import MultiPoly, _add_products, _exact, _wrap
+from .poly import MultiPoly, _exact, _wrap
 from .series import EgfSeries, _miller, _unscale
 from .tables import (
     _STIRLING1,
@@ -88,21 +88,21 @@ def exp_q(order: int, v) -> EgfSeries:
     return EgfSeries(coeffs)
 
 
-def _factors(n: int, k: int) -> tuple[MultiPoly, MultiPoly]:
-    """A_{n,k}(v) = sum_j c(n,n-j) S(n-j,k) v^j and B_k(u) = sum_i c(k,k-i) u^i,
-    the factors of s_uv(n,k), after its argument check; 0 and 0, read from no
-    table, outside 0 <= k <= n, where A has no term."""
+def _factors(n: int, k: int) -> tuple[list[int], list[int]]:
+    """The coefficient lists of the factors of s_uv(n,k), after its argument
+    check: A_{n,k}(v) = sum_j c(n,n-j) S(n-j,k) v^j and B_k(u) =
+    sum_i c(k,k-i) u^i; two empty lists, read from no table, outside
+    0 <= k <= n, where A has no term."""
     for value, name in ((n, "n"), (k, "k")):
         if not (isinstance(value, int) and value < 0):
             _check_n(value, name)
     if not 0 <= k <= n:
-        return MultiPoly.const(0), MultiPoly.const(0)
+        return [], []
     cycles, rows = _rows(_STIRLING1, n), _rows(_STIRLING2, n)
-    a = {(0, 0, 0, 0, j): cycles[n][n - j] * rows[n - j][k] for j in range(n - k + 1)}
-    # i = k contributes only when k = 0, where c(0,0) = 1 picks up the
-    # empty partition; for k >= 1 that term is c(k,0) = 0 and is skipped
-    b = {(0, 0, 0, i, 0): c for i, c in enumerate(reversed(cycles[k])) if c}
-    return _wrap(a), _wrap(b)
+    # B's last entry c(k,0) is 0 for k >= 1, and 1 for k = 0, where it
+    # picks up the empty partition
+    a = [cycles[n][n - j] * rows[n - j][k] for j in range(n - k + 1)]
+    return a, cycles[k][::-1]
 
 
 def s_uv(n: int, k: int) -> MultiPoly:
@@ -114,27 +114,36 @@ def s_uv(n: int, k: int) -> MultiPoly:
     or k is refused.
     """
     a, b = _factors(n, k)
-    return a * b
+    return _wrap(
+        {(0, 0, 0, i, j): cb * ca for i, cb in enumerate(b) if cb for j, ca in enumerate(a) if ca}
+    )
 
 
-# the shifts u -> p-1 and v -> q-1, built once
-_P1, _Q1 = P - 1, Q - 1
+def _taylor_shift(coeffs: list[int]) -> list[int]:
+    """The coefficient list of c(y - 1), c(y) = sum_i coeffs[i] y^i, by Horner's
+    rule in place (von zur Gathen and Gerhard, ISSAC 1997): pass i divides
+    entries i.. by y + 1, leaving coefficient i of c(y - 1) in entry i."""
+    out = list(coeffs)
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] -= out[j + 1]
+    return out
 
 
-def _shifted_factors(n: int, k: int) -> tuple[MultiPoly, MultiPoly]:
-    """A_{n,k}(q-1) and B_k(p-1), the factors of s_pq(n,k)."""
+def _shifted_factors(n: int, k: int) -> tuple[list[int], list[int]]:
+    """A_{n,k}(q-1) in q and B_k(p-1) in p, the factors of s_pq(n,k), as lists."""
     a, b = _factors(n, k)
-    return a.substitute("v", _Q1), b.substitute("u", _P1)
+    return _taylor_shift(a), _taylor_shift(b)
 
 
 def s_pq(n: int, k: int) -> MultiPoly:
     """Connection coefficients of T_n: s_uv at u = p-1, v = q-1.
 
-    Each one-variable factor of s_uv is shifted on its own, so substitute
-    never runs on the two-variable product.
+    Each one-variable factor of s_uv is shifted on its own, as an integer
+    list, so no polynomial arithmetic runs.
     """
     a, b = _shifted_factors(n, k)
-    return a * b
+    return _row_terms([b], [a])
 
 
 # the package's one cache, kept because callers repeat keys: eval-vs-poly
@@ -154,14 +163,10 @@ def touchard_poly(n: int, route: str = "substitution") -> MultiPoly:
     if n == 0:
         return MultiPoly.const(1)
     if route == "substitution":
-        # x^k is folded into the terms of the shifted B, so every product
-        # A' * x^k B' goes straight into T_n's one term map
-        terms = {}
-        for k in range(1, n + 1):
-            a, b = _shifted_factors(n, k)
-            xb = {(k,) + key[1:]: c for key, c in b.terms.items()}
-            _add_products(terms, a.terms, xb)
-        return _wrap(terms)
+        # the shifted B_k in p and A_{n,k} in q play the parts of exp_p[k]
+        # and of row n's U(n,k) in the composition route's product writer
+        qs, ps = zip(*(_shifted_factors(n, k) for k in range(n + 1)))
+        return _row_terms(ps, qs)
     if route == "composition":
         # row n alone: each row before it is dropped once the next is built
         return _row_terms(*next(islice(_symbolic_rows(n), n, None)))

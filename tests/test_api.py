@@ -119,25 +119,54 @@ def test_the_one_cache_is_touchard_poly():
     assert list(caches) == [pqtouchard.touchard.touchard_poly], caches
 
 
+def _package_trees():
+    sources = sorted(Path(pqtouchard.__file__).parent.glob("*.py"))
+    return [(path.stem, ast.parse(path.read_text())) for path in sources]
+
+
+def _read_names(tree):
+    """The names a module reads: loaded names and attributes."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
 def test_every_private_helper_is_used():
     # a private module-level name that nothing in src/ reads is dead: a
     # checker or guard a consolidation left behind
-    sources = Path(pqtouchard.__file__).parent.glob("*.py")
     defined, used = set(), set()
-    for tree in map(ast.parse, map(Path.read_text, sources)):
+    for _, tree in _package_trees():
         for node in tree.body:
-            # an assignment's targets, an annotated one's target, or a def
+            # an assignment's targets, an annotated one's target, or a def;
+            # a tuple target (_a, _b = ...) binds each of its names
             targets = getattr(node, "targets", [getattr(node, "target", node)])
+            while any(isinstance(t, ast.Tuple) for t in targets):
+                targets = [e for t in targets for e in getattr(t, "elts", [t])]
             for target in targets:
                 name = getattr(target, "name", getattr(target, "id", ""))
                 if name.startswith("_") and not name.startswith("__"):
                     defined.add(name)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+        used |= _read_names(tree)
     assert sorted(defined - used) == []
+
+
+def test_no_module_imports_a_private_name_it_never_reads():
+    # `from .poly import _helper` left behind after the last call to
+    # _helper moved away keeps the helper looking used to the check above
+    unread = []
+    for module, tree in _package_trees():
+        used = _read_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    if name.startswith("_") and name not in used:
+                        unread.append(f"{module}: {name}")
+    assert unread == []
 
 
 def test_readme_examples_run():

@@ -450,7 +450,7 @@ class TestDist:
                     f(m, i) for f in (stirling1_unsigned, stirling2)
                     for m in rows for i in range(m + 1)
                 )
-                held += digits(s_uv(n, k).terms.values()) + digits(a.terms.values())
+                held += digits(s_uv(n, k).terms.values()) + digits(a)
                 assert held <= cli._dist_digits(n, k), (n, k)
 
     def test_force_lifts_the_budget(self, capsys, monkeypatch):

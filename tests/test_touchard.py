@@ -162,9 +162,27 @@ class TestConnectionCoefficients:
         assert s_pq(3, 2) == 3 * P * Q
         assert s_pq(3, 3) == 2 * P2 - P
 
+    @given(st.lists(st.integers(), max_size=12))
+    @example([])
+    @example([0, 0, 0])
+    @example([7, 0, 0])
+    @example([0, -3, 0, 0])
+    @settings(max_examples=200)
+    def test_horner_shift_is_the_substitution(self, coeffs):
+        # the substitution route's one shift against MultiPoly.substitute:
+        # the list of c(v) at v = q - 1, same length, zeros kept in place
+        def in_var(values, name):
+            terms = (c * MultiPoly.var(name, e) for e, c in enumerate(values))
+            return sum(terms, MultiPoly.const(0))
+
+        shifted = touchard._taylor_shift(coeffs)
+        assert len(shifted) == len(coeffs)
+        assert in_var(shifted, "q") == in_var(coeffs, "v").substitute("v", Q - 1)
+
     def test_pq_is_uv_shifted(self):
-        # s_pq shifts the two one-variable factors of s_uv apart; the
-        # two-variable product shifted whole must give the same polynomial
+        # s_pq shifts the integer lists of s_uv's two factors by Horner's
+        # rule; MultiPoly.substitute on the two-variable product must give
+        # the same polynomial
         for n in range(17):
             for k in range(-1, n + 2):
                 shifted = s_uv(n, k).substitute("u", P - 1).substitute("v", Q - 1)
@@ -234,6 +252,23 @@ class TestTouchardPoly:
         touchard_poly.cache_clear()
         for n in range(1, 41):
             assert touchard_poly(n, "composition") == touchard._explicit_poly(n), n
+
+    def test_substitution_runs_on_integer_lists(self, monkeypatch):
+        # the route and s_pq shift integer lists and write their products
+        # straight into a term map: no substitute and no polynomial product.
+        # touchard_poly.__wrapped__ reads no cache entry
+        by_sum = [touchard_poly.__wrapped__(n, "explicit") for n in range(13)]
+        pq = s_uv(30, 7).substitute("u", P - 1).substitute("v", Q - 1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("polynomial arithmetic ran")
+
+        monkeypatch.setattr(poly, "_add_products", refuse)
+        for name in ("substitute", "__add__", "__radd__", "__mul__", "__rmul__"):
+            monkeypatch.setattr(MultiPoly, name, refuse)
+        built = [touchard_poly.__wrapped__(n, "substitution") for n in range(13)]
+        assert built == by_sum
+        assert s_pq(30, 7) == pq
 
     def test_composition_runs_no_polynomial_arithmetic(self, monkeypatch):
         # the composition route and the symbolic series write integer
