@@ -9,7 +9,6 @@ arithmetic is exact: arbitrary-precision integers and rationals only.
 
 from .partitions import (
     FLAVORS,
-    OBJECT_BUDGET,
     OrderedPartition,
     count_partitions,
     dist_poly,
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "FLAVORS",
     "IDENTITY_NAMES",
-    "OBJECT_BUDGET",
     "ROUTES",
     "VAR_ORDER",
     "EgfSeries",

@@ -17,14 +17,12 @@ shape, counted by _block_shapes with no set partition listed, by
 multiplication.  One generator of block orders, _arrangements, feeds
 both _generate, whose objects enumerate_partitions streams, and _records,
 the CLI's text, nsb and nse of each object, made per block order and per
-distinct block without building the object.  Inside,
-partitions are plain tuples of block tuples; only the public
-OrderedPartition constructor checks input.  No cell over OBJECT_BUDGET
-objects, or elements per object, is tallied or enumerated unless forced
-(permstats scans S_n as the llp cell (n, 1)), and an enumeration is also
-priced by the elements it lists (ELEMENT_BUDGET, LENGTH_BUDGET);
-_over_budget words every refusal over a budget.  No result is cached:
-each dist_poly call tallies its cell.
+distinct block without building the object.  Inside, partitions are
+plain tuples of block tuples; only the public OrderedPartition
+constructor checks input.  No cell is tallied (dist_poly; permstats scans
+S_n as the llp cell (n, 1)) or enumerated past ELEMENT_BUDGET elements
+read or listed unless forced; _over_budget words every refusal over a
+budget.  No result is cached: each dist_poly call tallies its cell.
 """
 
 from __future__ import annotations
@@ -32,24 +30,20 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from itertools import accumulate, permutations, product, repeat
-from math import comb, factorial, lgamma, log, log10, perm, prod
+from math import comb, factorial, lgamma, log, log10, perm, pi, prod, sqrt
 
 from .poly import MultiPoly, _wrap
 from .tables import _check_n, stirling2
 
 FLAVORS = ("ssp", "lsp", "slp", "llp")
 
-# objects one cell may visit without force: every llp cell up to n = 8
-# (the largest is 8!*C(7,3) = 1,411,200) and all 9! permutations fit;
-# llp(9,2) = 2,903,040 and 10! do not
-OBJECT_BUDGET = 2_000_000
-
-# Elements an enumeration lists without force, objects times n.  llp(8,4)
-# and llp(8,5) list 11,289,600, the most of any cell an identity checks, in
-# 1.7-2.0 s (--stats; 5.4-6.9 s as json) at 18 MB peak RSS.  The slowest
-# cells within it, near each flavor's top, took at most 8.3 s (ssp(288,287),
-# --stats as json) and 137 MB (lsp(19,2)); ssp(1200,1199) lists 863,280,000
-# and ran past 60 s (cold processes, --out, 2-vCPU VM)
+# Elements an exhaustive run reads or lists without force.  An enumeration
+# lists objects times n: llp(8,4) and llp(8,5), 11,289,600, in 1.7-2.0 s
+# (--stats; 5.4-6.9 s as json) at 18 MB; near each flavor's top, up to 8.3 s
+# (ssp(288,287), json) and 137 MB (lsp(19,2)); ssp(1200,1199), 863,280,000,
+# ran past 60 s (cold, --out, 2-vCPU VM).  A tally reads its word scans and
+# shapes: all llp cells to n = 13 and S_13 fit; the slowest found, ssp(6297,2),
+# took 1.35 s, and ssp(n,n) at the edge, n = 11,999,999, 0.6 s at 198 MB
 ELEMENT_BUDGET = 12_000_000
 # Elements of one object, held at once while it is listed, with their
 # texts and words: slp(n,n), n singleton blocks, peaks at 148 MB in 1.6 s
@@ -204,10 +198,9 @@ def enumerate_partitions(n: int, k: int, flavor: str, force: bool = False):
     """Stream every partition of {1..n} into k blocks of the given flavor.
 
     Each object appears exactly once, in a deterministic order.  Out-of-range
-    k gives an empty stream.  A cell of more than OBJECT_BUDGET objects, of
-    objects longer than LENGTH_BUDGET elements, or of more than
-    ELEMENT_BUDGET elements in all is refused, with its size stated, unless
-    force is true.
+    k gives an empty stream.  A cell of objects longer than LENGTH_BUDGET
+    elements, or of more than ELEMENT_BUDGET elements in all, is refused,
+    with its size stated, unless force is true.
     """
     flavor = _check_enumeration(n, k, flavor, force)
     return map(OrderedPartition._wrap, _generate(n, k, flavor))
@@ -232,75 +225,84 @@ def _over_budget(what: str, size, unit: str, budget: int, hint: str = "") -> Val
     return ValueError(f"{text}; {hint}" if hint else text)
 
 
-def _check_cell(n, k, flavor) -> str:
-    """The flavor's name, after rejecting a bad flavor, n or k."""
+def _check_cell(n, k, flavor, held=False) -> str:
+    """The flavor's name, after rejecting a bad flavor, n or k and, for a cell
+    held (tallied or listed), n past sys.maxsize, the list length limit."""
     name = str(flavor).lower()
     if name not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}: choose from {', '.join(FLAVORS)}")
     _check_n(n)
     _check_n(k, "k", None)
+    if held and 1 <= k <= n and n > sys.maxsize:
+        limit = f"over the list length limit of {sys.maxsize}"
+        raise ValueError(f"{name} objects for n={n}, k={k} hold {_size(n)} elements, {limit}")
     return name
 
 
 _FORCE_HINT = "pass force=True (--force) to run it anyway"
 
 
+def _split(m: int) -> tuple[int, int]:
+    """(scans, j) of _record_tally(m), m >= 1: m!/j! prefixes and the (j + 1)!
+    words of range(j + 1) scanned, at the split j that scans least."""
+    return min((perm(m, m - j) + perm(j + 1), j) for j in range(m))
+
+
 def _check_size(n, k, flavor, force, hint=_FORCE_HINT, what=""):
-    """The flavor's name, after _check_cell and the refusal of a nonempty
-    cell over OBJECT_BUDGET objects, or elements per object, unless forced;
-    hint says how to get past the budget, and what names the request
-    (by default the cell's enumeration).  Forced, the limit is sys.maxsize
-    elements per object, the list length limit."""
-    flavor = _check_cell(n, k, flavor)
-    what = what or f"{flavor} enumeration for n={n}, k={k}"
-    if force and n > sys.maxsize and 1 <= k <= n:
-        raise ValueError(
-            f"{what} builds objects of {_size(n)} elements, "
-            f"over the list length limit of {sys.maxsize}"
-        )
+    """The flavor's name, after _check_cell and, unless forced, the refusal
+    of a nonempty cell whose tally (dist_poly) reads over ELEMENT_BUDGET
+    elements, priced with no table or count, stating the price up to the
+    term over the budget; hint is the way past it, what names the request."""
+    flavor = _check_cell(n, k, flavor, held=True)
     if force or not 1 <= k <= n:
         return flavor
-    what += " visits"
-    if n > OBJECT_BUDGET:
-        # past the budget only ssp(n,1), lsp(n,1), ssp(n,n) and slp(n,n)
-        # have a count within it: one object each, but of n elements
-        raise _over_budget(f"{what} objects of", n, "elements", OBJECT_BUDGET, hint)
-    # S(n,k) >= k^e with e = n-k (put 1..k in separate blocks, then place
-    # the other e elements), every flavor has at least S(n,k) objects and
-    # lsp has k!*S(n,k), so these lower bounds refuse most cells without
-    # growing the Stirling table to row n.  e and k are capped: a cap that
-    # changes k^e needs k >= 2, one that changes k! a k past the budget's
-    # bit length, and either capped value is still over the budget.
-    bits = OBJECT_BUDGET.bit_length()
-    power = k ** min(n - k, bits)
-    factor = factorial(min(k, bits)) if flavor == "lsp" and power <= OBJECT_BUDGET else 1
-    if max(power, factor) > OBJECT_BUDGET:
-        raise _over_budget(f"{what} at least", factor * power, "objects", OBJECT_BUDGET, hint)
-    if flavor in ("slp", "llp") and (log_count := _log10_count(n, k, flavor)) > 31:
-        # over 10^31, far past any budget: the length is all a refusal
-        # states, so n! is never computed for it
-        raise _over_budget(what, log_count, "objects", OBJECT_BUDGET, hint)
-    # the count decides the cells left open: slp and llp counts come from
-    # math, and an ssp or lsp cell left open has k^e within the budget, so
-    # it is near the diagonal (a closed form) or n is small (at most 128 at
-    # the default budget)
-    if (count := count_partitions(n, k, flavor)) > OBJECT_BUDGET:
-        raise _over_budget(what, count, "objects", OBJECT_BUDGET, hint)
+    what = (what or f"{flavor} tally for n={n}, k={k}") + " reads"
+    orders = (k,) if flavor in ("lsp", "llp") else ()
+    blocks = range(2 if k > 1 else max(n, 2), n - k + 2) if flavor in ("slp", "llp") else ()
+    read = 0  # m per scan of a word tally of length m; scans rise with m
+    for m in range(1, max((*orders, *blocks[-1:]), default=0) + 1):
+        if (cost := m * _split(m)[0]) > ELEMENT_BUDGET:
+            raise _over_budget(what, read + cost, "elements", ELEMENT_BUDGET, hint)
+        read += ((m in orders) + (m in blocks)) * cost
+    # per shape, k parts and a count's digits, in log10 (finite at n <= sys.maxsize):
+    # p(n,k) <= C(n-1,k-1), over 2^64 past j = 64, and p(n,k) <= p(n-k) <
+    # exp(pi*sqrt(2(n-k)/3)) (Erdos 1942); a count is at most the cell's (slp,
+    # llp) or S(n,k) <= C(n,k)*k^(n-k) <= (e*n/i)^i*k^(n-k), precise at any n
+    shapes = pi * sqrt(2 * (n - k) / 3) / log(10)
+    if (j := min(k - 1, n - k)) <= 64:
+        shapes = min(shapes, log10(comb(n - 1, j)))
+    i = min(k, n - k)
+    digits = (_log10_count(n, k, flavor) if flavor in ("slp", "llp")
+              else (i and i * (log10(n / i) + 1 / log(10))) + (n - k) * log10(k))
+    per_shape = k + int(digits) + 1
+    # past 10^30 shapes, far past any budget, the length is all a refusal states
+    price = shapes + log10(per_shape) if shapes > 30 else read + round(10**shapes) * per_shape
+    if shapes > 30 or price > ELEMENT_BUDGET:
+        raise _over_budget(what, price, "elements", ELEMENT_BUDGET, hint)
     return flavor
 
 
 def _check_enumeration(n, k, flavor, force) -> str:
-    """The flavor's name, after _check_size and, unless forced, the refusal
-    of a nonempty cell whose objects are longer than LENGTH_BUDGET elements
-    or which lists more than ELEMENT_BUDGET elements, objects times n, in
-    all.  These price what listing the objects costs; dist_poly, which
-    visits none, is not priced so."""
-    flavor = _check_size(n, k, flavor, force)
+    """The flavor's name, after _check_cell and, unless forced, the refusal
+    of a nonempty cell of objects longer than LENGTH_BUDGET elements or of
+    more than ELEMENT_BUDGET elements, objects times n, in all."""
+    flavor = _check_cell(n, k, flavor, held=True)
     if force or not 1 <= k <= n:
         return flavor
     what = f"{flavor} enumeration for n={n}, k={k} lists"
     if n > LENGTH_BUDGET:
         raise _over_budget(f"{what} objects of", n, "elements", LENGTH_BUDGET, _FORCE_HINT)
+    # S(n,k) >= k^e, e = n-k (1..k in separate blocks, then the other e),
+    # and lsp's k!*S(n,k) refuse most cells with no table grown, each capped
+    # where it alone passes the budget (at its bit length; k^e needs k >= 2)
+    bits = ELEMENT_BUDGET.bit_length()
+    low = k ** min(n - k, bits) * (factorial(min(k, bits)) if flavor == "lsp" else 1) * n
+    if low > ELEMENT_BUDGET:
+        raise _over_budget(f"{what} at least", low, "elements", ELEMENT_BUDGET, _FORCE_HINT)
+    if flavor in ("slp", "llp") and (log_size := _log10_count(n, k, flavor) + log10(n)) > 31:
+        # far past the budget: its length is all a refusal states, with no n!
+        raise _over_budget(what, log_size, "elements", ELEMENT_BUDGET, _FORCE_HINT)
+    # the count decides the rest: near the diagonal (closed forms) or small
     if (elements := count_partitions(n, k, flavor) * n) > ELEMENT_BUDGET:
         raise _over_budget(what, elements, "elements", ELEMENT_BUDGET, _FORCE_HINT)
     return flavor
@@ -387,7 +389,7 @@ def _record_tally(m: int, records, best) -> list[int]:
     """
     if not m:
         return [1]  # the empty word, with no records
-    j = min(range(m), key=lambda j: perm(m, m - j) + factorial(j + 1))
+    j = _split(m)[1]
     suffixes = [[0] * (j + 1) for _ in range(j + 1)]  # [c][records past b]
     for word in permutations(range(j + 1)):
         suffixes[word[0]][records(word) - 1] += 1
@@ -486,8 +488,8 @@ def dist_poly(n: int, k: int, force: bool = False, flavor: str = "llp") -> Multi
     per cell, the words once per block length, the convolution once per
     shape, and only the pairing is counted by multiplication.
 
-    The budget counts the cell's objects, though none is visited.  Nothing
-    is kept between calls: each call tallies its cell again.  Evaluating
+    The budget prices these scans and shapes (_check_size).  Nothing is
+    kept between calls: each call tallies its cell again.  Evaluating
     the result at u=v=1 recovers the object count.
     """
     flavor = _check_size(n, k, flavor, force)

@@ -58,7 +58,7 @@ def ltr_max_count(word) -> int:
 
 def _check_budget(n: int) -> int:
     _check_n(n, low=1)
-    # the n! words of S_n are the objects of the llp cell (n, 1)
+    # the scan of S_n is the word tally of the llp cell (n, 1), priced so
     _check_size(n, 1, "llp", False, hint="", what=f"permutation scan for n={n}")
     return n
 

@@ -465,9 +465,8 @@ def _verify_stirling_sum(first, low: int, closed, n_max: int, force: bool):
 
 
 def _verify_enumeration(flavor: str, zero, n_max: int, force: bool):
-    # a flavor's tally is s_uv at zero = 0 (lsp has nse = 0, slp nsb = 0);
-    # every cell is checked against the budget, in order and up to the first
-    # refusal, before the first is enumerated, so a huge n_max costs nothing
+    # s_uv at zero = 0 is a flavor's tally (lsp has nse = 0, slp nsb = 0); each
+    # cell is priced first, up to the first refusal, so a huge n_max costs nothing
     for n, k in _cells(n_max):
         _check_size(n, k, flavor, force)
     for n, k in _cells(n_max):
@@ -558,7 +557,7 @@ def verify_identity(
     """Check one named identity cell by cell and report the outcome.
 
     n_max defaults to the documented budget for the identity.  force lifts
-    the enumeration object budget where it applies.
+    the tally's element budget where it applies.
     """
     if name not in _IDENTITIES:
         raise ValueError(

@@ -17,7 +17,6 @@ PUBLIC_API = (
     "FLAVORS",
     "IDENTITY_NAMES",
     "MultiPoly",
-    "OBJECT_BUDGET",
     "OrderedPartition",
     "ROUTES",
     "StatReport",

@@ -235,7 +235,8 @@ class TestEnumerate:
         assert json.loads(out) == [{"partition": "1/2/3"}]
 
     def test_budget_and_force(self, capsys, monkeypatch):
-        monkeypatch.setattr(partitions, "OBJECT_BUDGET", 50)
+        # llp(4,2) lists 72 objects of 4 elements
+        monkeypatch.setattr(partitions, "ELEMENT_BUDGET", 200)
         status, _, err = run(capsys, "enumerate", "--n", "4", "--k", "2", "--flavor", "llp")
         assert status == 2
         assert "--force" in err
@@ -266,12 +267,12 @@ class TestEnumerate:
             )
             assert time.perf_counter() - start < 2
             assert (status, out) == (2, "")
-            assert f"{flavor} enumeration for n=3000, k=1500 visits at least" in err
-            assert "budget of 2000000" in err
+            assert f"{flavor} enumeration for n=3000, k=1500 lists at least" in err
+            assert "budget of 12000000" in err
         status, _, err = run(
             capsys, "enumerate", "--n", "2000", "--k", "1000", "--flavor", "llp"
         )
-        assert status == 2 and "budget of 2000000" in err
+        assert status == 2 and "budget of 12000000" in err
 
     def test_json_stream_bytes(self, capsys):
         cases = (
@@ -344,14 +345,14 @@ class TestEnumerate:
                 assert record == (str(pi), partitions.nsb(pi), partitions.nse(pi))
 
     def test_near_diagonal_refusal_is_stated_at_once(self, capsys):
-        # S(n, n-1) = C(n, 2) is stated without growing the Stirling table
+        # k^(n-k)*n bounds S(n, n-1)*n from below, with no Stirling table
         start = time.perf_counter()
         status, out, err = run(
             capsys, "enumerate", "--n", "100000", "--k", "99999", "--flavor", "ssp"
         )
         assert time.perf_counter() - start < 2
         assert (status, out) == (2, "")
-        assert "ssp enumeration for n=100000, k=99999 visits 4999950000 objects" in err
+        assert "ssp enumeration for n=100000, k=99999 lists at least 9999900000 elements" in err
 
     def test_json_is_written_while_enumerating(self, capsys, monkeypatch):
         # records come one block order at a time: a failure at the 200th of
@@ -512,14 +513,14 @@ class TestDecidedBeforeWork:
         (("-m", "pqtouchard.cli", "dist", "--n", "2", "--k", "3000", "--force"), 0, "0\n", ""),
         (("-m", "pqtouchard.cli", "dist", "--n", "2", "--k", "556"), 0, "0\n", ""),
         (("-m", "pqtouchard.cli", "verify", "--identity", "llp-grid", "--nmax", str(10**30)),
-         2, "", "llp enumeration for n=9, k=2 visits 2903040 objects"),
+         2, "", "llp tally for n=14, k=1 reads 35350562 elements"),
         (("-m", "pqtouchard.cli", "avg-nse", "--n", "1000", "--check"),
-         2, "", "slp enumeration for n=1000, k=1 visits a 2568-digit number of objects"),
+         2, "", "slp tally for n=1000, k=1 reads 35350560 elements"),
         # a one-object cell of a huge n lists n elements
         (("-m", "pqtouchard.cli", "enumerate", "--n", str(10**400), "--k", "1", "--flavor", "ssp"),
-         2, "", "k=1 visits objects of a 401-digit number of elements, over the budget of"),
+         2, "", "k=1 hold a 401-digit number of elements, over the list length limit of"),
         (("-m", "pqtouchard.cli", "enumerate", "--n", str(10**9), "--k", "1", "--flavor", "ssp"),
-         2, "", "n=1000000000, k=1 visits objects of 1000000000 elements, over the budget"),
+         2, "", "n=1000000000, k=1 lists objects of 1000000000 elements, over the budget"),
         (("-m", "pqtouchard.cli", "enumerate", "--n", str(10**400), "--k", "1", "--flavor", "ssp",
           "--force"), 2, "", f"elements, over the list length limit of {sys.maxsize}"),
         # a decimal exponent is bounded before Fraction multiplies it out
@@ -528,12 +529,12 @@ class TestDecidedBeforeWork:
         (("-m", "pqtouchard.cli", "expand", "--n", "1", "--at", "x=-2.5E-999999999"),
          2, "", "'-2.5E-999999999' has an exponent over 100000 in magnitude"),
         # on lsp's diagonal, k! is bounded by the budget's bit length and n is decided first
-        (("-m", "pqtouchard.cli", "enumerate", "--n", "2000000", "--k", "2000000",
-          "--flavor", "lsp"), 2, "", "visits at least 51090942171709440000 objects, over the"),
+        (("-m", "pqtouchard.cli", "enumerate", "--n", "250000", "--k", "250000",
+          "--flavor", "lsp"), 2, "", "lists at least 155112100433309859840000000000 elements"),
         (("-m", "pqtouchard.cli", "enumerate", "--n", str(10**400), "--k", str(10**400),
-          "--flavor", "lsp"), 2, "", "visits objects of a 401-digit number of elements, over the"),
-        # within the object budget, but the elements are priced: one ran past
-        # 60 s, the other out of memory
+          "--flavor", "lsp"), 2, "", "hold a 401-digit number of elements, over the list length"),
+        # of few objects, but the elements are priced: one ran past 60 s, the
+        # other out of memory
         (("-m", "pqtouchard.cli", "enumerate", "--n", "1200", "--k", "1199", "--flavor", "ssp",
           "--stats"), 2, "", "k=1199 lists 863280000 elements, over the budget of 12000000"),
         (("-m", "pqtouchard.cli", "enumerate", "--n", "2000000", "--k", "2000000",
@@ -560,12 +561,12 @@ REFUSAL = re.compile(
     (("table", "--name", "stirling2", "--nmax", "2000"), cli.TABLE_DIGIT_BUDGET),
     (("expand", "--n", "96"), cli.EXPAND_TERM_BUDGET),
     (("dist", "--n", "3000", "--k", "1500"), cli.DIST_DIGIT_BUDGET),
-    (("enumerate", "--n", "9", "--k", "2", "--flavor", "llp"), partitions.OBJECT_BUDGET),
+    (("enumerate", "--n", "9", "--k", "2", "--flavor", "llp"), partitions.ELEMENT_BUDGET),
     (("enumerate", "--n", "300", "--k", "299", "--flavor", "ssp"), partitions.ELEMENT_BUDGET),
     (("enumerate", "--n", "250001", "--k", "1", "--flavor", "ssp"), partitions.LENGTH_BUDGET),
-    (("verify", "--identity", "llp-grid", "--nmax", "9"), partitions.OBJECT_BUDGET),
-    (("avg-nse", "--n", "1000", "--check"), partitions.OBJECT_BUDGET),
-    (("perm-stats", "--n", "10"), partitions.OBJECT_BUDGET),
+    (("verify", "--identity", "llp-grid", "--nmax", "14"), partitions.ELEMENT_BUDGET),
+    (("avg-nse", "--n", "1000", "--check"), partitions.ELEMENT_BUDGET),
+    (("perm-stats", "--n", "14"), partitions.ELEMENT_BUDGET),
     (None, partitions.COUNT_DIGIT_BUDGET),
 ], ids=["table", "expand", "dist", "enumerate", "enumerate-elements", "enumerate-length",
         "verify", "avg-nse", "perm-stats", "count_partitions"])
@@ -830,7 +831,7 @@ class TestSmallCommands:
         assert lines[1:] == ["0 1 3 1", "1 3 2 3", "2 2 1 2"]
 
     def test_perm_stats_budget(self, capsys):
-        status, _, err = run(capsys, "perm-stats", "--n", "12")
+        status, _, err = run(capsys, "perm-stats", "--n", "14")
         assert status == 2
         assert "budget" in err
 
@@ -847,12 +848,13 @@ class TestSmallCommands:
 
         monkeypatch.setattr(partitions, "_block_shapes", counting)
         monkeypatch.setattr(touchard, "avg_nse", never)
-        # slp(9,1) = 362,880 fits, slp(9,2) = 1,451,520 does not
-        monkeypatch.setattr(partitions, "OBJECT_BUDGET", 400_000)
+        # slp(9,1), one block of 9 entries, reads 33,696 elements in its
+        # scans and 7 in its one shape; slp(9,2) reads 12,013
+        monkeypatch.setattr(partitions, "ELEMENT_BUDGET", 30_000)
         status, out, err = run(capsys, "avg-nse", "--n", "9", "--check")
         assert (status, out) == (2, "")
-        assert "slp enumeration for n=9, k=2 visits 1451520 objects" in err
-        assert "budget of 400000" in err
+        assert "slp tally for n=9, k=1 reads 33696 elements" in err
+        assert "budget of 30000" in err
         # avg-nse has no --force to suggest
         assert "force" not in err
         assert tallies == []
@@ -881,7 +883,7 @@ class TestHarness:
         kept.write_text("earlier output\n", encoding="utf-8")
         refused = (
             ("enumerate", "--n", "9", "--k", "2", "--flavor", "llp"),
-            ("perm-stats", "--n", "12"),
+            ("perm-stats", "--n", "14"),
         )
         for argv in refused:
             for target in (kept, tmp_path / "new.txt"):

@@ -224,15 +224,17 @@ class TestEnumeration:
 
 class TestBudget:
     def test_budget_refusal_and_force(self, monkeypatch):
-        monkeypatch.setattr(partitions, "OBJECT_BUDGET", 50)
+        monkeypatch.setattr(partitions, "ELEMENT_BUDGET", 200)
         with pytest.raises(ValueError, match="force"):
             enumerate_partitions(4, 2, "llp")
         assert sum(1 for _ in enumerate_partitions(4, 2, "llp", force=True)) == 72
-        # slp(4,2), 36 objects, fits where llp(4,2), 72 objects, does not
+        # slp(4,2), 36 objects of 4 elements, fits where llp(4,2), 72, does not
         assert sum(1 for _ in enumerate_partitions(4, 2, "slp")) == 36
 
     def test_dist_poly_respects_budget(self, monkeypatch):
-        monkeypatch.setattr(partitions, "OBJECT_BUDGET", 50)
+        # llp(4,2) reads 45 elements: its word tallies of lengths 2 (twice,
+        # orders and blocks) and 3, and 3 shapes, at most, of 2 parts and 2 digits
+        monkeypatch.setattr(partitions, "ELEMENT_BUDGET", 44)
         with pytest.raises(ValueError, match="force"):
             dist_poly(4, 2)
         poly = dist_poly(4, 2, force=True)
@@ -254,7 +256,7 @@ class TestBudget:
         assert dist_poly(6, 3, force=False) == report.poly
         assert calls == [(6, 3)] * 3
         # a lowered budget refuses without force, before any shape is listed
-        monkeypatch.setattr(partitions, "OBJECT_BUDGET", 720)
+        monkeypatch.setattr(partitions, "ELEMENT_BUDGET", 100)
         with pytest.raises(ValueError, match="force"):
             dist_poly(6, 3)
         assert calls == [(6, 3)] * 3
@@ -262,7 +264,7 @@ class TestBudget:
         assert calls == [(6, 3)] * 4
 
     def test_dist_poly_lists_no_skeleton(self, monkeypatch):
-        # the edge cells the object budget admits are tallied by shape:
+        # cells of few shapes are tallied by shape, not by set partition:
         # ssp(2000,1999) has C(2000,2) set partitions, each of one pair, and
         # ssp(n,1) and ssp(n,n) have one, of 2,000,000 elements
         def never(n, k):
@@ -295,22 +297,28 @@ class TestBudget:
             with pytest.raises(ValueError, match=f"{flavor} enumeration for n={n}, k={k} {text}"):
                 enumerate_partitions(n, k, flavor)
             assert partitions._check_enumeration(n, k, flavor, True) == flavor
-        # dist_poly visits no object, so the same cells are not priced so
+        # dist_poly lists no object, so the same cells are priced by their
+        # tallies: one shape each, of 288 and of 2,000,000 parts
         assert dist_poly(289, 288, flavor="ssp") == MultiPoly.const(comb(289, 2))
         assert dist_poly(2_000_000, 2_000_000, flavor="slp") == MultiPoly.const(1)
 
     def test_every_flavor_is_budgeted(self, monkeypatch):
-        monkeypatch.setattr(partitions, "OBJECT_BUDGET", 50)
-        for n, k, flavor, count in (
-            (6, 3, "ssp", 90),
-            (5, 3, "lsp", 150),
-            (5, 2, "slp", 240),
-            (4, 2, "llp", 72),
+        monkeypatch.setattr(partitions, "ELEMENT_BUDGET", 40)
+        # each cell's objects, and the elements its tally reads, summed up
+        # to the term over the budget: slp(5,2) stops at its word tally of
+        # length 4, 72 elements, after 27 for lengths 2 and 3
+        for n, k, flavor, count, read in (
+            (6, 3, "ssp", 90, 70),
+            (5, 3, "lsp", 150, 57),
+            (5, 2, "slp", 240, 99),
+            (4, 2, "llp", 72, 45),
         ):
-            refusal = f"{flavor} enumeration for n={n}, k={k} visits {count} objects"
-            with pytest.raises(ValueError, match=f"{refusal}.*budget of 50"):
+            # stated as the count times n, or as the k^(n-k)*n lower bound
+            listed = f"{flavor} enumeration for n={n}, k={k} lists (at least )?[0-9]+ elements"
+            with pytest.raises(ValueError, match=f"^{listed}, over the budget of 40;"):
                 enumerate_partitions(n, k, flavor)
-            with pytest.raises(ValueError, match=refusal):
+            tallied = f"{flavor} tally for n={n}, k={k} reads {read} elements"
+            with pytest.raises(ValueError, match=f"^{tallied}, over the budget of 40;"):
                 dist_poly(n, k, flavor=flavor)
             forced = enumerate_partitions(n, k, flavor, force=True)
             assert sum(1 for _ in forced) == count
@@ -318,19 +326,18 @@ class TestBudget:
             assert poly.evaluate({"u": 1, "v": 1}) == count
 
     def test_objects_longer_than_the_budget_are_refused(self, monkeypatch):
-        # past the budget in n, only these cells have a count within it: one
-        # object each, which lists n elements
-        monkeypatch.setattr(partitions, "OBJECT_BUDGET", 50)
+        # these cells hold one object each, which lists n elements; their
+        # tallies read one shape of k parts and list no object
+        monkeypatch.setattr(partitions, "LENGTH_BUDGET", 50)
         for k, flavor in ((1, "ssp"), (1, "lsp"), (51, "ssp"), (51, "slp")):
             assert count_partitions(51, k, flavor) == 1
             refusal = (
-                f"{flavor} enumeration for n=51, k={k} visits objects of 51 elements, "
+                f"{flavor} enumeration for n=51, k={k} lists objects of 51 elements, "
                 "over the budget of 50"
             )
             with pytest.raises(ValueError, match=refusal):
                 enumerate_partitions(51, k, flavor)
-            with pytest.raises(ValueError, match=refusal):
-                dist_poly(51, k, flavor=flavor)
+            assert dist_poly(51, k, flavor=flavor) == MultiPoly.const(1)
             assert sum(1 for _ in enumerate_partitions(51, k, flavor, force=True)) == 1
         assert sum(1 for _ in enumerate_partitions(50, 1, "ssp")) == 1
         # an empty cell lists nothing, at any n
@@ -407,27 +414,89 @@ class TestBudget:
             return shapes(n, k)
 
         monkeypatch.setattr(partitions, "_block_shapes", counting)
-        monkeypatch.setattr(partitions, "OBJECT_BUDGET", 100)
-        # lsp(5,3) = 150 is the first cell over; n <= 4 fits
-        with pytest.raises(ValueError, match="lsp enumeration for n=5, k=3"):
+        monkeypatch.setattr(partitions, "ELEMENT_BUDGET", 100)
+        # lsp(5,5), whose block orders read 220 elements, is the first cell
+        # over; every cell of n <= 4 reads at most 77
+        with pytest.raises(ValueError, match="lsp tally for n=5, k=5 reads 220 elements"):
             verify_identity("lsp-slice", 9)
         assert calls == []
         assert verify_identity("lsp-slice", 5, force=True).passed
         assert (5, 3) in calls
 
     @pytest.mark.parametrize("budget", [50, 720, 2_000_000])
-    def test_bounds_decide_as_the_count_does(self, monkeypatch, budget):
-        monkeypatch.setattr(partitions, "OBJECT_BUDGET", budget)
-        for n in range(41):
+    def test_check_decides_as_the_stated_price_does(self, monkeypatch, budget):
+        # a cell's price is the least budget that admits it, and its refusal
+        # one below states that price; a cell is admitted exactly when its
+        # price is within the budget
+        def refusal(n, k, flavor, budget):
+            monkeypatch.setattr(partitions, "ELEMENT_BUDGET", budget)
+            try:
+                partitions._check_size(n, k, flavor, False)
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        def price(n, k, flavor):
+            low, high = 0, 10**8
+            while low < high:
+                mid = (low + high) // 2
+                low, high = (low, mid) if refusal(n, k, flavor, mid) is None else (mid + 1, high)
+            return low
+
+        for n in range(14):
             for k in range(-1, n + 2):
                 for flavor in partitions.FLAVORS:
-                    over = count_partitions(n, k, flavor) > budget
+                    cost = price(n, k, flavor)
+                    if not 1 <= k <= n:
+                        assert cost == 0, (n, k, flavor)
+                        continue
+                    text = refusal(n, k, flavor, cost - 1)
+                    assert text.startswith(
+                        f"{flavor} tally for n={n}, k={k} reads {cost} elements, "
+                        f"over the budget of {cost - 1};"
+                    ), (n, k, flavor)
+                    admitted = refusal(n, k, flavor, budget) is None
+                    assert admitted == (cost <= budget), (n, k, flavor)
+
+    def test_no_cell_the_object_count_admitted_is_lost(self):
+        # the rule this price replaced admitted every cell of at most
+        # 2,000,000 objects
+        for n in range(1, 151):
+            for k in range(1, n + 1):
+                for flavor in partitions.FLAVORS:
+                    if count_partitions(n, k, flavor) <= 2_000_000:
+                        assert partitions._check_size(n, k, flavor, False) == flavor
+
+    def test_enumeration_admits_the_cells_within_the_element_budget(self):
+        for n in range(61):
+            for k in range(-1, n + 2):
+                for flavor in partitions.FLAVORS:
+                    within = count_partitions(n, k, flavor) * n <= partitions.ELEMENT_BUDGET
                     try:
-                        partitions._check_size(n, k, flavor, False)
+                        partitions._check_enumeration(n, k, flavor, False)
                     except ValueError:
-                        assert over, (n, k, flavor)
+                        assert not within, (n, k, flavor)
                     else:
-                        assert not over, (n, k, flavor)
+                        assert within, (n, k, flavor)
+
+    def test_huge_cells_are_refused_fast(self):
+        # ssp(500000,2) has 250,000 shapes, each counted by a binomial of
+        # about 150,000 digits: its parts alone would fit the budget
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="ssp tally for n=500000, k=2 reads"):
+            dist_poly(500_000, 2, flavor="ssp")
+        assert time.perf_counter() - start < 1
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "pqtouchard.cli", "dist", "--n", "14", "--k", "1",
+             "--oracle"], capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": str(Path(partitions.__file__).parents[1])},
+        )
+        assert time.perf_counter() - start < 1
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith(
+            "error: llp tally for n=14, k=1 reads 35350562 elements, over the budget of 12000000;"
+        )
 
     def test_large_cells_are_decided_without_the_tables(self, monkeypatch):
         fresh = {
@@ -436,21 +505,34 @@ class TestBudget:
         }
         for name, triangle in fresh.items():
             monkeypatch.setattr(tables, name, triangle)
-        admitted = {(1, "ssp"), (1, "lsp"), (1200, "ssp"), (1200, "slp"), (1199, "slp")}
-        cells = [(k, f) for k in (1, 1200) for f in partitions.FLAVORS]
-        cells += [(1199, f) for f in ("lsp", "slp", "llp")]
-        for k, flavor in cells:
-            try:
-                partitions._check_size(1200, k, flavor, False)
-            except ValueError as exc:
-                assert (k, flavor) not in admitted
-                assert "budget of 2000000" in str(exc)
-            else:
-                assert (k, flavor) in admitted
+
+        def refuse(*args):
+            raise AssertionError("a count was computed")
+
+        for name in ("count_partitions", "stirling2", "factorial"):
+            monkeypatch.setattr(partitions, name, refuse)
+        admitted = set()
+        for n in (1200, 10**6, 10**400):
+            for k in (1, 2, n - 1, n):
+                for flavor in partitions.FLAVORS:
+                    try:
+                        partitions._check_size(n, k, flavor, False)
+                    except ValueError as exc:
+                        assert "over the budget of 12000000" in str(exc) or (
+                            "over the list length limit" in str(exc) and n > sys.maxsize
+                        ), exc
+                    else:
+                        admitted.add((n, k, flavor))
+        n = 10**6
+        assert admitted == {
+            (1200, 1, "ssp"), (1200, 1, "lsp"), (1200, 2, "ssp"), (1200, 2, "lsp"),
+            (1200, 1199, "ssp"), (1200, 1199, "slp"), (1200, 1200, "ssp"), (1200, 1200, "slp"),
+            (n, 1, "ssp"), (n, 1, "lsp"), (n, n, "ssp"), (n, n, "slp"),
+        }
         assert [len(rows) for rows, _ in fresh.values()] == [1, 1, 1]
 
     def test_long_counts_are_given_by_their_length(self):
-        with pytest.raises(ValueError, match="visits a 33-digit number of objects"):
+        with pytest.raises(ValueError, match="lists a 34-digit number of elements"):
             enumerate_partitions(30, 1, "llp")
         # str() refuses an int this long
         assert partitions._size(factorial(2000)) == "a 5736-digit number of"
@@ -460,39 +542,58 @@ class TestBudget:
         assert partitions._size(10**31) == "a 32-digit number of"
 
     def test_huge_refusals_compute_no_factorial(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a factorial was computed")
+        built = []
 
-        monkeypatch.setattr(partitions, "factorial", refuse)
-        monkeypatch.setattr(partitions, "perm", refuse)
-        # llp(n, n-1) = n!*(n-1) and slp(n, 1) = n!
-        for k, flavor, digits in ((199999, "llp", 973356), (1, "slp", 973351)):
+        def small(real):
+            # the tally's scan counts read m!/j! and (j + 1)! for m <= 14
+            return lambda *args: built.append(args[0]) or real(*args)
+
+        monkeypatch.setattr(partitions, "factorial", small(partitions.factorial))
+        monkeypatch.setattr(partitions, "perm", small(partitions.perm))
+        # llp(n, n-1) = n!*(n-1) and slp(n, 1) = n!, stated as their length
+        # times n, or as the k^(n-k)*n lower bound; the tallies, as their
+        # scans up to length 14 (llp's block orders of 199,999 and its blocks
+        # of 2 entries, slp's one block of 200,000)
+        for k, flavor, size, read in ((199999, "llp", "at least 39999800000", 35350566),
+                                      (1, "slp", "a 973356-digit number of", 35350560)):
             with pytest.raises(ValueError, match=(
-                f"{flavor} enumeration for n=200000, k={k} visits a {digits}-digit "
-                "number of objects, over the budget of 2000000"
+                f"{flavor} enumeration for n=200000, k={k} lists {size} elements, "
+                "over the budget of 12000000"
+            )):
+                enumerate_partitions(200000, k, flavor)
+            with pytest.raises(ValueError, match=(
+                f"{flavor} tally for n=200000, k={k} reads {read} elements, "
+                "over the budget of 12000000"
             )):
                 partitions._check_size(200000, k, flavor, False)
-        monkeypatch.undo()
-        # slp(n, n-1) = n*(n-1) is small and stated exactly
-        with pytest.raises(ValueError, match="visits 39999800000 objects"):
-            partitions._check_size(200000, 199999, "slp", False)
-        # lsp(n, n) = n!: n past the budget is decided first, and k! is
-        # built no further than the budget's bit length, past which every
-        # k! is over the budget
-        built = []
-        real = partitions.factorial
-        monkeypatch.setattr(partitions, "factorial", lambda m: built.append(m) or real(m))
+        assert max(built) <= 14
+        # slp(n, n-1) = n*(n-1) objects, bounded from below by k^(n-k)*n
+        # elements; its tally reads one shape of n-1 parts
+        with pytest.raises(ValueError, match="lists at least 39999800000 elements"):
+            enumerate_partitions(200000, 199999, "slp")
+        assert partitions._check_size(200000, 199999, "slp", False) == "slp"
+        # lsp(n, n) = n!: its tally of n-element block orders is priced at
+        # the first length over the budget, and an enumeration builds k! no
+        # further than the budget's bit length, past which every k! is over it
+        built.clear()
+        bits = partitions.ELEMENT_BUDGET.bit_length()
         for n, size in (
-            (2_000_000, "at least 51090942171709440000 objects"),
-            (2_000_001, "objects of 2000001 elements"),
-            (2**63, f"objects of {2**63} elements"),
-            (10**400, "objects of a 401-digit number of elements"),
+            (2_000_000, "reads 35350560 elements, over the budget of 12000000"),
+            (2**62, "reads 35350560 elements, over the budget of 12000000"),
+            (2**63, f"objects for n={2**63}, k={2**63} hold {2**63} elements, "
+                    "over the list length limit"),
         ):
-            refusal = f"lsp enumeration for n={n}, k={n} visits {size}, over the budget of 2000000"
             for check in (partitions._check_size, dist_poly):
-                with pytest.raises(ValueError, match=refusal):
+                with pytest.raises(ValueError, match=size):
                     check(n, n, flavor="lsp", force=False)
-        assert built == [partitions.OBJECT_BUDGET.bit_length()] * 2
+        assert max(built) <= 14
+        built.clear()
+        with pytest.raises(ValueError, match=(
+            "lsp enumeration for n=250000, k=250000 lists at least "
+            f"{factorial(bits) * 250000} elements"
+        )):
+            enumerate_partitions(250000, 250000, "lsp")
+        assert built == [bits]
 
     def test_non_integer_k_is_rejected(self):
         with pytest.raises(ValueError, match="k must be an integer"):
@@ -526,7 +627,7 @@ class TestCounts:
         assert count_partitions(5000, 4998, "ssp") == comb(5000, 3) + 3 * comb(5000, 4)
         assert len(tables._STIRLING2[0]) == rows
         # a refusal near the diagonal is decided without the table too
-        with pytest.raises(ValueError, match="visits 12497500 objects"):
+        with pytest.raises(ValueError, match="lists at least 24995000 elements"):
             enumerate_partitions(5000, 4999, "ssp")
         assert len(tables._STIRLING2[0]) == rows
 
@@ -634,6 +735,15 @@ class TestSharedScan:
                 dist_poly(6, 3, flavor=flavor)
                 costs.append(len(scans))
             assert costs[0] == costs[1] > 0, flavor
+
+    def test_the_price_counts_the_scans_the_tally_makes(self):
+        # _check_size prices a word tally by _split(m), the scans
+        # _record_tally makes with the split it takes from there
+        for m in range(1, 10):
+            words = []
+            records = partitions._rl_min_count
+            partitions._record_tally(m, lambda word: words.append(word) or records(word), min)
+            assert len(words) == partitions._split(m)[0] == kernel_scans(m), m
 
     def test_an_empty_cell_scans_nothing(self, scans):
         assert not dist_poly(3, 6)

@@ -118,16 +118,20 @@ class TestDistributions:
                 assert partitions._record_tally(0, permstats._ltr_max_count, max) == [1]
 
     def test_budget(self):
+        # S_13 is scanned in 517,320 words of 13 entries; S_14 in 2,525,040
+        assert nse_distribution(13) == [stirling1_unsigned(13, 13 - j) for j in range(13)]
         with pytest.raises(ValueError, match="budget"):
-            nse_distribution(10)
+            nse_distribution(14)
         with pytest.raises(ValueError, match="positive"):
             ltr_max_distribution(0)
 
     def test_budget_is_read_at_call_time(self, monkeypatch, capsys):
-        # 5! = 120 words: over a budget of 100 set after import
-        # the scan is decided as the llp cell (5, 1), and refused in the shared shape
-        monkeypatch.setattr(partitions, "OBJECT_BUDGET", 100)
-        refusal = "permutation scan for n=5 visits 120 objects, over the budget of 100"
+        # S_5 is scanned in 44 words of 5 entries, 220 elements: over a
+        # budget of 100 set after import.  The scan is priced as the llp cell
+        # (5, 1), with its one block order of 2 elements, and refused in the
+        # shared shape
+        monkeypatch.setattr(partitions, "ELEMENT_BUDGET", 100)
+        refusal = "permutation scan for n=5 reads 222 elements, over the budget of 100"
         for scan in (nse_distribution, ltr_max_distribution):
             with pytest.raises(ValueError, match=f"^{refusal}$"):
                 scan(5)
