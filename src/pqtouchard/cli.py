@@ -550,10 +550,8 @@ _COMMANDS = {
 
 def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
     """The command-line parser.  argv led by a command name gets that
-    command's parser alone, with its arguments and -h, since argparse
-    parses with no other.  Any other argv gets every command, for the
-    top-level usage, help and errors, and only the commands named in argv
-    get their arguments and -h."""
+    command's parser alone, since argparse parses with no other.  Any other
+    argv gets every command, for the top-level usage, help and errors."""
     parser = argparse.ArgumentParser(
         prog="pqtouchard",
         description="Exact deformed Touchard polynomials and partition statistics.",
@@ -565,10 +563,7 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     commands = {alone: _COMMANDS[alone]} if alone else _COMMANDS
     for name, (help_text, handler, force, arguments) in commands.items():
-        named = argv is None or name in argv
-        p = sub.add_parser(name, help=help_text, add_help=named)
-        if not named:
-            continue
+        p = sub.add_parser(name, help=help_text)
         p.add_argument(
             "--format", choices=("plain", "json", "csv"), default="plain",
             help="output format (default plain)",

@@ -43,7 +43,7 @@ FLAVORS = ("ssp", "lsp", "slp", "llp")
 # (ssp(288,287), json) and 137 MB (lsp(19,2)); ssp(1200,1199), 863,280,000,
 # ran past 60 s (cold, --out, 2-vCPU VM).  A tally reads its word scans and
 # shapes: all llp cells to n = 13 and S_13 fit; the slowest found, ssp(6297,2),
-# took 1.35 s, and ssp(n,n) at the edge, n = 11,999,999, 0.6 s at 198 MB
+# took 1.35 s, and ssp(n,n) at the edge, n = 11,999,999, 0.06 s at 106 MB
 ELEMENT_BUDGET = 12_000_000
 # Elements of one object, held at once while it is listed, with their
 # texts and words: slp(n,n), n singleton blocks, peaks at 148 MB in 1.6 s
@@ -264,7 +264,8 @@ def _check_size(n, k, flavor, force, hint=_FORCE_HINT, what=""):
         if (cost := m * _split(m)[0]) > ELEMENT_BUDGET:
             raise _over_budget(what, read + cost, "elements", ELEMENT_BUDGET, hint)
         read += ((m in orders) + (m in blocks)) * cost
-    # per shape, k parts and a count's digits, in log10 (finite at n <= sys.maxsize):
+    # the k - i single blocks once, then per shape at most i parts past 1 and
+    # a count's digits, in log10 (finite at n <= sys.maxsize):
     # p(n,k) <= C(n-1,k-1), over 2^64 past j = 64, and p(n,k) <= p(n-k) <
     # exp(pi*sqrt(2(n-k)/3)) (Erdos 1942); a count is at most the cell's (slp,
     # llp) or S(n,k) <= C(n,k)*k^(n-k) <= (e*n/i)^i*k^(n-k), precise at any n
@@ -274,9 +275,10 @@ def _check_size(n, k, flavor, force, hint=_FORCE_HINT, what=""):
     i = min(k, n - k)
     digits = (_log10_count(n, k, flavor) if flavor in ("slp", "llp")
               else (i and i * (log10(n / i) + 1 / log(10))) + (n - k) * log10(k))
-    per_shape = k + int(digits) + 1
+    per_shape = i + int(digits) + 1
     # past 10^30 shapes, far past any budget, the length is all a refusal states
-    price = shapes + log10(per_shape) if shapes > 30 else read + round(10**shapes) * per_shape
+    price = (shapes + log10(per_shape) if shapes > 30
+             else read + k - i + round(10**shapes) * per_shape)
     if shapes > 30 or price > ELEMENT_BUDGET:
         raise _over_budget(what, price, "elements", ELEMENT_BUDGET, hint)
     return flavor
@@ -418,30 +420,32 @@ def _nse_counts(m: int) -> tuple[int, ...]:
 
 
 def _block_shapes(n: int, k: int):
-    """Each block shape of the cell, the sorted block lengths of its set
-    partitions (a partition of n into k parts), with its number of set
-    partitions, n!/(prod b! * prod m!) over the blocks b and the
-    multiplicities m of the lengths (Comtet, Advanced Combinatorics, 1974).
-    The shapes come without recursion by TAOCP 7.2.1.4 Algorithm H, parts
-    largest first, and each count is a product of binomials, with no n!:
-    the m blocks of length s take C(r, s*m) of the r elements left by longer
-    blocks, and split them in prod over 2 <= i <= m of C(s*i - 1, s - 1)
-    ways (the least element left picks its s - 1 partners); single blocks,
-    last, take the rest in one way.
+    """Each block shape of the cell (a partition of n into k parts) as the
+    lengths of its blocks of two or more entries, largest first, with its
+    number of set partitions, n!/(prod b! * prod m!) over the blocks b and
+    the multiplicities m of the lengths (Comtet, Advanced Combinatorics,
+    1974); the other blocks, k less that many, are single.  The shapes come
+    without recursion by TAOCP 7.2.1.4 Algorithm H, parts largest first,
+    and each count is a product of binomials, with no n!: the m blocks of
+    length s take C(r, s*m) of the r elements left by longer blocks, and
+    split them in prod over 2 <= i <= m of C(s*i - 1, s - 1) ways (the
+    least element left picks its s - 1 partners); single blocks, last, take
+    the rest in one way.
     """
     if not 1 <= k <= n:
         if n == k == 0:
             yield (), 1
         return
-    a = [n - k + 1] + [1] * (k - 1)  # the parts, largest first
+    a = [1] * k  # the parts, largest first
+    a[0] = n - k + 1
     while True:
         # the parts past 1, a prefix of a, each size with its multiplicity
-        ways, left = 1, n
-        for size, m in Counter(a[: a.index(1)] if a[-1] == 1 else a).items():
+        parts, ways, left = tuple(a[: a.index(1)] if a[-1] == 1 else a), 1, n
+        for size, m in Counter(parts).items():
             ways *= comb(left, size * m)
             ways *= prod(comb(size * i - 1, size - 1) for i in range(2, m + 1))
             left -= size * m
-        yield tuple(reversed(a)), ways
+        yield parts, ways
         if a[0] - a[-1] <= 1:
             return  # the most balanced partition comes last
         if a[1] < a[0] - 1:
@@ -481,10 +485,10 @@ def dist_poly(n: int, k: int, force: bool = False, flavor: str = "llp") -> Multi
     skeleton; a block of length b has b distinct entries, so its word tally
     is _nse_counts(b).  An unordered flavor keeps the skeleton's own block
     order or the increasing word, one choice with the statistic 0, so its
-    tally is (1,), as is a block of one entry; the convolution skips them.
-    A skeleton's tally thus depends only on its block shape, the multiset
-    of its block lengths, and _block_shapes gives each shape with its
-    number of skeletons, counted, not listed.  Each tally is formed once
+    tally is (1,), as is a block of one entry, which _block_shapes leaves
+    out.  A skeleton's tally thus depends only on its block shape, the
+    multiset of its block lengths, and _block_shapes gives each shape with
+    its number of skeletons, counted, not listed.  Each tally is formed once
     per cell, the words once per block length, the convolution once per
     shape, and only the pairing is counted by multiplication.
 
@@ -496,10 +500,10 @@ def dist_poly(n: int, k: int, force: bool = False, flavor: str = "llp") -> Multi
     shapes = dict(_block_shapes(n, k))
     # an empty cell (k > n) has no block order to scan
     orders = _nse_counts(k) if shapes and flavor in ("lsp", "llp") else (1,)
-    # the word tallies of slp and llp blocks of b > 1 entries; any other
-    # block has one word, of nse 0, and the convolution skips it
+    # the word tallies of slp and llp blocks, all of b > 1 entries; an ssp
+    # or lsp block has one word, of nse 0, and the convolution skips it
     words = (
-        {b: _nse_counts(b) for b in set().union(*shapes) if b > 1}
+        {b: _nse_counts(b) for b in set().union(*shapes)}
         if flavor in ("slp", "llp")
         else {}
     )

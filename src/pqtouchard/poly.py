@@ -95,7 +95,7 @@ class MultiPoly:
     def var(cls, name: str, power: int = 1) -> "MultiPoly":
         """The monomial name**power with coefficient 1."""
         slot = _slot(name)
-        if not isinstance(power, int) or power < 0:
+        if not isinstance(power, int) or isinstance(power, bool) or power < 0:
             raise ValueError(f"exponents must be nonnegative integers: {(power,)}")
         key = list(_ZERO_KEY)
         key[slot] = power

@@ -1340,10 +1340,11 @@ def test_only_the_named_command_gets_arguments():
     # led by a command name, argv gets that command's parser alone
     commands = subparsers(cli.build_parser(["dist", "--n", "5"]))
     assert list(commands) == ["dist"] and commands["dist"]._actions
-    # otherwise every command is listed, and only the named one has arguments
-    commands = subparsers(cli.build_parser(["--bogus", "dist"]))
-    assert list(commands) == list(COMMANDS)
-    assert [name for name, sub in commands.items() if sub._actions] == ["dist"]
+    # otherwise every command is listed, each with its arguments
+    for argv in (["--bogus", "dist"], [], None):
+        commands = subparsers(cli.build_parser(argv))
+        assert list(commands) == list(COMMANDS)
+        assert all(any(a.dest == "format" for a in sub._actions) for sub in commands.values())
 
 
 def test_a_named_command_builds_two_parsers(capsys, monkeypatch):

@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from itertools import permutations, product
 from math import comb, perm
@@ -193,16 +194,24 @@ class TestEnumeration:
             strings = [a + (b,) for a in strings for b in range(max(a, default=-1) + 2)]
 
     def test_block_shapes_count_the_skeletons(self):
-        # each shape once, as the sorted block lengths of the skeletons it
-        # counts, and the counts sum to S(n,k)
+        # each shape once, as the block lengths past 1 of the skeletons it
+        # counts, largest first, and the counts sum to S(n,k)
         for n in range(11):
             for k in range(-1, n + 2):
                 listed = list(partitions._block_shapes(n, k))
                 stream = Counter(
-                    tuple(sorted(map(len, sk))) for sk in partitions._skeletons(n, k)
+                    tuple(sorted((len(b) for b in sk if len(b) > 1), reverse=True))
+                    for sk in partitions._skeletons(n, k)
                 )
                 assert dict(listed) == stream and len(listed) == len(stream), (n, k)
                 assert sum(dict(listed).values()) == tables.stirling2(n, k), (n, k)
+
+    def test_block_shapes_hold_no_single_block(self):
+        # a shape lists at most min(k, n-k) blocks, each of two or more entries
+        for n in range(13):
+            for k in range(1, n + 1):
+                for shape, _ in partitions._block_shapes(n, k):
+                    assert 1 not in shape and len(shape) <= min(k, n - k), (n, k, shape)
 
     def test_enumerated_objects_equal_validated_ones(self):
         for n in range(7):
@@ -277,6 +286,21 @@ class TestBudget:
             assert dist_poly(*cell, flavor="ssp") == MultiPoly.const(count), cell
             assert time.perf_counter() - start < 10, cell
 
+    def test_a_tally_holds_one_list_of_parts(self):
+        # the shapes keep only their blocks past one entry, so ssp(n,n) holds
+        # one list of n parts, 8 bytes each, and the near-diagonal cells,
+        # one shape of one pair each, are priced by it, not per shape
+        n = 2_000_000
+        tracemalloc.start()
+        try:
+            assert dist_poly(n, n, flavor="ssp") == MultiPoly.const(1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * n, peak
+        for flavor, count in (("ssp", comb(n, 2)), ("slp", 2 * comb(n, 2))):
+            assert dist_poly(n, n - 1, flavor=flavor).evaluate({"u": 1, "v": 1}) == count
+
     def test_enumeration_prices_the_elements_it_lists(self):
         # the identities' largest cells and the benchmark's fit; the first
         # ssp cell past the element budget, the first object past the length
@@ -309,7 +333,7 @@ class TestBudget:
         # length 4, 72 elements, after 27 for lengths 2 and 3
         for n, k, flavor, count, read in (
             (6, 3, "ssp", 90, 70),
-            (5, 3, "lsp", 150, 57),
+            (5, 3, "lsp", 150, 52),
             (5, 2, "slp", 240, 99),
             (4, 2, "llp", 72, 45),
         ):
@@ -527,7 +551,8 @@ class TestBudget:
         assert admitted == {
             (1200, 1, "ssp"), (1200, 1, "lsp"), (1200, 2, "ssp"), (1200, 2, "lsp"),
             (1200, 1199, "ssp"), (1200, 1199, "slp"), (1200, 1200, "ssp"), (1200, 1200, "slp"),
-            (n, 1, "ssp"), (n, 1, "lsp"), (n, n, "ssp"), (n, n, "slp"),
+            (n, 1, "ssp"), (n, 1, "lsp"), (n, n - 1, "ssp"), (n, n - 1, "slp"),
+            (n, n, "ssp"), (n, n, "slp"),
         }
         assert [len(rows) for rows, _ in fresh.values()] == [1, 1, 1]
 

@@ -58,6 +58,11 @@ class TestCanonicalForm:
         with pytest.raises(ValueError, match="exponents must be nonnegative integers"):
             v("x", -1)
 
+    @pytest.mark.parametrize("power", [True, False])
+    def test_bool_exponent_rejected(self, power):
+        with pytest.raises(ValueError, match=rf"nonnegative integers: \({power},\)"):
+            v("x", power)
+
     @pytest.mark.parametrize("value", [True, False, Fraction(1), 1.0])
     def test_const_rejects_a_non_int(self, value):
         with pytest.raises(TypeError, match="coefficients must be int"):
