@@ -19,25 +19,30 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, dropwhile, repeat, starmap
+from itertools import accumulate, chain, dropwhile, islice, repeat, starmap
 from json.encoder import encode_basestring_ascii
 from math import lgamma, log, log10
+from operator import mul
 
 from . import partitions, permstats, touchard
 from .poly import MultiPoly
-from .tables import _BINOMIAL, _STIRLING1, _STIRLING2, _check_n, _rows, bell, factorial
+from .tables import _BINOMIAL, _STIRLING1, _STIRLING2, _check_n, _stream, factorial
 
-# each name's rows 0..nmax, read whole from its triangle, s(n,k) = (-1)^(n-k) c(n,k)
+# each name's rows 0..nmax, streamed (_stream), s(n,k) = (-1)^(n-k) c(n,k)
 _TRIANGLES = {
-    "binomial": partial(_rows, _BINOMIAL),
-    "stirling2": partial(_rows, _STIRLING2),
-    "stirling1": partial(_rows, _STIRLING1),
-    "stirling1-signed": lambda nmax: [
+    "binomial": partial(_stream, _BINOMIAL),
+    "stirling2": partial(_stream, _STIRLING2),
+    "stirling1": partial(_stream, _STIRLING1),
+    "stirling1-signed": lambda nmax: (
         [-c if (n - k) % 2 else c for k, c in enumerate(row)]
-        for n, row in enumerate(_rows(_STIRLING1, nmax))
-    ],
+        for n, row in enumerate(_stream(_STIRLING1, nmax))
+    ),
 }
-_SEQUENCES = {"bell": bell, "factorial": factorial}
+# values 0..nmax, likewise: Bell numbers are the Stirling-2 row sums
+_SEQUENCES = {
+    "bell": lambda nmax: map(sum, _stream(_STIRLING2, nmax)),
+    "factorial": lambda nmax: accumulate(range(1, nmax + 1), mul, initial=1),
+}
 
 
 # Fraction multiplies a decimal exponent out, in time that grows faster than
@@ -241,11 +246,11 @@ _FORCE = "pass --force to run it anyway"  # the way past each budget below
 # Digits `table` may print without --force.  The bound below stays within it
 # up to nmax = 359 for the Stirling triangles and bell, 690 for binomial, 345
 # for q-product and 3,973 for factorial, and at 300 for every name.  At those
-# edges every name ran in at most 2.5 s and 93 MB peak RSS in each format
-# (the largest, q-product --format json, wrote 35 MB in 1.2 s; factorial,
-# whose values pass 4,300 digits from nmax = 1,559, took 2.5 s at 27-49 MB),
+# edges every name ran in at most 1.3 s and 19 MB peak RSS in each format
+# (the largest, q-product --format json, wrote 35 MB in 0.7-1.2 s; factorial,
+# whose values pass 4,300 digits from nmax = 1,559, took 3.0-3.5 s at 16 MB),
 # measured as cold processes with --out on a 2-vCPU VM.  stirling2 at
-# nmax = 1500, which wrote 1.48 GB in 55 s at 715 MB, is refused.
+# nmax = 1500, which wrote 1.48 GB in 55 s, is refused.
 TABLE_DIGIT_BUDGET = 50_000_000
 
 
@@ -255,8 +260,7 @@ def _table_digits(name: str, nmax: int) -> int:
     c(n,k) <= n! (row n sums to n!); S(n,k) <= B(n) <= n! (a set partition
     read as a permutation of cycles); the coefficients of Q_n are at most
     (2n-1)!! <= 2^n n! in size.  factorial prints one number per row; bell
-    prints one too, but grows and holds the Stirling-2 triangle, so it
-    counts that."""
+    prints one too, but steps the Stirling-2 triangle, so it counts that."""
     log_factorial, log_power = lgamma(nmax + 1) / log(10), nmax * log10(2)
     log_top = {"binomial": log_power, "q-product": log_power + log_factorial}.get(
         name, log_factorial
@@ -275,36 +279,39 @@ def _cmd_table(args) -> _Output:
     if digits > TABLE_DIGIT_BUDGET and not args.force:
         what = f"table {name} for nmax={nmax} prints up to"
         raise partitions._over_budget(what, digits, "digits", TABLE_DIGIT_BUDGET, _FORCE)
+    # each format starts its own stream; the emitter drains only one
     if name in _TRIANGLES:
-        rows = _TRIANGLES[name](nmax)
+        rows = partial(_TRIANGLES[name], nmax)
         return _Output(
             lambda: {
                 "name": name,
                 "nmax": nmax,
-                "rows": (list(map(str, row)) for row in rows),
+                "rows": (list(map(str, row)) for row in rows()),
             },
-            lambda: rows,
-            lambda: (" ".join(map(str, row)) for row in rows),
+            rows,
+            lambda: (" ".join(map(str, row)) for row in rows()),
         )
     if name in _SEQUENCES:
-        fn = _SEQUENCES[name]
-        values = [fn(n) for n in range(nmax + 1)]
+        values = partial(_SEQUENCES[name], nmax)
         return _Output(
-            lambda: {"name": name, "nmax": nmax, "values": map(str, values)},
-            lambda: chain([["n", "value"]], enumerate(values)),
-            lambda: values,
+            lambda: {"name": name, "nmax": nmax, "values": map(str, values())},
+            lambda: chain([["n", "value"]], enumerate(values())),
+            values,
         )
-    # Q_n is the coefficient n + 1 of exp_q
-    polys = touchard.exp_q(nmax + 1, MultiPoly.var(args.var) - 1)[1:]
+
+    def polys():
+        # Q_0..Q_nmax, the coefficients 1..nmax + 1 of exp_q
+        return islice(touchard._q_products(MultiPoly.var(args.var) - 1), 1, nmax + 2)
+
     return _Output(
         lambda: {
             "name": name,
             "var": args.var,
             "nmax": nmax,
-            "polys": (p.to_json_obj() for p in polys),
+            "polys": (p.to_json_obj() for p in polys()),
         },
-        lambda: chain([["n", "poly"]], enumerate(polys)),
-        lambda: polys,
+        lambda: chain([["n", "poly"]], enumerate(polys())),
+        polys,
     )
 
 

@@ -266,10 +266,12 @@ def _check_size(n, k, flavor, force, hint=_FORCE_HINT, what=""):
         read += ((m in orders) + (m in blocks)) * cost
     # the k - i single blocks once, then per shape at most i parts past 1 and
     # a count's digits, in log10 (finite at n <= sys.maxsize):
-    # p(n,k) <= C(n-1,k-1), over 2^64 past j = 64, and p(n,k) <= p(n-k) <
-    # exp(pi*sqrt(2(n-k)/3)) (Erdos 1942); a count is at most the cell's (slp,
-    # llp) or S(n,k) <= C(n,k)*k^(n-k) <= (e*n/i)^i*k^(n-k), precise at any n
-    shapes = pi * sqrt(2 * (n - k) / 3) / log(10)
+    # p(n,k) <= C(n-1,k-1), over 2^64 past j = 64, and p(n,k) <= p(n-k),
+    # exact to n - k = 100 (p(100) is over 10^8), then < exp(pi*sqrt(2(n-k)/3))
+    # (Erdos 1942); a count is at most the cell's (slp, llp) or
+    # S(n,k) <= C(n,k)*k^(n-k) <= (e*n/i)^i*k^(n-k), precise at any n
+    shapes = (log10(_partition_count(n - k)) if n - k <= 100
+              else pi * sqrt(2 * (n - k) / 3) / log(10))
     if (j := min(k - 1, n - k)) <= 64:
         shapes = min(shapes, log10(comb(n - 1, j)))
     i = min(k, n - k)
@@ -282,6 +284,15 @@ def _check_size(n, k, flavor, force, hint=_FORCE_HINT, what=""):
     if shapes > 30 or price > ELEMENT_BUDGET:
         raise _over_budget(what, price, "elements", ELEMENT_BUDGET, hint)
     return flavor
+
+
+def _partition_count(m: int) -> int:
+    """p(m), the partitions of m, counted by adding one part size at a time."""
+    p = [1] + [0] * m
+    for part in range(1, m + 1):
+        for t in range(part, m + 1):
+            p[t] += p[t - part]
+    return p[m]
 
 
 def _check_enumeration(n, k, flavor, force) -> str:

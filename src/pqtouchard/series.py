@@ -31,10 +31,10 @@ class EgfSeries(list):
 
 
 # -- ordinary power series, used only as an independent cross-check ----------
-def _miller(W, alpha: Fraction, order: int) -> list[int]:
-    """Integer-scaled coefficients G_0..G_order of (1 + w)^alpha.
+def _miller(W, a: int, b: int, order: int) -> list[int]:
+    """Integer-scaled coefficients G_0..G_order of (1 + w)^alpha, alpha = a/b.
 
-    With alpha = a/b (b > 0) and w = sum_{k>=1} W_k t^k / (k! * D^k) for
+    With b > 0 and w = sum_{k>=1} W_k t^k / (k! * D^k) for
     integers W_k (W[0] is ignored, missing entries are 0) and D, the
     coefficient g_m of t^m is G_m / (m! * b^m * D^m).  J.C.P. Miller's
     recurrence for powers of a series (TAOCP vol. 2, 4.7),
@@ -49,7 +49,6 @@ def _miller(W, alpha: Fraction, order: int) -> list[int]:
     G_m = sum_{j<=m} prod_{i<j} (a - i*b) * b^(m-j) * B_{m,j}(W), a sum of
     integer-coefficient polynomials in integers.  D itself never enters.
     """
-    a, b = alpha.as_integer_ratio()
     # (k, b^(k-1) * W_k) for the nonzero W_k; the inner series of the
     # oracle has one, so its recurrence is a running product
     terms = [

@@ -4,7 +4,8 @@ Binomials, Stirling numbers of both kinds, Bell numbers and factorials.
 The three triangles grow row by row on demand under one lock and are kept
 for the process lifetime; Bell numbers are Stirling-2 row sums and
 factorials come from math.  Rows are stored as tuples and only ever
-appended, so a published row never changes and readers never block.
+appended, so a published row never changes and readers never block;
+`table` and avg_nse, which read each row once, stream theirs and keep none.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 import threading
 from itertools import accumulate, count, repeat
+from operator import add, mul
 
 _lock = threading.RLock()
 
@@ -33,12 +35,11 @@ def _stream(triangle, n: int):
 def _pascal(weights):
     """Step of a triangle grown by row[j] = w*prev[j] + prev[j-1], where
     weights(m) yields w for j = 0..m of row m."""
-    return lambda m, prev: tuple(
-        w * a + b for w, a, b in zip(weights(m), prev + (0,), (0,) + prev)
-    )
+    return lambda m, prev: tuple(map(add, map(mul, weights(m), prev + (0,)), (0,) + prev))
 
 
-_BINOMIAL = ([(1,)], _pascal(lambda m: repeat(1)))
+# every weight is 1, so a row is the sum of two shifted copies of the last
+_BINOMIAL = ([(1,)], lambda m, prev: tuple(map(add, prev + (0,), (0,) + prev)))
 _STIRLING2 = ([(1,)], _pascal(lambda m: count()))
 _STIRLING1 = ([(1,)], _pascal(lambda m: repeat(m - 1)))
 

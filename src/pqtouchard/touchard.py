@@ -79,13 +79,14 @@ def exp_q(order: int, v) -> EgfSeries:
     """
     _check_n(order, "order")
     _exact(v, "v", symbolic=True)
-    one = v * 0 + 1  # the ring's 1: a constant polynomial for a polynomial v
-    coeffs = [one, one][: order + 1]
-    factor = 1
-    for _ in range(2, order + 1):
-        factor = factor + v
-        coeffs.append(coeffs[-1] * factor)
-    return EgfSeries(coeffs)
+    return EgfSeries(islice(_q_products(v), order + 1))
+
+
+def _q_products(v):
+    """exp_q's coefficients for an exact v, without end: the ring's 1 (a
+    constant polynomial for a polynomial v), then Q_0 = 1, Q_1, ..., each
+    stepped from the one before, Q_n = Q_(n-1) * (1 + n*v)."""
+    return accumulate(accumulate(repeat(v), initial=1), mul, initial=v * 0 + 1)
 
 
 def _factors(n: int, k: int) -> tuple[list[int], list[int]]:
@@ -321,11 +322,11 @@ def touchard_eval(n: int, x, p, q) -> Fraction:
     to row n once and then read row by row.
     """
     _check_n(n)
-    # an int has a numerator and a denominator too: no Fraction is needed
-    x, u, v = _exact(x, "x"), _exact(p, "p") - 1, _exact(q, "q") - 1
-    a, b = x.numerator, x.denominator
-    c, d = u.numerator, u.denominator
-    e, f = v.numerator, v.denominator
+    # each ratio read once; p - 1 = (pn - d)/d is in lowest terms too
+    a, b = _exact(x, "x").as_integer_ratio()
+    pn, d = _exact(p, "p").as_integer_ratio()
+    qn, f = _exact(q, "q").as_integer_ratio()
+    c, e = pn - d, qn - f
     # weights[k] = a^k * prod_{m<k} (d + m*c) * (b*d)^(n-k), which is
     # x^k * prod_{m<k} (1 + m*u) over the denominator (b*d)^n
     rising = accumulate((a * (d + k * c) for k in range(n)), mul, initial=1)
@@ -366,11 +367,12 @@ def taylor_oracle(x, p, q, order: int) -> list[Fraction]:
         )
     c, d = q.denominator - q.numerator, q.denominator  # 1 - q = c/d
     r, pd = p.denominator - p.numerator, p.denominator  # 1 - p = r/pd
-    inner = _miller([0, c], Fraction(d, c), order)
+    # each exponent as a/b with b > 0, as _miller takes it
+    inner = _miller([0, c], d if c > 0 else -d, abs(c), order)
     g = gcd(r * x.numerator, pd * x.denominator)
     P, Q = r * x.numerator // g, pd * x.denominator // g
     powers = accumulate(repeat(Q, order), mul, initial=P)  # P * Q^(k-1)
-    outer = _miller([0, *map(mul, powers, inner[1:])], Fraction(pd, r), order)
+    outer = _miller([0, *map(mul, powers, inner[1:])], pd if r > 0 else -pd, abs(r), order)
     # T_n / n! = G_n / (n! * (|r| * D)^n), |r| the denominator of 1/(1-p)
     return _unscale(outer, abs(r * c) * d * Q)
 

@@ -14,6 +14,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import islice
+from math import factorial as math_factorial
 from math import prod
 from pathlib import Path
 from types import GeneratorType
@@ -663,6 +664,68 @@ class TestTable:
             argv = ("table", "--name", name, "--nmax", str(nmax), "--format", fmt)
             assert run(capsys, *argv)[:2] == (0, text), fmt
 
+    @pytest.mark.parametrize("name", ["bell", "factorial", "q-product"])
+    def test_sequences_equal_independent_values(self, capsys, name):
+        # the streamed values against sources they do not share: math's
+        # factorial per n, row sums of the public stirling2 entries, exp_q
+        values = {
+            "bell": [sum(stirling2(n, k) for k in range(n + 1)) for n in range(41)],
+            "factorial": [math_factorial(n) for n in range(41)],
+            "q-product": exp_q(41, MultiPoly.var("q") - 1)[1:],
+        }[name]
+        for nmax in range(41):
+            head = values[: nmax + 1]
+            table = io.StringIO()
+            csv.writer(table, lineterminator="\n").writerows(
+                [["n", "poly" if name == "q-product" else "value"], *enumerate(head)]
+            )
+            if name == "q-product":
+                fields = {"var": "q", "nmax": nmax, "polys": [p.to_json_obj() for p in head]}
+            else:
+                fields = {"nmax": nmax, "values": list(map(str, head))}
+            expected = {
+                "plain": "".join(f"{value}\n" for value in head),
+                "csv": table.getvalue(),
+                "json": json.dumps({"name": name, **fields}, indent=2) + "\n",
+            }
+            for fmt, text in expected.items():
+                argv = ("table", "--name", name, "--nmax", str(nmax), "--format", fmt)
+                assert run(capsys, *argv)[:2] == (0, text), (fmt, nmax)
+
+    def test_tables_keep_no_triangle(self, tmp_path):
+        # every name streams its rows, each dropped once it is written, so
+        # no triangle grows past its first row in any format
+        script = (
+            "import sys\n"
+            "from pqtouchard import cli, tables\n"
+            "names = (*cli._TRIANGLES, *cli._SEQUENCES, 'q-product')\n"
+            "status = {cli.main(['table', '--name', name, '--nmax', '300',\n"
+            "                    '--format', fmt, '--out', sys.argv[1]])\n"
+            "          for name in names for fmt in ('plain', 'json', 'csv')}\n"
+            "triangles = (tables._BINOMIAL, tables._STIRLING1, tables._STIRLING2)\n"
+            "print(status, [len(rows) for rows, _ in triangles])\n"
+        )
+        result, _ = run_cold("-c", script, str(tmp_path / "table"), timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "{0} [1, 1, 1]"
+
+    def test_a_streamed_table_holds_little(self, tmp_path):
+        # rows 0..300 of stirling2 take about 6 MB when kept; streamed, the
+        # row in hand and the writer's chunks stay well under 1.5 MB
+        script = (
+            "import sys, tracemalloc\n"
+            "from pqtouchard import cli\n"
+            "tracemalloc.start()\n"
+            "status = cli.main(['table', '--name', 'stirling2', '--nmax', '300',\n"
+            "                   '--format', 'json', '--out', sys.argv[1]])\n"
+            "print(status, tracemalloc.get_traced_memory()[1])\n"
+        )
+        result, _ = run_cold("-c", script, str(tmp_path / "table"), timeout=60)
+        assert result.returncode == 0, result.stderr
+        status, peak = map(int, result.stdout.split())
+        assert status == 0
+        assert peak < 1.5 * 2**20, peak
+
     def test_json_big_values_are_strings(self, capsys):
         status, out, _ = run(
             capsys, "table", "--name", "bell", "--nmax", "30", "--format", "json"
@@ -717,8 +780,9 @@ class TestTable:
             for name, fn in ENTRIES.items():
                 printed = digits(fn(n, k) for n in range(nmax + 1) for k in range(n + 1))
                 assert printed <= cli._table_digits(name, nmax), (name, nmax)
-            for name, fn in cli._SEQUENCES.items():
-                printed = digits(fn(n) for n in range(nmax + 1))
+            for name, values in cli._SEQUENCES.items():
+                # the values 0..nmax, streamed as the command prints them
+                printed = digits(values(nmax))
                 assert printed <= cli._table_digits(name, nmax), (name, nmax)
             polys = exp_q(nmax + 1, MultiPoly.var("q") - 1)[1:]
             printed = digits(c for poly in polys for c in poly.terms.values())

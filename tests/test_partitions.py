@@ -241,9 +241,9 @@ class TestBudget:
         assert sum(1 for _ in enumerate_partitions(4, 2, "slp")) == 36
 
     def test_dist_poly_respects_budget(self, monkeypatch):
-        # llp(4,2) reads 45 elements: its word tallies of lengths 2 (twice,
-        # orders and blocks) and 3, and 3 shapes, at most, of 2 parts and 2 digits
-        monkeypatch.setattr(partitions, "ELEMENT_BUDGET", 44)
+        # llp(4,2) reads 41 elements: its word tallies of lengths 2 (twice,
+        # orders and blocks) and 3, and its p(2) = 2 shapes of 2 parts and 2 digits
+        monkeypatch.setattr(partitions, "ELEMENT_BUDGET", 40)
         with pytest.raises(ValueError, match="force"):
             dist_poly(4, 2)
         poly = dist_poly(4, 2, force=True)
@@ -301,6 +301,31 @@ class TestBudget:
         for flavor, count in (("ssp", comb(n, 2)), ("slp", 2 * comb(n, 2))):
             assert dist_poly(n, n - 1, flavor=flavor).evaluate({"u": 1, "v": 1}) == count
 
+    def test_partition_count_is_exact(self):
+        def brute(m, top):
+            # the partitions of m into parts of at most top, largest part first
+            return 1 if m == 0 else sum(brute(m - part, part) for part in range(1, min(m, top) + 1))
+
+        assert [partitions._partition_count(m) for m in range(31)] == [brute(m, m) for m in range(31)]
+
+    def test_cells_off_the_diagonal_are_priced_by_their_shapes(self):
+        # n - k = 20 leaves p(20) = 627 shapes, where exp(pi*sqrt(2(n-k)/3))
+        # allowed about 38,000; S(n, n-d) from the second-order Eulerian
+        # numbers (Concrete Mathematics, 6.43), with no table grown
+        d, eulerian = 20, [1]
+        for m in range(1, d + 1):
+            eulerian = [
+                (j + 1) * (eulerian[j] if j < len(eulerian) else 0)
+                + (2 * m - 1 - j) * (eulerian[j - 1] if 0 < j <= len(eulerian) else 0)
+                for j in range(m)
+            ]
+        for n in (21, 30, 40, 2000, 20000):
+            count = sum(e * comb(n + d - 1 - j, 2 * d) for j, e in enumerate(eulerian))
+            if n <= 40:
+                assert count == count_partitions(n, n - d, "ssp")
+            assert partitions._check_size(n, n - d, "ssp", False) == "ssp"
+            assert dist_poly(n, n - d, flavor="ssp").evaluate({"u": 1, "v": 1}) == count
+
     def test_enumeration_prices_the_elements_it_lists(self):
         # the identities' largest cells and the benchmark's fit; the first
         # ssp cell past the element budget, the first object past the length
@@ -327,22 +352,22 @@ class TestBudget:
         assert dist_poly(2_000_000, 2_000_000, flavor="slp") == MultiPoly.const(1)
 
     def test_every_flavor_is_budgeted(self, monkeypatch):
-        monkeypatch.setattr(partitions, "ELEMENT_BUDGET", 40)
+        monkeypatch.setattr(partitions, "ELEMENT_BUDGET", 30)
         # each cell's objects, and the elements its tally reads, summed up
         # to the term over the budget: slp(5,2) stops at its word tally of
         # length 4, 72 elements, after 27 for lengths 2 and 3
         for n, k, flavor, count, read in (
-            (6, 3, "ssp", 90, 70),
-            (5, 3, "lsp", 150, 52),
+            (7, 3, "ssp", 301, 40),
+            (5, 3, "lsp", 150, 32),
             (5, 2, "slp", 240, 99),
-            (4, 2, "llp", 72, 45),
+            (4, 2, "llp", 72, 41),
         ):
             # stated as the count times n, or as the k^(n-k)*n lower bound
             listed = f"{flavor} enumeration for n={n}, k={k} lists (at least )?[0-9]+ elements"
-            with pytest.raises(ValueError, match=f"^{listed}, over the budget of 40;"):
+            with pytest.raises(ValueError, match=f"^{listed}, over the budget of 30;"):
                 enumerate_partitions(n, k, flavor)
             tallied = f"{flavor} tally for n={n}, k={k} reads {read} elements"
-            with pytest.raises(ValueError, match=f"^{tallied}, over the budget of 40;"):
+            with pytest.raises(ValueError, match=f"^{tallied}, over the budget of 30;"):
                 dist_poly(n, k, flavor=flavor)
             forced = enumerate_partitions(n, k, flavor, force=True)
             assert sum(1 for _ in forced) == count

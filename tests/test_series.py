@@ -216,7 +216,7 @@ class TestCompositionByPowers:
 def miller_power(W, D, alpha, order):
     """(1 + w)^alpha through the integer kernel, w_k = W_k / (k! * D^k)."""
     alpha = Fraction(alpha)
-    return _unscale(_miller(W, alpha, order), alpha.denominator * D)
+    return _unscale(_miller(W, *alpha.as_integer_ratio(), order), alpha.denominator * D)
 
 
 def series_of(W, D, order):

@@ -162,6 +162,15 @@ class TestQProduct:
             assert all(key[slot] <= n - 1 for key in shifted.terms)
 
 
+class TestStream:
+    @pytest.mark.parametrize("name", ["_BINOMIAL", "_STIRLING2", "_STIRLING1"])
+    def test_streamed_rows_are_the_kept_rows(self, name):
+        # `table` and avg_nse step each row from the last and drop it; every
+        # row must be the one the memoized readers keep
+        triangle = getattr(tables, name)
+        assert list(tables._stream(triangle, 300)) == tables._rows(triangle, 300)
+
+
 class TestChecks:
     @pytest.mark.parametrize("n", [-1, True, 2.0], ids=["negative", "bool", "float"])
     @pytest.mark.parametrize("fn", TABLE_FUNCTIONS, ids=lambda fn: fn.__name__)
