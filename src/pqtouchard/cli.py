@@ -17,31 +17,35 @@ import re
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, chain, dropwhile, islice, repeat, starmap
 from json.encoder import encode_basestring_ascii
 from math import lgamma, log, log10
-from operator import mul
 
 from . import partitions, permstats, touchard
 from .poly import MultiPoly
-from .tables import _BINOMIAL, _STIRLING1, _STIRLING2, _check_n, _stream, factorial
+from .tables import _BINOMIAL, _EXACT, _STIRLING1, _STIRLING2, _check_n, _stream, factorial
 
-# each name's rows 0..nmax, streamed (_stream), s(n,k) = (-1)^(n-k) c(n,k)
+# each name's rows 0..nmax, streamed (_stream), s(n,k) = (-1)^(n-k) c(n,k).
+# The Stirling numbers and factorials are Decimals, made, negated and
+# multiplied in _EXACT, since str() of an int is quadratic in its digits;
+# binomial and bell stay ints, whose digits are few for the stepping they take
+_ONE = Decimal(1)
 _TRIANGLES = {
     "binomial": partial(_stream, _BINOMIAL),
-    "stirling2": partial(_stream, _STIRLING2),
-    "stirling1": partial(_stream, _STIRLING1),
+    "stirling2": partial(_stream, _STIRLING2, one=_ONE),
+    "stirling1": partial(_stream, _STIRLING1, one=_ONE),
     "stirling1-signed": lambda nmax: (
-        [-c if (n - k) % 2 else c for k, c in enumerate(row)]
-        for n, row in enumerate(_stream(_STIRLING1, nmax))
+        [_EXACT.minus(c) if (n - k) % 2 else c for k, c in enumerate(row)]
+        for n, row in enumerate(_stream(_STIRLING1, nmax, one=_ONE))
     ),
 }
 # values 0..nmax, likewise: Bell numbers are the Stirling-2 row sums
 _SEQUENCES = {
     "bell": lambda nmax: map(sum, _stream(_STIRLING2, nmax)),
-    "factorial": lambda nmax: accumulate(range(1, nmax + 1), mul, initial=1),
+    "factorial": lambda nmax: accumulate(range(1, nmax + 1), _EXACT.multiply, initial=_ONE),
 }
 
 
@@ -91,9 +95,11 @@ class _Output:
     Every format is a function that the emitter calls only for the format
     asked for, so the others are never built; csv rows, plain lines and any
     json array (given as an iterator of its items) may be lazy.  The json
-    payload holds str, int, bool, None, dicts, lists, tuples and iterators;
-    the package's own writer, _json, writes it byte-identical to
-    json.JSONEncoder(indent=2), without the encoder's pure-Python path.
+    payload holds str, int, bool, None, dicts, lists, tuples, iterators and
+    _Records; the package's own writer, _json, writes it byte-identical to
+    json.JSONEncoder(indent=2), without the encoder's pure-Python path.  A
+    list or tuple of integer Decimals, which the encoder refuses, is written
+    as the encoder writes the list of their str().
     """
 
     payload: Callable[[], object]
@@ -127,10 +133,11 @@ def _key(key) -> str:
 def _text(value, newline: str, nested: bool = True) -> str | None:
     """The whole json text of a scalar, of a list, tuple or dict of
     scalars, or (nested) of a dict of those, such as a polynomial term, in
-    one join; None for anything else.  newline starts the line that the
-    value's closing bracket goes on."""
+    one join; None for anything else.  A list or tuple of Decimals is
+    written as strings of their digits, with no escape scan.  newline starts
+    the line that the value's closing bracket goes on."""
     if not isinstance(value, (dict, list, tuple)):
-        return None if isinstance(value, Iterator) else _scalar(value)
+        return None if isinstance(value, (Iterator, _Records)) else _scalar(value)
     if not value:
         return "{}" if isinstance(value, dict) else "[]"
     inner = newline + "  "
@@ -144,23 +151,52 @@ def _text(value, newline: str, nested: bool = True) -> str | None:
             parts.append(f"{_key(key)}: {text}")
         return "{" + inner + ("," + inner).join(parts) + newline + "}"
     kinds = set(map(type, value))
+    quoted = kinds == {Decimal}  # written as the text of its digits
+    if kinds == {str}:
+        # text with no character to escape, such as a row of digit strings;
+        # the raw items are checked, not the join
+        raw = "".join(value)
+        quoted = raw.isascii() and not raw.encode().translate(None, _UNESCAPED)
+    if quoted:
+        # each item's text quoted as it is, with one join
+        sep = '",' + inner + '"'
+        return "[" + inner + '"' + sep.join(map(str, value)) + '"' + newline + "]"
     if not _SCALARS.keys() >= kinds:
         return None
-    if kinds == {str}:
-        # text with no character to escape, such as a row of digit strings,
-        # is quoted with one join; the raw items are checked, not the join
-        raw = "".join(value)
-        if raw.isascii() and not raw.encode().translate(None, _UNESCAPED):
-            sep = '",' + inner + '"'
-            return "[" + inner + '"' + sep.join(value) + '"' + newline + "]"
     write = _SCALARS[kinds.pop()] if len(kinds) == 1 else _scalar
     return "[" + inner + ("," + inner).join(map(write, value)) + newline + "]"
+
+
+@dataclass(frozen=True)
+class _Records:
+    """A json array of objects that share their keys, each given as a row
+    of its values.  fields maps each key, in row order, to the text of its
+    value: "{}" for an int, '"{}"' for text with no character to escape,
+    such as a partition's digits, commas and slashes.  Each row is written
+    through one template, so each key is escaped once, not once per row."""
+
+    fields: dict[str, str]
+    rows: Iterable[Sequence]
+
+    def json(self, newline: str) -> Iterator[str]:
+        inner, field = newline + "  ", newline + "    "
+        keys = (_key(key).replace("{", "{{").replace("}", "}}") for key in self.fields)
+        pairs = map("{}: {}".format, keys, self.fields.values())
+        template = "{{" + field + ("," + field).join(pairs) + inner + "}}"
+        head = "[" + inner
+        for text in starmap(template.format, self.rows):
+            yield head + text
+            head = "," + inner
+        yield "[]" if head[0] == "[" else newline + "]"
 
 
 def _json(value, newline: str = "\n") -> Iterator[str]:
     """value's text as JSONEncoder(indent=2) writes it, with an iterator
     written as an array, chunk by chunk: each item _text writes whole (a
     row, a record) is one chunk, and nothing larger is ever joined."""
+    if isinstance(value, _Records):
+        yield from value.json(newline)
+        return
     text = _text(value, newline)
     if text is not None:
         yield text
@@ -193,12 +229,14 @@ def _emit(output: _Output, fmt: str, handle) -> None:
         handle.writelines(_json(output.payload()))
         handle.write("\n")
     elif fmt == "csv":
-        # QUOTE_MINIMAL never quotes a str(int), which holds only digits and
-        # "-", so a row of ints alone is joined directly: csv.writer's quoting
-        # scan of every character costs about three times the row's str()
+        # QUOTE_MINIMAL never quotes the str() of an int or an integer
+        # Decimal, which holds only digits and "-", so a row of them alone is
+        # joined directly: csv.writer's quoting scan of every character costs
+        # about three times the row's str()
         writer = csv.writer(handle, lineterminator="\n")
+        numbers = {int, Decimal}
         for row in output.rows():
-            if {int}.issuperset(map(type, row)):
+            if numbers.issuperset(map(type, row)):
                 handle.write(",".join(map(str, row)) + "\n")
             else:
                 writer.writerow(row)
@@ -246,11 +284,12 @@ _FORCE = "pass --force to run it anyway"  # the way past each budget below
 # Digits `table` may print without --force.  The bound below stays within it
 # up to nmax = 359 for the Stirling triangles and bell, 690 for binomial, 345
 # for q-product and 3,973 for factorial, and at 300 for every name.  At those
-# edges every name ran in at most 1.3 s and 19 MB peak RSS in each format
-# (the largest, q-product --format json, wrote 35 MB in 0.7-1.2 s; factorial,
-# whose values pass 4,300 digits from nmax = 1,559, took 3.0-3.5 s at 16 MB),
-# measured as cold processes with --out on a 2-vCPU VM.  stirling2 at
-# nmax = 1500, which wrote 1.48 GB in 55 s, is refused.
+# edges every name ran in at most 0.35 s and 19 MB peak RSS in each format,
+# but q-product, which wrote up to 35 MB in 0.7-1.7 s (slowest as csv);
+# factorial, whose values pass 4,300 digits from nmax = 1,559, took 0.19-0.35
+# s as Decimals, 3.5-3.6 s as ints.  Measured as cold processes with --out on
+# a 2-vCPU VM.  stirling2 at nmax = 1500, which wrote 1.48 GB in 55 s, is
+# refused.
 TABLE_DIGIT_BUDGET = 50_000_000
 
 
@@ -286,7 +325,10 @@ def _cmd_table(args) -> _Output:
             lambda: {
                 "name": name,
                 "nmax": nmax,
-                "rows": (list(map(str, row)) for row in rows()),
+                # each number as a string: _text quotes a row of Decimals
+                "rows": (
+                    row if type(row[0]) is Decimal else list(map(str, row)) for row in rows()
+                ),
             },
             rows,
             lambda: (" ".join(map(str, row)) for row in rows()),
@@ -376,8 +418,10 @@ def _cmd_enumerate(args) -> _Output:
     # distinct blocks, each rendered once
     # the three formats share the one stream; the emitter drains only one
     records = partial(partitions._records, args.n, args.k, flavor, args.stats)
+    # json quotes a partition's text as it is: digits, commas and slashes
+    fields = dict(zip(header, ('"{}"', "{}", "{}")))
     return _Output(
-        lambda: map(dict, map(zip, repeat(header), records())),
+        lambda: _Records(fields, records()),
         lambda: chain([header], records()),
         # one format call writes a line's fields, each as its str()
         lambda: starmap(" ".join(["{}"] * len(header)).format, records()),

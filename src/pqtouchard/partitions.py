@@ -358,14 +358,20 @@ def _records(n, k, flavor, stats):
     per block and one record per order."""
     one_word = flavor in ("ssp", "lsp")
     # block -> its text, or the tuples of its words' texts and nse terms,
-    # which product reads without a copy
+    # which product reads without a copy.  An lsp block recurs only in its
+    # own skeleton's k! orders, so lsp keeps at most k blocks, one skeleton's:
+    # a full cache is emptied at the next skeleton's first new block.  The
+    # others keep every block, whose words recur across skeletons
     words = {}
+    held = k if flavor == "lsp" else None
     for order in _arrangements(n, k, flavor):
         moved = k - _rl_min_count([b[0] for b in order]) if stats else 0
         found = []
         for block in order:
             word = words.get(block)
             if word is None:
+                if len(words) == held:
+                    words.clear()
                 word = words[block] = (
                     _block_text(block, n)
                     if one_word

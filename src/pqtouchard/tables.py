@@ -5,13 +5,15 @@ The three triangles grow row by row on demand under one lock and are kept
 for the process lifetime; Bell numbers are Stirling-2 row sums and
 factorials come from math.  Rows are stored as tuples and only ever
 appended, so a published row never changes and readers never block;
-`table` and avg_nse, which read each row once, stream theirs and keep none.
+`table` and avg_nse, which read each row once, stream theirs and keep none
+(`table`'s Stirling rows as exact Decimals, see _stream).
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Rounded, localcontext
 from itertools import accumulate, count, repeat
 from operator import add, mul
 
@@ -25,11 +27,24 @@ def _check_n(n: int, name: str = "n", low: int | None = 0):
         raise ValueError(f"{name} must be {kind} integer, got {n!r}")
 
 
-def _stream(triangle, n: int):
-    """Rows 0..n of a triangle, each stepped from the one before and kept
-    nowhere: a reader that drops each row holds O(n) entries."""
-    rows, step = triangle
-    return accumulate(range(1, n + 1), lambda prev, m: step(m, prev), initial=rows[0])
+# a context that rounds nothing: no precision or exponent an entry can pass,
+# and Rounded, which every rounding signals (inexact or not), raises
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Rounded])
+
+
+def _stream(triangle, n: int, one=1):
+    """Rows 0..n of a triangle from the row (one,), each stepped from the one
+    before and kept nowhere: a reader that drops each row holds O(n) entries.
+    With one = Decimal(1) every entry is a Decimal, whose str() is linear in
+    its digits where an int's is quadratic; each step runs in _EXACT, so the
+    caller's context rounds none of them."""
+    step = triangle[1]
+
+    def exact(prev, m):
+        with localcontext(_EXACT):
+            return step(m, prev)
+
+    return accumulate(range(1, n + 1), exact, initial=(one,))
 
 
 def _pascal(weights):

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import decimal
 import hashlib
 import io
 import json
@@ -773,7 +774,9 @@ class TestTable:
 
     def test_bound_covers_the_printed_numbers(self):
         def digits(values):
-            return sum(len(str(abs(v))) for v in values)
+            # counted from the text, with no arithmetic: abs() of a Decimal
+            # rounds to the context's 28 digits
+            return sum(len(str(v).lstrip("-")) for v in values)
 
         assert ENTRIES.keys() == cli._TRIANGLES.keys()
         for nmax in range(40):
@@ -787,6 +790,36 @@ class TestTable:
             polys = exp_q(nmax + 1, MultiPoly.var("q") - 1)[1:]
             printed = digits(c for poly in polys for c in poly.terms.values())
             assert printed <= cli._table_digits("q-product", nmax), nmax
+
+    def test_streams_ignore_the_callers_context(self):
+        # the Decimal rows and values are made, negated and multiplied in
+        # tables._EXACT: under a 5-digit context a bare -c, * or sum rounds
+        nmax = 60
+        with decimal.localcontext() as context:
+            context.prec = 5
+            for name, rows in cli._TRIANGLES.items():
+                expected = [[ENTRIES[name](n, k) for k in range(n + 1)] for n in range(nmax + 1)]
+                assert list(map(list, rows(nmax))) == expected, name
+            expected = {
+                "bell": [sum(stirling2(n, k) for k in range(n + 1)) for n in range(nmax + 1)],
+                "factorial": list(map(math_factorial, range(nmax + 1))),
+            }
+            assert cli._SEQUENCES.keys() == expected.keys()
+            for name, values in cli._SEQUENCES.items():
+                assert list(values(nmax)) == expected[name], name
+
+    @pytest.mark.parametrize("name", ["stirling2", "stirling1", "stirling1-signed", "factorial"])
+    def test_a_rounding_raises_before_it_prints(self, capsys, monkeypatch, name):
+        # with too few digits in _EXACT, the first rounded entry raises
+        # Rounded; what was printed before it is the exact table's head
+        argv = ("table", "--name", name, "--nmax", "60")
+        status, exact, _ = run(capsys, *argv)
+        assert status == 0
+        monkeypatch.setattr(tables._EXACT, "prec", 20)
+        with pytest.raises(decimal.Rounded):
+            main(list(argv))
+        out = capsys.readouterr().out
+        assert exact.startswith(out) and len(out) < len(exact)
 
     def test_force_lifts_the_budget(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "TABLE_DIGIT_BUDGET", 1)
@@ -1352,6 +1385,26 @@ def test_json_text_equals_the_encoder(payload):
     got = io.StringIO()
     cli._emit(cli._Output(lambda: _as_given(payload, True), list, list), "json", got)
     assert got.getvalue() == json.JSONEncoder(indent=2).encode(_as_given(payload, False)) + "\n"
+
+
+@given(st.lists(st.text(), min_size=1, max_size=4, unique=True), st.data())
+@settings(max_examples=200)
+def test_records_equal_the_encoder(keys, data):
+    # every other column is text that needs no escape, written '"{}"'; the
+    # keys are any text, braces and escapes included, at the top level and
+    # nested in an object
+    texts = st.text(alphabet="0123456789,/", max_size=6)
+    columns = [st.integers() if i % 2 else texts for i in range(len(keys))]
+    rows = data.draw(st.lists(st.tuples(*columns), max_size=4))
+    fields = {key: '"{}"' if i % 2 == 0 else "{}" for i, key in enumerate(keys)}
+    objects = [dict(zip(keys, row)) for row in rows]
+    for payload, expected in (
+        (lambda: cli._Records(fields, iter(rows)), objects),
+        (lambda: {"records": cli._Records(fields, iter(rows))}, {"records": objects}),
+    ):
+        got = io.StringIO()
+        cli._emit(cli._Output(payload, list, list), "json", got)
+        assert got.getvalue() == json.JSONEncoder(indent=2).encode(expected) + "\n"
 
 
 @pytest.mark.parametrize("text", ["\x1f", "\x7f", '"', "\\", " ", "~", "é", "\ud800", "\t"])
