@@ -26,23 +26,20 @@ from math import lgamma, log, log10
 
 from . import partitions, permstats, touchard
 from .poly import MultiPoly
-from .tables import _BINOMIAL, _EXACT, _STIRLING1, _STIRLING2, _check_n, _stream, factorial
+from .tables import _BINOMIAL, _EXACT, _STIRLING1, _STIRLING1_SIGNED, _STIRLING2
+from .tables import _check_n, _stream, factorial
 
-# each name's rows 0..nmax, streamed (_stream), s(n,k) = (-1)^(n-k) c(n,k).
-# The Stirling numbers and factorials are Decimals, made, negated and
-# multiplied in _EXACT, since str() of an int is quadratic in its digits;
-# binomial and bell stay ints, whose digits are few for the stepping they take
+# each name's rows 0..nmax, streamed (_stream) as Decimals made and
+# multiplied in _EXACT, since str() of an int is quadratic in its digits
 _ONE = Decimal(1)
 _TRIANGLES = {
-    "binomial": partial(_stream, _BINOMIAL),
+    "binomial": partial(_stream, _BINOMIAL, one=_ONE),
     "stirling2": partial(_stream, _STIRLING2, one=_ONE),
     "stirling1": partial(_stream, _STIRLING1, one=_ONE),
-    "stirling1-signed": lambda nmax: (
-        [_EXACT.minus(c) if (n - k) % 2 else c for k, c in enumerate(row)]
-        for n, row in enumerate(_stream(_STIRLING1, nmax, one=_ONE))
-    ),
+    "stirling1-signed": partial(_stream, _STIRLING1_SIGNED, one=_ONE),
 }
-# values 0..nmax, likewise: Bell numbers are the Stirling-2 row sums
+# values 0..nmax, likewise; Bell numbers are the Stirling-2 row sums, as
+# ints, whose digits are few for the stepping they take
 _SEQUENCES = {
     "bell": lambda nmax: map(sum, _stream(_STIRLING2, nmax)),
     "factorial": lambda nmax: accumulate(range(1, nmax + 1), _EXACT.multiply, initial=_ONE),
@@ -115,9 +112,6 @@ _SCALARS = {
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
 }
-# the characters encode_basestring_ascii writes as they are: space to tilde,
-# less the quote and the backslash
-_UNESCAPED = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
 
 
 def _scalar(value) -> str:
@@ -151,14 +145,8 @@ def _text(value, newline: str, nested: bool = True) -> str | None:
             parts.append(f"{_key(key)}: {text}")
         return "{" + inner + ("," + inner).join(parts) + newline + "}"
     kinds = set(map(type, value))
-    quoted = kinds == {Decimal}  # written as the text of its digits
-    if kinds == {str}:
-        # text with no character to escape, such as a row of digit strings;
-        # the raw items are checked, not the join
-        raw = "".join(value)
-        quoted = raw.isascii() and not raw.encode().translate(None, _UNESCAPED)
-    if quoted:
-        # each item's text quoted as it is, with one join
+    if kinds == {Decimal}:
+        # each item's text, which holds only digits and "-", quoted as it is
         sep = '",' + inner + '"'
         return "[" + inner + '"' + sep.join(map(str, value)) + '"' + newline + "]"
     if not _SCALARS.keys() >= kinds:
@@ -229,14 +217,15 @@ def _emit(output: _Output, fmt: str, handle) -> None:
         handle.writelines(_json(output.payload()))
         handle.write("\n")
     elif fmt == "csv":
-        # QUOTE_MINIMAL never quotes the str() of an int or an integer
-        # Decimal, which holds only digits and "-", so a row of them alone is
-        # joined directly: csv.writer's quoting scan of every character costs
-        # about three times the row's str()
+        # QUOTE_MINIMAL never quotes the str() of an int, of an integer
+        # Decimal, which holds only digits and "-", or of a polynomial, which
+        # is never empty and holds no comma, quote or newline, so a row of them
+        # alone is joined directly: csv.writer's quoting scan of every
+        # character costs about three times the row's str()
         writer = csv.writer(handle, lineterminator="\n")
-        numbers = {int, Decimal}
+        plain = {int, Decimal, MultiPoly}
         for row in output.rows():
-            if numbers.issuperset(map(type, row)):
+            if plain.issuperset(map(type, row)):
                 handle.write(",".join(map(str, row)) + "\n")
             else:
                 writer.writerow(row)
@@ -284,12 +273,12 @@ _FORCE = "pass --force to run it anyway"  # the way past each budget below
 # Digits `table` may print without --force.  The bound below stays within it
 # up to nmax = 359 for the Stirling triangles and bell, 690 for binomial, 345
 # for q-product and 3,973 for factorial, and at 300 for every name.  At those
-# edges every name ran in at most 0.35 s and 19 MB peak RSS in each format,
-# but q-product, which wrote up to 35 MB in 0.7-1.7 s (slowest as csv);
-# factorial, whose values pass 4,300 digits from nmax = 1,559, took 0.19-0.35
-# s as Decimals, 3.5-3.6 s as ints.  Measured as cold processes with --out on
-# a 2-vCPU VM.  stirling2 at nmax = 1500, which wrote 1.48 GB in 55 s, is
-# refused.
+# edges every name, each triangle stepped as Decimals, ran in at most 0.25 s
+# and 18 MB peak RSS in each format, but q-product, which wrote up to 35 MB
+# in 0.5-0.9 s (slowest as json); factorial, whose values pass 4,300 digits
+# from nmax = 1,559, took 0.14-0.20 s as Decimals, 3.5-3.6 s as ints.
+# Measured as cold processes with --out on a 2-vCPU VM.  stirling2 at
+# nmax = 1500, which wrote 1.48 GB in 55 s, is refused.
 TABLE_DIGIT_BUDGET = 50_000_000
 
 
@@ -325,10 +314,7 @@ def _cmd_table(args) -> _Output:
             lambda: {
                 "name": name,
                 "nmax": nmax,
-                # each number as a string: _text quotes a row of Decimals
-                "rows": (
-                    row if type(row[0]) is Decimal else list(map(str, row)) for row in rows()
-                ),
+                "rows": rows(),  # each number as a string: _text quotes a row of Decimals
             },
             rows,
             lambda: (" ".join(map(str, row)) for row in rows()),

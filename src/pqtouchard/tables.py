@@ -6,7 +6,8 @@ for the process lifetime; Bell numbers are Stirling-2 row sums and
 factorials come from math.  Rows are stored as tuples and only ever
 appended, so a published row never changes and readers never block;
 `table` and avg_nse, which read each row once, stream theirs and keep none
-(`table`'s Stirling rows as exact Decimals, see _stream).
+(`table`'s as exact Decimals, see _stream, the signed Stirling-1 rows by a
+step of their own).
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Rounded])
 def _stream(triangle, n: int, one=1):
     """Rows 0..n of a triangle from the row (one,), each stepped from the one
     before and kept nowhere: a reader that drops each row holds O(n) entries.
-    With one = Decimal(1) every entry is a Decimal, whose str() is linear in
-    its digits where an int's is quadratic; each step runs in _EXACT, so the
-    caller's context rounds none of them."""
+    With one = Decimal(1), as `table` passes, every entry is a Decimal, whose
+    str() is linear in its digits where an int's is quadratic; each step runs
+    in _EXACT, so the caller's context rounds none of them."""
     step = triangle[1]
 
     def exact(prev, m):
@@ -57,6 +58,8 @@ def _pascal(weights):
 _BINOMIAL = ([(1,)], lambda m, prev: tuple(map(add, prev + (0,), (0,) + prev)))
 _STIRLING2 = ([(1,)], _pascal(lambda m: count()))
 _STIRLING1 = ([(1,)], _pascal(lambda m: repeat(m - 1)))
+# s(n,k) = s(n-1,k-1) - (n-1) s(n-1,k), which only `table` streams
+_STIRLING1_SIGNED = ([(1,)], _pascal(lambda m: repeat(1 - m)))
 
 
 def _rows(triangle, n: int) -> list[tuple[int, ...]]:

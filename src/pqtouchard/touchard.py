@@ -1,13 +1,14 @@
 """Deformed Touchard polynomials T_n(x;p,q) and the identities behind them.
 
-Three independent routes compute the same polynomials:
+Three independent routes compute the same polynomials, each as its own two
+lists of factors, which one product writer, _row_terms, multiplies out into
+the terms of T_n; only the writer is shared, so the routes check each other:
 
   substitution   sum of x^k * s_pq(n,k), with s_pq the product of the two
                  one-variable factors of the distribution polynomial
                  s_uv(n,k) = A_{n,k}(v) * B_k(u), each an integer list
-                 shifted by Horner's rule (u -> p-1, v -> q-1); it shares only
-                 the product writer _row_terms with the composition route, and
-                 the explicit route shifts by binomial sums in its own loop
+                 shifted by Horner's rule (u -> p-1, v -> q-1), where the
+                 explicit route shifts by binomial sums
   explicit       the closed five-fold sum over signed Stirling numbers and
                  binomials, split into an (i, m) sum alpha_{k,m} and a
                  (j, l) sum beta_{n,k,l} whose products are the coefficients:
@@ -186,23 +187,17 @@ def _explicit_poly(n: int) -> MultiPoly:
     # binomials, split in two: the coefficient of x^k p^m q^l is
     #   alpha_{k,m}   = (-1)^m sum_{i<k} s(k,k-i) C(i,m)
     #   beta_{n,k,l}  = (-1)^l sum_{j<=n-k} s(n,n-j) S(n-j,k) C(j,l)
-    # times each other.  The (i, m) sum depends on k only, so each half is
-    # O(n^2) per k and the whole is O(n^3) integer products, not O(n^5);
-    # the terms go straight into one map with no polynomial arithmetic and
-    # no zero coefficient multiplied, read from whole table rows with
-    # s(m,m-i) = (-1)^i c(m,m-i)
+    # times each other (_row_terms).  The (i, m) sum depends on k only, so
+    # each half is O(n^2) per k and the whole is O(n^3) integer products,
+    # not O(n^5), read from whole table rows with s(m,m-i) = (-1)^i c(m,m-i);
+    # alpha_0 is empty, since T_n has no x-free term for n >= 1
     cycles, rows = _rows(_STIRLING1, n), _rows(_STIRLING2, n)
     signed = [-c if j % 2 else c for j, c in enumerate(reversed(cycles[n]))]
-    terms = {}
+    alphas, betas = [[]], [[]]
     for k in range(1, n + 1):
-        alpha = _shifted([-c if i % 2 else c for i, c in enumerate(cycles[k][:0:-1])])
-        beta = _shifted([signed[j] * rows[n - j][k] for j in range(n - k + 1)])
-        beta = [(l, b) for l, b in enumerate(beta) if b]
-        for m, a in enumerate(alpha):
-            if a:
-                for l, b in beta:
-                    terms[(k, m, l, 0, 0)] = a * b
-    return _wrap(terms)
+        alphas.append(_shifted([-c if i % 2 else c for i, c in enumerate(cycles[k][:0:-1])]))
+        betas.append(_shifted([signed[j] * rows[n - j][k] for j in range(n - k + 1)]))
+    return _row_terms(alphas, betas)
 
 
 def _power_rows(order: int, v0: int, v1: int, f: int):
@@ -243,15 +238,16 @@ def _symbolic_rows(order: int):
 
 def _row_terms(alpha, row) -> MultiPoly:
     """T_n from row n: the coefficient of x^k p^m q^l is alpha_{k,m} * U(n,k)_l,
-    written straight into one term map, with no zero factor multiplied."""
-    return _wrap(
-        {
-            (k, m, l, 0, 0): a * u
-            for k, (coeffs, us) in enumerate(zip(alpha, row))
-            for m, a in enumerate(coeffs) if a
-            for l, u in enumerate(us) if u
-        }
-    )
+    written straight into one term map, with no zero factor multiplied; each
+    U(n,k)'s zeros are dropped once.  Every route writes its T_n here."""
+    terms = {}
+    for k, (coeffs, us) in enumerate(zip(alpha, row)):
+        nonzero = [(l, u) for l, u in enumerate(us) if u]
+        for m, a in enumerate(coeffs):
+            if a:
+                for l, u in nonzero:
+                    terms[(k, m, l, 0, 0)] = a * u
+    return _wrap(terms)
 
 
 def touchard_series(order: int, x=X, p=P, q=Q) -> EgfSeries:

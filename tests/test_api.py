@@ -69,6 +69,11 @@ CLASS_SURFACES = {
     "OrderedPartition": ("blocks", "from_string", "k", "n", "to_string"),
 }
 
+# the lines of src/pqtouchard/*.py, as `cat src/pqtouchard/*.py | wc -l`
+# counts them: a ceiling, since src/ should shrink; a change that grows it
+# must raise this number on purpose, as a new class member edits the above
+SRC_LINES = 2_473
+
 
 def test_public_names_are_pinned():
     assert PUBLIC_API == tuple(sorted(PUBLIC_API))
@@ -82,6 +87,12 @@ def test_class_surfaces_are_pinned(name):
     assert pinned == tuple(sorted(pinned))
     cls = getattr(pqtouchard, name)
     assert tuple(sorted(a for a in vars(cls) if not a.startswith("_"))) == pinned
+
+
+def test_src_lines_stay_under_the_ceiling():
+    sources = Path(pqtouchard.__file__).parent.glob("*.py")
+    lines = sum(path.read_bytes().count(b"\n") for path in sources)
+    assert lines <= SRC_LINES, f"src/ has {lines} lines, over the ceiling of {SRC_LINES}"
 
 
 def test_every_public_name_resolves():

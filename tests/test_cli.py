@@ -35,6 +35,7 @@ from pqtouchard import (
 )
 from pqtouchard import cli, partitions, tables, touchard
 from pqtouchard.cli import main
+from pqtouchard.poly import _wrap
 from pqtouchard.tables import binomial, stirling1_signed, stirling1_unsigned, stirling2
 
 # each triangle name of `table`, by its public entry function
@@ -703,12 +704,13 @@ class TestTable:
             "status = {cli.main(['table', '--name', name, '--nmax', '300',\n"
             "                    '--format', fmt, '--out', sys.argv[1]])\n"
             "          for name in names for fmt in ('plain', 'json', 'csv')}\n"
-            "triangles = (tables._BINOMIAL, tables._STIRLING1, tables._STIRLING2)\n"
+            "triangles = (tables._BINOMIAL, tables._STIRLING1, tables._STIRLING1_SIGNED,\n"
+            "             tables._STIRLING2)\n"
             "print(status, [len(rows) for rows, _ in triangles])\n"
         )
         result, _ = run_cold("-c", script, str(tmp_path / "table"), timeout=120)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "{0} [1, 1, 1]"
+        assert result.stdout.splitlines()[-1] == "{0} [1, 1, 1, 1]"
 
     def test_a_streamed_table_holds_little(self, tmp_path):
         # rows 0..300 of stirling2 take about 6 MB when kept; streamed, the
@@ -1049,6 +1051,27 @@ PINNED = [
         0,
         "sha256:2e590ee5661348450de2c10a8133da4f3a67c2033d041ffc12a4250d9a9397ba",
     ),
+    (
+        "table --name binomial --nmax 300 --format json",
+        0,
+        "sha256:1630b88b7f3fd9d091d4b24a2f79014dc6d28dddbfcd4107705e32e305dbc712",
+    ),
+    # the signed triangle, stepped by its own recurrence
+    (
+        "table --name stirling1-signed --nmax 300",
+        0,
+        "sha256:d3c482f546f5814d91950e59a5e721da1c86fb5ba0c800f5564f97ca9d3b7d20",
+    ),
+    (
+        "table --name stirling1-signed --nmax 300 --format json",
+        0,
+        "sha256:6cad8294c0fd27ded535f8696850c441a6ddeef478738a9b8cb43108a0f6b29f",
+    ),
+    (
+        "table --name stirling1-signed --nmax 300 --format csv",
+        0,
+        "sha256:6528794ac3f1655283c4bb0bb5f90c2e5e7bddeac8e586b1aedc3aab7d1013df",
+    ),
     ("table --name stirling1-signed --nmax 3", 0, "1\n0 1\n0 -1 1\n0 2 -3 1\n"),
     (
         "table --name stirling1-signed --nmax 3 --format json",
@@ -1317,11 +1340,16 @@ def test_output_bytes_are_pinned(capsys, tmp_path, command, status, expected):
     assert target.read_bytes() == out.encode()
 
 
-# csv fields of every kind a command writes: ints (joined directly when a
-# row holds nothing else), bools, fractions and text that needs quoting
+# csv fields of every kind a command writes: ints, integer Decimals and
+# polynomials (joined directly when a row holds nothing else), bools,
+# fractions and text that needs quoting
 _INTS = st.integers(min_value=-(10**50), max_value=10**50)
+_POLYS = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 5), _INTS, max_size=4).map(
+    _wrap  # the zero polynomial, which prints 0, included
+)
+_PLAIN = st.one_of(_INTS, _INTS.map(decimal.Decimal), _POLYS)
 _FIELDS = st.one_of(
-    _INTS,
+    _PLAIN,
     st.booleans(),
     st.fractions(),
     st.sampled_from(["", ",", '"', "\n", "1,2/3", 'a"b']),
@@ -1329,7 +1357,7 @@ _FIELDS = st.one_of(
 )
 
 
-@given(st.lists(st.one_of(st.lists(_INTS, max_size=6), st.lists(_FIELDS, max_size=6))))
+@given(st.lists(st.one_of(st.lists(_PLAIN, max_size=6), st.lists(_FIELDS, max_size=6))))
 @settings(max_examples=300)
 def test_csv_rows_equal_the_writer(rows):
     got = io.StringIO()

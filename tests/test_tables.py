@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from decimal import Decimal
 from itertools import permutations, product
 from pathlib import Path
 
@@ -169,6 +170,15 @@ class TestStream:
         # row must be the one the memoized readers keep
         triangle = getattr(tables, name)
         assert list(tables._stream(triangle, 300)) == tables._rows(triangle, 300)
+
+    def test_signed_rows_are_the_signed_entries(self):
+        # `table`'s signed triangle steps s(n,k) itself, as Decimals; it must
+        # equal the signed unsigned entries, and (1 - m) * Decimal(0) is
+        # Decimal("-0"), which no entry may print as
+        rows = tables._stream(tables._STIRLING1_SIGNED, 60, one=Decimal(1))
+        for n, row in enumerate(rows):
+            assert list(row) == [stirling1_signed(n, k) for k in range(n + 1)], n
+            assert "-0" not in map(str, row), n
 
 
 class TestChecks:
