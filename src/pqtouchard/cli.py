@@ -20,29 +20,50 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, chain, dropwhile, islice, repeat, starmap
+from itertools import accumulate, chain, count, dropwhile, islice, repeat, starmap
 from json.encoder import encode_basestring_ascii
 from math import lgamma, log, log10
 
 from . import partitions, permstats, touchard
 from .poly import MultiPoly
-from .tables import _BINOMIAL, _EXACT, _STIRLING1, _STIRLING1_SIGNED, _STIRLING2
-from .tables import _check_n, _stream, factorial
+from .tables import _BINOMIAL, _EXACT, _STIRLING2, _check_n, _exact_stream, _stream, factorial
 
-# each name's rows 0..nmax, streamed (_stream) as Decimals made and
-# multiplied in _EXACT, since str() of an int is quadratic in its digits
-_ONE = Decimal(1)
+
+class _Numerals(tuple):
+    """A row of numbers as their str(), which the writers only join: no
+    csv quoting scan, and json quotes each as it is, with no escape scan."""
+
+    __slots__ = ()
+
+
+def _mirrored(nmax: int) -> Iterator[_Numerals]:
+    # C(m,k) = C(m,m-k): entries 0..m//2 of each int row (under 2^m, so
+    # their str() is short) are rendered and mirrored
+    for m, row in enumerate(_stream(_BINOMIAL, nmax)):
+        half = tuple(map(str, row[: m // 2 + 1]))
+        yield _Numerals(half + half[: (m + 1) // 2][::-1])
+
+
+def _exact(weights, nmax: int) -> Iterator[_Numerals]:
+    return (_Numerals(map(str, row)) for row in _exact_stream(weights, nmax))
+
+
+# each name's rows 0..nmax as numerals, each entry rendered once; the
+# Stirling kinds step exact Decimals by their weights (see _exact_stream),
+# since str() of an int is quadratic in its digits
 _TRIANGLES = {
-    "binomial": partial(_stream, _BINOMIAL, one=_ONE),
-    "stirling2": partial(_stream, _STIRLING2, one=_ONE),
-    "stirling1": partial(_stream, _STIRLING1, one=_ONE),
-    "stirling1-signed": partial(_stream, _STIRLING1_SIGNED, one=_ONE),
+    "binomial": _mirrored,
+    "stirling2": partial(_exact, lambda m, columns: columns),
+    "stirling1": partial(_exact, lambda m, columns: repeat(columns[m - 1])),
+    # s(n,k) = s(n-1,k-1) - (n-1) s(n-1,k); copy_negate reads no context
+    "stirling1-signed": partial(_exact, lambda m, columns: repeat(columns[m - 1].copy_negate())),
 }
-# values 0..nmax, likewise; Bell numbers are the Stirling-2 row sums, as
-# ints, whose digits are few for the stepping they take
+# values 0..nmax as numerals: the Stirling-2 row sums as ints (few digits
+# for the stepping they take), factorials as exact Decimals
+_ONE = Decimal(1)
 _SEQUENCES = {
-    "bell": lambda nmax: map(sum, _stream(_STIRLING2, nmax)),
-    "factorial": lambda nmax: accumulate(range(1, nmax + 1), _EXACT.multiply, initial=_ONE),
+    "bell": lambda n: map(str, map(sum, _stream(_STIRLING2, n))),
+    "factorial": lambda n: map(str, accumulate(range(1, n + 1), _EXACT.multiply, initial=_ONE)),
 }
 
 
@@ -94,9 +115,8 @@ class _Output:
     json array (given as an iterator of its items) may be lazy.  The json
     payload holds str, int, bool, None, dicts, lists, tuples, iterators and
     _Records; the package's own writer, _json, writes it byte-identical to
-    json.JSONEncoder(indent=2), without the encoder's pure-Python path.  A
-    list or tuple of integer Decimals, which the encoder refuses, is written
-    as the encoder writes the list of their str().
+    json.JSONEncoder(indent=2), without the encoder's pure-Python path.
+    Rows of _Numerals are written as lists of strings.
     """
 
     payload: Callable[[], object]
@@ -127,9 +147,9 @@ def _key(key) -> str:
 def _text(value, newline: str, nested: bool = True) -> str | None:
     """The whole json text of a scalar, of a list, tuple or dict of
     scalars, or (nested) of a dict of those, such as a polynomial term, in
-    one join; None for anything else.  A list or tuple of Decimals is
-    written as strings of their digits, with no escape scan.  newline starts
-    the line that the value's closing bracket goes on."""
+    one join; None for anything else.  A row of _Numerals is written as
+    strings, with no escape scan.  newline starts the line that the value's
+    closing bracket goes on."""
     if not isinstance(value, (dict, list, tuple)):
         return None if isinstance(value, (Iterator, _Records)) else _scalar(value)
     if not value:
@@ -144,11 +164,10 @@ def _text(value, newline: str, nested: bool = True) -> str | None:
                 return None
             parts.append(f"{_key(key)}: {text}")
         return "{" + inner + ("," + inner).join(parts) + newline + "}"
-    kinds = set(map(type, value))
-    if kinds == {Decimal}:
-        # each item's text, which holds only digits and "-", quoted as it is
+    if type(value) is _Numerals:
         sep = '",' + inner + '"'
-        return "[" + inner + '"' + sep.join(map(str, value)) + '"' + newline + "]"
+        return "[" + inner + '"' + sep.join(value) + '"' + newline + "]"
+    kinds = set(map(type, value))
     if not _SCALARS.keys() >= kinds:
         return None
     write = _SCALARS[kinds.pop()] if len(kinds) == 1 else _scalar
@@ -204,6 +223,7 @@ def _json(value, newline: str = "\n") -> Iterator[str]:
         else:
             yield sep + head + text
         sep = ","
+        del item, text  # a streamed row and its text go before the next is made
     # only an iterator can be empty here: _text writes an empty container
     yield newline + brackets[1] if sep == "," else brackets
 
@@ -217,21 +237,24 @@ def _emit(output: _Output, fmt: str, handle) -> None:
         handle.writelines(_json(output.payload()))
         handle.write("\n")
     elif fmt == "csv":
-        # QUOTE_MINIMAL never quotes the str() of an int, of an integer
-        # Decimal, which holds only digits and "-", or of a polynomial, which
-        # is never empty and holds no comma, quote or newline, so a row of them
-        # alone is joined directly: csv.writer's quoting scan of every
-        # character costs about three times the row's str()
+        # QUOTE_MINIMAL never quotes a numeral, the str() of an int, or that
+        # of a polynomial, which is never empty and holds no comma, quote or
+        # newline, so a row of them alone is joined directly: csv.writer's
+        # quoting scan of every character costs about three times the row's
+        # str()
         writer = csv.writer(handle, lineterminator="\n")
-        plain = {int, Decimal, MultiPoly}
+        plain = {int, MultiPoly}
         for row in output.rows():
-            if plain.issuperset(map(type, row)):
+            if type(row) is _Numerals:
+                handle.write(",".join(row) + "\n")
+            elif plain.issuperset(map(type, row)):
                 handle.write(",".join(map(str, row)) + "\n")
             else:
                 writer.writerow(row)
+            del row  # dropped before the next row is made, as in _json
     else:
         # the bytes print would write: str of each line, then a newline
-        handle.writelines(f"{line}\n" for line in output.lines())
+        handle.writelines(map("{}\n".format, output.lines()))
 
 
 def _emit_to_file(output: _Output, fmt: str, path: str) -> None:
@@ -273,12 +296,12 @@ _FORCE = "pass --force to run it anyway"  # the way past each budget below
 # Digits `table` may print without --force.  The bound below stays within it
 # up to nmax = 359 for the Stirling triangles and bell, 690 for binomial, 345
 # for q-product and 3,973 for factorial, and at 300 for every name.  At those
-# edges every name, each triangle stepped as Decimals, ran in at most 0.25 s
-# and 18 MB peak RSS in each format, but q-product, which wrote up to 35 MB
-# in 0.5-0.9 s (slowest as json); factorial, whose values pass 4,300 digits
-# from nmax = 1,559, took 0.14-0.20 s as Decimals, 3.5-3.6 s as ints.
-# Measured as cold processes with --out on a 2-vCPU VM.  stirling2 at
-# nmax = 1500, which wrote 1.48 GB in 55 s, is refused.
+# edges every name ran in 0.10-0.27 s of CPU and 16-17.5 MB peak RSS in each
+# format, but q-product, which wrote up to 35 MB in 0.56-1.07 s (slowest as
+# json); factorial, whose values pass 4,300 digits from nmax = 1,559, took
+# 0.16-0.27 s as Decimals, 3.5-3.6 s as ints.  Measured as cold processes
+# with --out and cached bytecode on a 2-vCPU VM.  stirling2 at nmax = 1500,
+# which wrote 1.48 GB in 55 s, is refused.
 TABLE_DIGIT_BUDGET = 50_000_000
 
 
@@ -311,19 +334,15 @@ def _cmd_table(args) -> _Output:
     if name in _TRIANGLES:
         rows = partial(_TRIANGLES[name], nmax)
         return _Output(
-            lambda: {
-                "name": name,
-                "nmax": nmax,
-                "rows": rows(),  # each number as a string: _text quotes a row of Decimals
-            },
+            lambda: {"name": name, "nmax": nmax, "rows": rows()},  # each number a string
             rows,
-            lambda: (" ".join(map(str, row)) for row in rows()),
+            lambda: map(" ".join, rows()),
         )
     if name in _SEQUENCES:
         values = partial(_SEQUENCES[name], nmax)
         return _Output(
-            lambda: {"name": name, "nmax": nmax, "values": map(str, values())},
-            lambda: chain([["n", "value"]], enumerate(values())),
+            lambda: {"name": name, "nmax": nmax, "values": values()},
+            lambda: chain([["n", "value"]], map(_Numerals, zip(map(str, count()), values()))),
             values,
         )
 

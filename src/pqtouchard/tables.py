@@ -6,15 +6,14 @@ for the process lifetime; Bell numbers are Stirling-2 row sums and
 factorials come from math.  Rows are stored as tuples and only ever
 appended, so a published row never changes and readers never block;
 `table` and avg_nse, which read each row once, stream theirs and keep none
-(`table`'s as exact Decimals, see _stream, the signed Stirling-1 rows by a
-step of their own).
+(`table`'s Stirling kinds as exact Decimals, see _exact_stream).
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Rounded, localcontext
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Rounded
 from itertools import accumulate, count, repeat
 from operator import add, mul
 
@@ -33,44 +32,47 @@ def _check_n(n: int, name: str = "n", low: int | None = 0):
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Rounded])
 
 
-def _stream(triangle, n: int, one=1):
-    """Rows 0..n of a triangle from the row (one,), each stepped from the one
-    before and kept nowhere: a reader that drops each row holds O(n) entries.
-    With one = Decimal(1), as `table` passes, every entry is a Decimal, whose
-    str() is linear in its digits where an int's is quadratic; each step runs
-    in _EXACT, so the caller's context rounds none of them."""
-    step = triangle[1]
-
-    def exact(prev, m):
-        with localcontext(_EXACT):
-            return step(m, prev)
-
-    return accumulate(range(1, n + 1), exact, initial=(one,))
-
-
 def _pascal(weights):
     """Step of a triangle grown by row[j] = w*prev[j] + prev[j-1], where
     weights(m) yields w for j = 0..m of row m."""
-    return lambda m, prev: tuple(map(add, map(mul, weights(m), prev + (0,)), (0,) + prev))
+    return lambda prev, m: tuple(map(add, map(mul, weights(m), prev + (0,)), (0,) + prev))
 
 
 # every weight is 1, so a row is the sum of two shifted copies of the last
-_BINOMIAL = ([(1,)], lambda m, prev: tuple(map(add, prev + (0,), (0,) + prev)))
+_BINOMIAL = ([(1,)], lambda prev, m: tuple(map(add, prev + (0,), (0,) + prev)))
 _STIRLING2 = ([(1,)], _pascal(lambda m: count()))
 _STIRLING1 = ([(1,)], _pascal(lambda m: repeat(m - 1)))
-# s(n,k) = s(n-1,k-1) - (n-1) s(n-1,k), which only `table` streams
-_STIRLING1_SIGNED = ([(1,)], _pascal(lambda m: repeat(1 - m)))
+
+
+def _stream(triangle, n: int):
+    """Rows 0..n of a triangle, each stepped from the one before and kept
+    nowhere: a reader that drops each row holds O(n) entries."""
+    return accumulate(range(1, n + 1), triangle[1], initial=(1,))
+
+
+def _exact_stream(weights, n: int):
+    """Rows 0..n of a triangle grown as _pascal's, as exact Decimals, whose
+    str() is linear in the digits (an int's is quadratic): weights(m,
+    columns) yields w from columns, the Decimals 0..n made once, and each
+    entry is one _EXACT.fma, which no caller's context can round."""
+    columns = list(map(Decimal, range(n + 1)))
+    zero = (columns[0],)
+
+    def step(prev, m):
+        return tuple(map(_EXACT.fma, weights(m, columns), prev + zero, zero + prev))
+
+    return accumulate(range(1, n + 1), step, initial=(Decimal(1),))
 
 
 def _rows(triangle, n: int) -> list[tuple[int, ...]]:
-    """Rows 0..n of an n its caller checked, after appending step(m, rows[m-1])
+    """Rows 0..n of an n its caller checked, after appending step(rows[m-1], m)
     for each missing row m: the one place a triangle grows or is read whole."""
     rows, step = triangle
     if n >= len(rows):
         with _lock:
             while len(rows) <= n:
                 m = len(rows)
-                rows.append(step(m, rows[m - 1]))
+                rows.append(step(rows[m - 1], m))
     return rows[: n + 1]
 
 

@@ -72,7 +72,7 @@ CLASS_SURFACES = {
 # the lines of src/pqtouchard/*.py, as `cat src/pqtouchard/*.py | wc -l`
 # counts them: a ceiling, since src/ should shrink; a change that grows it
 # must raise this number on purpose, as a new class member edits the above
-SRC_LINES = 2_473
+SRC_LINES = 2_494
 
 
 def test_public_names_are_pinned():

@@ -704,13 +704,12 @@ class TestTable:
             "status = {cli.main(['table', '--name', name, '--nmax', '300',\n"
             "                    '--format', fmt, '--out', sys.argv[1]])\n"
             "          for name in names for fmt in ('plain', 'json', 'csv')}\n"
-            "triangles = (tables._BINOMIAL, tables._STIRLING1, tables._STIRLING1_SIGNED,\n"
-            "             tables._STIRLING2)\n"
+            "triangles = (tables._BINOMIAL, tables._STIRLING1, tables._STIRLING2)\n"
             "print(status, [len(rows) for rows, _ in triangles])\n"
         )
         result, _ = run_cold("-c", script, str(tmp_path / "table"), timeout=120)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "{0} [1, 1, 1, 1]"
+        assert result.stdout.splitlines()[-1] == "{0} [1, 1, 1]"
 
     def test_a_streamed_table_holds_little(self, tmp_path):
         # rows 0..300 of stirling2 take about 6 MB when kept; streamed, the
@@ -795,33 +794,55 @@ class TestTable:
 
     def test_streams_ignore_the_callers_context(self):
         # the Decimal rows and values are made, negated and multiplied in
-        # tables._EXACT: under a 5-digit context a bare -c, * or sum rounds
+        # tables._EXACT: under a 5-digit context a bare -c, * or sum rounds,
+        # and a 1-digit one rounds each weight past 9
         nmax = 60
-        with decimal.localcontext() as context:
-            context.prec = 5
-            for name, rows in cli._TRIANGLES.items():
-                expected = [[ENTRIES[name](n, k) for k in range(n + 1)] for n in range(nmax + 1)]
-                assert list(map(list, rows(nmax))) == expected, name
-            expected = {
-                "bell": [sum(stirling2(n, k) for k in range(n + 1)) for n in range(nmax + 1)],
-                "factorial": list(map(math_factorial, range(nmax + 1))),
-            }
-            assert cli._SEQUENCES.keys() == expected.keys()
-            for name, values in cli._SEQUENCES.items():
-                assert list(values(nmax)) == expected[name], name
+        for prec in (5, 1):
+            with decimal.localcontext() as context:
+                context.prec = prec
+                for name, rows in cli._TRIANGLES.items():
+                    expected = [
+                        tuple(str(ENTRIES[name](n, k)) for k in range(n + 1))
+                        for n in range(nmax + 1)
+                    ]
+                    assert list(rows(nmax)) == expected, (name, prec)
+                expected = {
+                    "bell": [sum(stirling2(n, k) for k in range(n + 1)) for n in range(nmax + 1)],
+                    "factorial": list(map(math_factorial, range(nmax + 1))),
+                }
+                assert cli._SEQUENCES.keys() == expected.keys()
+                for name, values in cli._SEQUENCES.items():
+                    assert list(values(nmax)) == list(map(str, expected[name])), (name, prec)
 
     @pytest.mark.parametrize("name", ["stirling2", "stirling1", "stirling1-signed", "factorial"])
     def test_a_rounding_raises_before_it_prints(self, capsys, monkeypatch, name):
         # with too few digits in _EXACT, the first rounded entry raises
-        # Rounded; what was printed before it is the exact table's head
+        # Rounded: the stream yields the exact numerals up to it, and what
+        # was printed before it is the exact table's head
+        stream = {**cli._TRIANGLES, **cli._SEQUENCES}[name]
+        exact_rows = list(stream(60))
         argv = ("table", "--name", name, "--nmax", "60")
         status, exact, _ = run(capsys, *argv)
         assert status == 0
         monkeypatch.setattr(tables._EXACT, "prec", 20)
+        rows = []
+        with pytest.raises(decimal.Rounded):
+            rows.extend(stream(60))
+        assert rows == exact_rows[: len(rows)] and 0 < len(rows) < len(exact_rows)
         with pytest.raises(decimal.Rounded):
             main(list(argv))
         out = capsys.readouterr().out
         assert exact.startswith(out) and len(out) < len(exact)
+
+    def test_binomial_rows_are_mirrored_halves(self):
+        # entries 0..m//2 of each row are rendered and mirrored; the rows of
+        # both parities, m = 0, 1 and 2 among them, must be the kept rows
+        rows = list(cli._TRIANGLES["binomial"](300))
+        assert rows[:4] == [("1",), ("1", "1"), ("1", "2", "1"), ("1", "3", "3", "1")]
+        assert all(type(row) is cli._Numerals for row in rows)
+        kept = tables._rows(tables._BINOMIAL, 300)
+        assert rows == [tuple(map(str, row)) for row in kept]
+        assert list(cli._TRIANGLES["binomial"](0)) == [("1",)]
 
     def test_force_lifts_the_budget(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "TABLE_DIGIT_BUDGET", 1)
@@ -1055,6 +1076,32 @@ PINNED = [
         "table --name binomial --nmax 300 --format json",
         0,
         "sha256:1630b88b7f3fd9d091d4b24a2f79014dc6d28dddbfcd4107705e32e305dbc712",
+    ),
+    (
+        "table --name binomial --nmax 300 --format csv",
+        0,
+        "sha256:6bb2185cc12e5dc5372a31e7876a44b96431e440d8d08261f4580ff6c9a4b59c",
+    ),
+    (
+        "table --name stirling2 --nmax 300 --format csv",
+        0,
+        "sha256:957f0a931c9dfefbeceb41d4c9c5f1410e93068f61b24c62597b15c01ced07f7",
+    ),
+    # the unsigned Stirling-1 triangle, whose weight is one per row
+    (
+        "table --name stirling1 --nmax 300",
+        0,
+        "sha256:c8e6b68bd6fed13c23aef59dd2509a85dfeb26cc72c6f99eeb09902c059ab79d",
+    ),
+    (
+        "table --name stirling1 --nmax 300 --format json",
+        0,
+        "sha256:f77735325708f3f68800b4dc1970806f0069c0402abd35ac822a464f2a05e39c",
+    ),
+    (
+        "table --name stirling1 --nmax 300 --format csv",
+        0,
+        "sha256:9ed483b20d1638951fd6833f9c7dadef580008e04330470b8e3dc42c5a362bac",
     ),
     # the signed triangle, stepped by its own recurrence
     (
@@ -1340,24 +1387,33 @@ def test_output_bytes_are_pinned(capsys, tmp_path, command, status, expected):
     assert target.read_bytes() == out.encode()
 
 
-# csv fields of every kind a command writes: ints, integer Decimals and
-# polynomials (joined directly when a row holds nothing else), bools,
-# fractions and text that needs quoting
+# csv fields of every kind a command writes: ints and polynomials (joined
+# directly when a row holds nothing else), integer Decimals, bools,
+# fractions and text that needs quoting; and rows of numerals, "0" and
+# negative ones among them, which `table` writes
 _INTS = st.integers(min_value=-(10**50), max_value=10**50)
 _POLYS = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 5), _INTS, max_size=4).map(
     _wrap  # the zero polynomial, which prints 0, included
 )
-_PLAIN = st.one_of(_INTS, _INTS.map(decimal.Decimal), _POLYS)
+_PLAIN = st.one_of(_INTS, _POLYS)
 _FIELDS = st.one_of(
     _PLAIN,
+    _INTS.map(decimal.Decimal),
     st.booleans(),
     st.fractions(),
     st.sampled_from(["", ",", '"', "\n", "1,2/3", 'a"b']),
     st.text(alphabet=',"\n -/0123456789ab', max_size=8),
 )
+_NUMERALS = st.lists(st.one_of(st.just(0), _INTS), max_size=6).map(
+    lambda values: cli._Numerals(map(str, values))
+)
 
 
-@given(st.lists(st.one_of(st.lists(_PLAIN, max_size=6), st.lists(_FIELDS, max_size=6))))
+@given(
+    st.lists(
+        st.one_of(st.lists(_PLAIN, max_size=6), st.lists(_FIELDS, max_size=6), _NUMERALS)
+    )
+)
 @settings(max_examples=300)
 def test_csv_rows_equal_the_writer(rows):
     got = io.StringIO()
@@ -1429,6 +1485,23 @@ def test_records_equal_the_encoder(keys, data):
     for payload, expected in (
         (lambda: cli._Records(fields, iter(rows)), objects),
         (lambda: {"records": cli._Records(fields, iter(rows))}, {"records": objects}),
+    ):
+        got = io.StringIO()
+        cli._emit(cli._Output(payload, list, list), "json", got)
+        assert got.getvalue() == json.JSONEncoder(indent=2).encode(expected) + "\n"
+
+
+@given(st.lists(_NUMERALS, max_size=4), st.data())
+@settings(max_examples=200)
+def test_numeral_rows_equal_the_encoder(rows, data):
+    # rows of numerals, as `table` streams them, at the top level, as the
+    # array a payload's iterator gives and nested in a list
+    lists = [list(row) for row in rows]
+    row = data.draw(_NUMERALS)
+    for payload, expected in (
+        (lambda: row, list(row)),
+        (lambda: {"name": "t", "rows": iter(rows)}, {"name": "t", "rows": lists}),
+        (lambda: [rows, row], [lists, list(row)]),
     ):
         got = io.StringIO()
         cli._emit(cli._Output(payload, list, list), "json", got)

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import textwrap
-from decimal import Decimal
 from itertools import permutations, product
 from pathlib import Path
 
@@ -15,6 +14,7 @@ from pqtouchard import (
     MultiPoly,
     bell,
     binomial,
+    cli,
     exp_q,
     factorial,
     stirling1_signed,
@@ -172,13 +172,27 @@ class TestStream:
         assert list(tables._stream(triangle, 300)) == tables._rows(triangle, 300)
 
     def test_signed_rows_are_the_signed_entries(self):
-        # `table`'s signed triangle steps s(n,k) itself, as Decimals; it must
-        # equal the signed unsigned entries, and (1 - m) * Decimal(0) is
-        # Decimal("-0"), which no entry may print as
-        rows = tables._stream(tables._STIRLING1_SIGNED, 60, one=Decimal(1))
+        # `table`'s signed triangle steps s(n,k) itself, by weights 1 - m, as
+        # Decimals; it must equal the signed unsigned entries, and
+        # (1 - m) * Decimal(0) is Decimal("-0"), which no entry may print as
+        rows = cli._TRIANGLES["stirling1-signed"](60)
         for n, row in enumerate(rows):
-            assert list(row) == [stirling1_signed(n, k) for k in range(n + 1)], n
-            assert "-0" not in map(str, row), n
+            assert row == tuple(str(stirling1_signed(n, k)) for k in range(n + 1)), n
+            assert "-0" not in row, n
+
+    @pytest.mark.parametrize("name", ["stirling2", "stirling1", "stirling1-signed"])
+    def test_fma_rows_are_the_int_rows(self, name):
+        # each Stirling entry `table` prints is one exact fma on Decimals;
+        # every row through 300 must be the int triangle's, signed for
+        # stirling1-signed, and none may print as "-0"
+        triangle = tables._STIRLING2 if name == "stirling2" else tables._STIRLING1
+        signed = name == "stirling1-signed"
+        rows = list(cli._TRIANGLES[name](300))
+        assert len(rows) == 301
+        for n, (row, kept) in enumerate(zip(rows, tables._rows(triangle, 300))):
+            ints = [-c if signed and (n - k) % 2 else c for k, c in enumerate(kept)]
+            assert row == tuple(map(str, ints)), n
+            assert type(row) is cli._Numerals and "-0" not in row, n
 
 
 class TestChecks:
